@@ -3,34 +3,20 @@
 Fix k and a sequence (a_n).  The row of bits gamma(k, a_n) is eventually
 periodic whenever the residues a_n mod 2k are, because adding a multiple of
 2k to the second argument never changes gamma.  The machinery here computes
-rows, detects their periods from finite windows, computes exact residue-state
-periods, and certifies a detected row period by checking one full residue
-period beyond the preperiod and divisibility into it.
+rows from the residues mod 2k that ``sequences`` supplies, detects their
+periods from finite windows, computes exact residue-state periods by running
+the residue engine of ``sequences`` until its state repeats, and certifies a
+detected row period by checking one full residue period beyond the preperiod
+and divisibility into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import DomainError, InvariantViolation, gamma, gcd, solve_split
-from .sequences import (
-    Arithmetic,
-    Balancing,
-    Explicit,
-    FibonacciLike,
-    FibonacciPower,
-    KthPower,
-    LucasBalancing,
-    Naturals,
-    Odds,
-    PowerRecurrence,
-    SequenceSpec,
-    ShiftedGeometric,
-    is_superlinear,
-    iter_terms,
-    term_mod,
-)
+from .sequences import Explicit, FibonacciPower, SequenceSpec, iter_terms, residue_engine, residues
 
 __all__ = [
     "BitRow",
@@ -87,20 +73,21 @@ class StatePeriod:
 def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
     """Row of classifier bits against a fixed k.
 
-    Families whose terms explode (factorial powers, squared-lag recurrences)
-    are evaluated through residues mod 2k, which is exact: gamma(k, b) only
-    depends on b mod 2k.
+    Every family is read through its residues mod 2k, which is exact because
+    gamma(k, b) only depends on b mod 2k, so the classifier runs at most once
+    per residue: min(count, 2k) calls.  Power recurrences that may turn
+    nonpositive and explicit lists reduce exact terms (see residues).
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    if is_superlinear(spec):
-        m = 2 * k
-        bits = []
-        for j in range(count):
-            r = term_mod(spec, start + j, m)
-            bits.append(gamma(k, r if r else m))
-    else:
-        bits = [gamma(k, t) for t in iter_terms(spec, start, count)]
+    m = 2 * k
+    table: dict[int, int] = {}
+    bits = []
+    for r in residues(spec, start, count, m):
+        bit = table.get(r)
+        if bit is None:
+            bit = table[r] = gamma(k, r or m)
+        bits.append(bit)
     return BitRow(k, spec, start, tuple(bits))
 
 
@@ -149,44 +136,6 @@ def detect_period(bits: Sequence[int], min_repeats: int = 3) -> PeriodReport | N
 # ---------------- Residue-state periods ----------------
 
 
-def _state_engine(
-    spec: SequenceSpec, m: int
-) -> tuple[tuple[int, ...], Callable[[tuple[int, ...]], tuple[int, ...]], Callable[[tuple[int, ...]], int]]:
-    # Returns (state at n=1, step, output); output(state at position n) = a_n mod m.
-    if isinstance(spec, FibonacciPower):
-        p = spec.power
-        return (1 % m, 1 % m), lambda st: (st[1], (st[0] + st[1]) % m), lambda st: pow(st[0], p, m)
-    if isinstance(spec, FibonacciLike):
-        return (spec.t1 % m, spec.t2 % m), lambda st: (st[1], (st[0] + st[1]) % m), lambda st: st[0]
-    if isinstance(spec, (Balancing, LucasBalancing)):
-        x, y = (1, 6) if isinstance(spec, Balancing) else (3, 17)
-        return (x % m, y % m), lambda st: (st[1], (6 * st[1] - st[0]) % m), lambda st: st[0]
-    if isinstance(spec, (Naturals, Odds, Arithmetic)):
-        if isinstance(spec, Naturals):
-            p, r = 1, 0
-        elif isinstance(spec, Odds):
-            p, r = 2, 1
-        else:
-            p, r = spec.p, spec.r
-        return ((p - r) % m, (2 * p - r) % m), lambda st: (st[1], (2 * st[1] - st[0]) % m), lambda st: st[0]
-    if isinstance(spec, KthPower):
-        k = spec.k
-        return (1 % m,), lambda st: ((st[0] + 1) % m,), lambda st: pow(st[0], k, m)
-    if isinstance(spec, ShiftedGeometric):
-        a, r = spec.a, spec.r
-        state0 = ((a + 1) % m, (a * r + 1) % m)
-        return state0, lambda st: (st[1], ((r + 1) * st[1] - r * st[0]) % m), lambda st: st[0]
-    if isinstance(spec, PowerRecurrence):
-        coeffs, powers = spec.coeffs, spec.powers
-
-        def step(st: tuple[int, ...]) -> tuple[int, ...]:
-            nxt = sum(coeffs[i] * pow(st[-1 - i], powers[i], m) for i in range(len(coeffs))) % m
-            return st[1:] + (nxt,)
-
-        return tuple(a % m for a in spec.init), step, lambda st: st[0]
-    raise DomainError(f"no residue recurrence available for {spec!r}")
-
-
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -207,10 +156,10 @@ def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    state0, step, out = _state_engine(spec, m)
+    state_at, step, out = residue_engine(spec, m)
     seen: dict[tuple[int, ...], int] = {}
     outputs: list[int] = []
-    st = state0
+    st = state_at(1)
     while st not in seen:
         seen[st] = len(outputs)
         outputs.append(out(st))

@@ -1,9 +1,13 @@
 """Integer sequence families fed to the split-equation classifier.
 
-All sequences are 1-indexed.  Each family supports exact term generation and
-modular term generation; the modular route exists because several families
-(factorial powers, squared-lag recurrences) outgrow memory long before the
-classifier runs out of questions to ask about them.
+All sequences are 1-indexed.  How each family recurs is written down once,
+here: ``_linear`` tabulates the eight order-2 linear families, which jump to
+any index by Lucas doubling, and ``residue_engine`` steps every family that
+has a finite residue state.  Exact terms (``iter_terms``, ``term``) and
+residues (``residues``, ``term_mod``) are both read off that one description;
+the modular route matters because several families (factorial powers,
+squared-lag recurrences) outgrow memory long before the classifier runs out
+of questions to ask about them.
 
 Also here: closed-form witnesses for consecutive Fibonacci pairs, squared and
 cubed Fibonacci pairs, and general coprime-seeded Fibonacci-like pairs at
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .core import (
     DomainError,
@@ -30,7 +34,36 @@ FACTPOW_FULL_TERM_MAX = 6
 MAX_TERM_BITS = 1_000_000
 
 
-# ---------------- Fibonacci helpers ----------------
+# ---------------- Lucas doubling ----------------
+
+
+def _lucas_pair(n: int, p: int, q: int, mod: int | None = None) -> tuple[int, int]:
+    # (U_n, U_{n+1}) for U_0 = 0, U_1 = 1, U_{j+1} = p U_j - q U_{j-1}, by doubling:
+    # U_2j = U_j (2 U_{j+1} - p U_j) and U_2j+1 = U_{j+1}^2 - q U_j^2 (Lucas 1878)
+    u, w = 0, 1
+    for bit in bin(n)[2:]:
+        c = u * (2 * w - p * u)
+        d = w * w - q * (u * u)
+        if bit == "1":
+            u, w = d, p * d - q * c
+        else:
+            u, w = c, d
+        if mod is not None:
+            u %= mod
+            w %= mod
+    return u, w
+
+
+def _linear_pair(lin: tuple[int, ...], n: int, mod: int | None = None) -> tuple[int, int]:
+    # (a_n, a_{n+1}) for n >= 1 of a_j = c1 a_{j-1} + c2 a_{j-2}, where U has p = c1,
+    # q = -c2: a_n = a1 (U_n - c1 U_{n-1}) + a2 U_{n-1} and a_{n+1} = a1 c2 U_{n-1} + a2 U_n
+    a1, a2, c1, c2 = lin[:4]
+    u0, u1 = _lucas_pair(n - 1, c1, -c2, mod)
+    x = a1 * (u1 - c1 * u0) + a2 * u0
+    y = a1 * c2 * u0 + a2 * u1
+    if mod is not None:
+        return x % mod, y % mod
+    return x, y
 
 
 def fib_pair(n: int, mod: int | None = None) -> tuple[int, int]:
@@ -39,20 +72,7 @@ def fib_pair(n: int, mod: int | None = None) -> tuple[int, int]:
         raise DomainError(f"need n >= 0, got {n}")
     if mod is not None and mod < 1:
         raise DomainError(f"need mod >= 1, got {mod}")
-    f, g = 0, 1
-    for bit in bin(n)[2:]:
-        c = f * (2 * g - f)
-        d = f * f + g * g
-        if bit == "1":
-            f, g = d, c + d
-        else:
-            f, g = c, d
-        if mod is not None:
-            f %= mod
-            g %= mod
-    if mod is not None:
-        return f % mod, g % mod
-    return f, g
+    return _lucas_pair(n, 1, -1, mod)
 
 
 def fib(n: int) -> int:
@@ -203,68 +223,125 @@ SequenceSpec = Union[
 ]
 
 
-def is_superlinear(spec: SequenceSpec) -> bool:
-    """True when full terms grow too fast to materialize over a long window."""
-    if isinstance(spec, FactorialPower):
-        return True
-    return isinstance(spec, PowerRecurrence) and max(spec.powers) >= 2
+# ---------------- The recurrence of each family ----------------
 
 
-# ---------------- Term generation ----------------
+def _linear(spec: SequenceSpec) -> tuple[int, int, int, int, int] | None:
+    """(a_1, a_2, c_1, c_2, power) of the eight order-2 linear families, else None.
+
+    The base sequence starts a_1, a_2 and continues a_n = c_1 a_{n-1} +
+    c_2 a_{n-2}; the family's terms are its power-th powers (power > 1 only
+    for fib^I).
+    """
+    if isinstance(spec, FibonacciPower):
+        return 1, 1, 1, 1, spec.power
+    if isinstance(spec, FibonacciLike):
+        return spec.t1, spec.t2, 1, 1, 1
+    if isinstance(spec, Balancing):
+        return 1, 6, 6, -1, 1
+    if isinstance(spec, LucasBalancing):
+        return 3, 17, 6, -1, 1
+    if isinstance(spec, Naturals):
+        return 1, 2, 2, -1, 1
+    if isinstance(spec, Odds):
+        return 1, 3, 2, -1, 1
+    if isinstance(spec, Arithmetic):
+        return spec.p - spec.r, 2 * spec.p - spec.r, 2, -1, 1
+    if isinstance(spec, ShiftedGeometric):
+        return spec.a + 1, spec.a * spec.r + 1, spec.r + 1, -spec.r, 1
+    return None
 
 
-def _powrec_next(spec: PowerRecurrence, window: tuple[int, ...]) -> int:
+def _powrec_step(spec: PowerRecurrence, window: tuple[int, ...], m: int | None = None) -> int:
     # window holds (a_{n-s}, ..., a_{n-1}); lag i counts back from the end
-    total = 0
-    for i in range(spec.order):
-        total += spec.coeffs[i] * window[-1 - i] ** spec.powers[i]
-    return total
+    if m is None:
+        return sum(spec.coeffs[i] * window[-1 - i] ** spec.powers[i] for i in range(spec.order))
+    return sum(spec.coeffs[i] * pow(window[-1 - i], spec.powers[i], m) for i in range(spec.order)) % m
+
+
+def _exact_only(spec: SequenceSpec) -> bool:
+    # Residues cannot show a term turning nonpositive, so power recurrences
+    # that may do so (a negative coefficient, or all coefficients zero) are
+    # reduced from exact terms, which iter_terms checks; so are explicit lists.
+    if isinstance(spec, PowerRecurrence):
+        return min(spec.coeffs) < 0 or max(spec.coeffs) == 0
+    return isinstance(spec, Explicit)
+
+
+def residue_engine(
+    spec: SequenceSpec, m: int
+) -> tuple[Callable[[int], tuple], Callable[[tuple], tuple], Callable[[tuple], int]]:
+    """(state_at, step, out) for the residues of spec mod m.
+
+    out(state_at(n)) = a_n mod m and step(state_at(n)) = state_at(n + 1).
+    state_at is O(log n) for the linear families and n^K, O(n) for power
+    recurrences.  Families without a finite residue state raise DomainError.
+    """
+    lin = _linear(spec)
+    if lin is not None:
+        c1, c2, power = lin[2:]
+        step = lambda st: (st[1], (c1 * st[1] + c2 * st[0]) % m)
+        return (lambda n: _linear_pair(lin, n, m)), step, (lambda st: pow(st[0], power, m))
+    if isinstance(spec, KthPower):
+        k = spec.k
+        return (lambda n: (n % m,)), (lambda st: ((st[0] + 1) % m,)), (lambda st: pow(st[0], k, m))
+    if isinstance(spec, PowerRecurrence):
+        step = lambda st: st[1:] + (_powrec_step(spec, st, m),)
+
+        def state_at(n: int) -> tuple[int, ...]:
+            st = tuple(a % m for a in spec.init)
+            for _ in range(n - 1):
+                st = step(st)
+            return st
+
+        return state_at, step, lambda st: st[0]
+    raise DomainError(f"no residue recurrence available for {spec!r}")
+
+
+# ---------------- Terms and residues ----------------
+
+
+def _check_window(start: int, count: int) -> None:
+    if start < 1 or count < 0:
+        raise DomainError(f"need start >= 1 and count >= 0, got ({start}, {count})")
 
 
 def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
     """Yield exact terms a_start, ..., a_{start+count-1}."""
-    if start < 1 or count < 0:
-        raise DomainError(f"need start >= 1 and count >= 0, got ({start}, {count})")
+    _check_window(start, count)
     end = start + count
-    if isinstance(spec, FibonacciPower):
-        f, g = fib_pair(start)
+    lin = _linear(spec)
+    if lin is not None:
+        c1, c2, power = lin[2:]
+        x, y = _linear_pair(lin, start)
         for _ in range(count):
-            yield f ** spec.power
-            f, g = g, f + g
-    elif isinstance(spec, (FibonacciLike, Balancing, LucasBalancing)):
-        if isinstance(spec, FibonacciLike):
-            x, y = spec.t1, spec.t2
-            step = lambda x, y: (y, x + y)
-        else:
-            x, y = (1, 6) if isinstance(spec, Balancing) else (3, 17)
-            step = lambda x, y: (y, 6 * y - x)
-        for n in range(1, end):
-            if n >= start:
-                yield x
-            x, y = step(x, y)
-    elif isinstance(spec, (Naturals, Odds, Arithmetic, KthPower, ShiftedGeometric)):
+            yield x**power
+            x, y = y, c1 * y + c2 * x
+    elif isinstance(spec, KthPower):
         for n in range(start, end):
-            yield term(spec, n)
+            yield n**spec.k
     elif isinstance(spec, PowerRecurrence):
-        window = list(spec.init)
+        window = spec.init
         for n in range(1, end):
-            if n <= len(window):
-                t = window[n - 1]
+            if n <= spec.order:
+                t = spec.init[n - 1]
             else:
-                t = _powrec_next(spec, tuple(window[-spec.order:]))
+                t = _powrec_step(spec, window)
                 if t < 1:
                     raise DomainError(f"power recurrence produced a nonpositive term at n={n}")
                 if t.bit_length() > MAX_TERM_BITS:
                     raise ResourceLimitError(
                         f"term at n={n} exceeds {MAX_TERM_BITS} bits; use term_mod instead"
                     )
-                window.append(t)
-                window = window[-spec.order:]
+                window = window[1:] + (t,)
             if n >= start:
                 yield t
     elif isinstance(spec, FactorialPower):
+        if end - 1 > FACTPOW_FULL_TERM_MAX:
+            raise ResourceLimitError(f"full (n!)**(n!) terms stop at n = {FACTPOW_FULL_TERM_MAX}; use term_mod")
         for n in range(start, end):
-            yield term(spec, n)
+            f = math.factorial(n)
+            yield f**f
     elif isinstance(spec, Explicit):
         if end - 1 > len(spec.terms):
             raise DomainError(f"explicit sequence has {len(spec.terms)} terms, asked through {end - 1}")
@@ -273,40 +350,43 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
         raise DomainError(f"unknown sequence spec {spec!r}")
 
 
+def residues(spec: SequenceSpec, start: int, count: int, m: int) -> Iterator[int]:
+    """Yield a_start mod m, ..., a_{start+count-1} mod m without full terms.
+
+    Families with a residue engine jump to a_start and step from there;
+    (n!)^(n!) is reduced term by term through the factorization of m.
+    Explicit lists and power recurrences that may turn nonpositive reduce
+    exact terms, so they keep the positivity and size guards of iter_terms.
+    """
+    _check_window(start, count)
+    if m < 1:
+        raise DomainError(f"modulus must be >= 1, got {m}")
+    if _exact_only(spec):
+        for t in iter_terms(spec, start, count):
+            yield t % m
+    elif isinstance(spec, FactorialPower):
+        factors = _factorize(m)
+        for n in range(start, start + count):
+            yield _crt([(_factpow_mod_primepower(n, p, e), p**e) for p, e in factors])
+    else:
+        state_at, step, out = residue_engine(spec, m)
+        st = state_at(start)
+        for _ in range(count):
+            yield out(st)
+            st = step(st)
+
+
 def term(spec: SequenceSpec, n: int) -> int:
     """Exact value of a_n (1-indexed)."""
-    if n < 1:
-        raise DomainError(f"terms are 1-indexed, got n={n}")
-    if isinstance(spec, FibonacciPower):
-        return fib(n) ** spec.power
-    if isinstance(spec, FibonacciLike):
-        if n == 1:
-            return spec.t1
-        f, g = fib_pair(n - 2)
-        return f * spec.t1 + g * spec.t2
-    if isinstance(spec, Naturals):
-        return n
-    if isinstance(spec, Odds):
-        return 2 * n - 1
-    if isinstance(spec, Arithmetic):
-        return spec.p * n - spec.r
-    if isinstance(spec, KthPower):
-        return n ** spec.k
-    if isinstance(spec, ShiftedGeometric):
-        return spec.a * spec.r ** (n - 1) + 1
-    if isinstance(spec, FactorialPower):
-        if n > FACTPOW_FULL_TERM_MAX:
-            raise ResourceLimitError(
-                f"full (n!)**(n!) terms stop at n = {FACTPOW_FULL_TERM_MAX}; use term_mod"
-            )
-        f = math.factorial(n)
-        return f ** f
-    for t in iter_terms(spec, n, 1):
-        return t
-    raise DomainError(f"unknown sequence spec {spec!r}")
+    return next(iter_terms(spec, n, 1))
 
 
-# ---------------- Modular term generation ----------------
+def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
+    """a_n mod m without materializing the full term."""
+    return next(residues(spec, n, 1, m))
+
+
+# ---------------- (n!)^(n!) modulo m ----------------
 
 
 def _factorial_capped(n: int, cap: int) -> int:
@@ -368,57 +448,6 @@ def _crt(pairs: list[tuple[int, int]]) -> int:
         r0 = r0 + m0 * t
         m0 *= m
     return r0 % m0
-
-
-def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
-    """a_n mod m without materializing the full term."""
-    if n < 1:
-        raise DomainError(f"terms are 1-indexed, got n={n}")
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 0
-    if isinstance(spec, FibonacciPower):
-        return pow(fib_pair(n, m)[0], spec.power, m)
-    if isinstance(spec, FibonacciLike):
-        if n == 1:
-            return spec.t1 % m
-        f, g = fib_pair(n - 2, m)
-        return (f * spec.t1 + g * spec.t2) % m
-    if isinstance(spec, (Balancing, LucasBalancing)):
-        x, y = (1, 6) if isinstance(spec, Balancing) else (3, 17)
-        x, y = x % m, y % m
-        for _ in range(n - 1):
-            x, y = y, (6 * y - x) % m
-        return x
-    if isinstance(spec, Naturals):
-        return n % m
-    if isinstance(spec, Odds):
-        return (2 * n - 1) % m
-    if isinstance(spec, Arithmetic):
-        return (spec.p * n - spec.r) % m
-    if isinstance(spec, KthPower):
-        return pow(n, spec.k, m)
-    if isinstance(spec, ShiftedGeometric):
-        return (spec.a * pow(spec.r, n - 1, m) + 1) % m
-    if isinstance(spec, PowerRecurrence):
-        window = [a % m for a in spec.init]
-        if n <= len(window):
-            return window[n - 1]
-        for _ in range(len(window) + 1, n + 1):
-            t = 0
-            for i in range(spec.order):
-                t += spec.coeffs[i] * pow(window[-1 - i], spec.powers[i], m)
-            window.append(t % m)
-            window = window[-spec.order:]
-        return window[-1]
-    if isinstance(spec, FactorialPower):
-        if n == 1:
-            return 1 % m
-        return _crt([(_factpow_mod_primepower(n, p, e), p**e) for p, e in _factorize(m)])
-    if isinstance(spec, Explicit):
-        return term(spec, n) % m
-    raise DomainError(f"unknown sequence spec {spec!r}")
 
 
 # ---------------- Closed-form witnesses ----------------
@@ -487,12 +516,9 @@ def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fra
 
 def fiblike_pair(u: int, v: int, n: int) -> tuple[int, int]:
     """(t_n, t_{n+1}) for the sequence seeded t_1 = u, t_2 = v."""
-    if n < 2:
-        if n == 1:
-            return u, v
+    if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    f2, f1 = fib_pair(n - 2)
-    return f2 * u + f1 * v, f1 * u + (f2 + f1) * v
+    return _linear_pair((u, v, 1, 1), n)
 
 
 def closed_form_mod6_4(u: int, v: int, n: int) -> SplitSolution:

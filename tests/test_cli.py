@@ -190,6 +190,16 @@ def test_domain_error_exit_2(capsys):
     assert "domain error" in err
 
 
+def test_powrec_with_nonpositive_term_exits_2(capsys):
+    # a_3 = 1 - 2 * 1^2 = -1 in the first two; a_2 = 0 * 3^2 = 0 in the last.
+    # Residues cannot show either, so rows and periods must not print bits.
+    for spec in ("powrec:c=1,-2;t=1,2;init=1,1", "powrec:c=1,-2;t=1,1;init=1,1", "powrec:c=0;t=2;init=3"):
+        for argv in (("row", "--count", "6"), ("period",)):
+            code, out, err = run(capsys, *argv, "--k", "3", "--seq", spec)
+            assert (code, out) == (2, ""), (spec, argv)
+            assert "nonpositive term" in err
+
+
 def test_inconclusive_exit_3(capsys):
     code, _, err = run(capsys, "period", "--k", "5", "--seq", "fib", "--window", "12")
     assert code == 3

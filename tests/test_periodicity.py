@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from splitgamma import (
     FibonacciPower,
     InconclusiveError,
     KthPower,
+    LucasBalancing,
     Naturals,
     Odds,
     PowerRecurrence,
@@ -52,26 +54,37 @@ TABLE1 = [
 def test_gamma_row_matches_direct_gamma():
     specs = (
         FibonacciPower(1),
+        FibonacciPower(2),
         FibonacciLike(2, 3),
         Balancing(),
+        LucasBalancing(),
         Naturals(),
         Odds(),
         Arithmetic(3, 1),
         KthPower(2),
         ShiftedGeometric(2, 3),
+        PowerRecurrence((1, 1), (1, 1), (1, 2)),
+        PowerRecurrence((2, -1), (1, 1), (1, 2)),
+        PowerRecurrence((1, 1), (1, 2), (1, 1)),
         Explicit((5, 6, 7, 8)),
     )
     for spec in specs:
-        count = 4 if isinstance(spec, Explicit) else 25
-        for k in (1, 2, 3, 5, 8):
-            row = gamma_row(k, spec, 1, count)
-            assert row.k == k and row.start == 1
-            for j, bit in enumerate(row.bits):
-                assert bit == gamma(k, term(spec, 1 + j)), (spec, k, j)
+        if isinstance(spec, Explicit):
+            windows = ((1, 4), (2, 3))
+        elif isinstance(spec, PowerRecurrence) and max(spec.powers) > 1:
+            windows = ((1, 12), (5, 8))
+        else:
+            windows = ((1, 25), (40, 25))
+        for start, count in windows:
+            for k in (1, 2, 3, 5, 8, 13):
+                row = gamma_row(k, spec, start, count)
+                assert row.k == k and row.start == start
+                for j, bit in enumerate(row.bits):
+                    assert bit == gamma(k, term(spec, start + j)), (spec, k, start, j)
 
 
 def test_gamma_row_residue_path_matches_exact_terms():
-    """Superlinear families go through residues; check against full terms."""
+    """Superlinear families, whose full terms explode, against their full terms."""
     squared = PowerRecurrence((1, 1), (1, 2), (1, 1))
     for k in (2, 3, 5, 7):
         row = gamma_row(k, squared, 1, 10)
@@ -82,10 +95,13 @@ def test_gamma_row_residue_path_matches_exact_terms():
 
 
 def test_gamma_depends_only_on_residue_mod_2k():
-    for k in range(1, 9):
-        for b in range(1, 150):
-            rep = b % (2 * k) or 2 * k
-            assert gamma(k, b) == gamma(k, rep), (k, b)
+    # every row rests on this identity: gamma_row reads residues mod 2k only
+    rng = random.Random(20251212)
+    wide = [rng.randrange(10**299, 10**300) for _ in range(40)]
+    for k in range(1, 61):
+        m = 2 * k
+        for b in list(range(1, 12 * k)) + wide:
+            assert gamma(k, b) == gamma(k, b % m or m), (k, b)
 
 
 def test_pair_row_values():

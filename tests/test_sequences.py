@@ -31,10 +31,11 @@ from splitgamma import (
     parse_spec,
     phi_psi,
     solve_split,
+    state_period_mod,
     term,
     term_mod,
 )
-from splitgamma.sequences import is_superlinear
+from splitgamma.sequences import residues
 
 from conftest import oracle_solutions
 
@@ -117,6 +118,9 @@ def test_term_index_errors():
         term(FibonacciPower(1), 0)
     with pytest.raises(DomainError):
         term(Explicit((4, 9)), 3)
+    for start, count, m in ((0, 3, 5), (1, -1, 5), (1, 3, 0)):
+        with pytest.raises(DomainError):
+            list(residues(Naturals(), start, count, m))
 
 
 # ---------------- recurrence fidelity ----------------
@@ -166,6 +170,7 @@ MOD_SPECS = (
     KthPower(3),
     ShiftedGeometric(2, 3),
     PowerRecurrence((1, 1), (1, 2), (1, 1)),
+    PowerRecurrence((2, -1), (1, 1), (1, 2)),
     Explicit((4, 9, 25, 49)),
 )
 
@@ -173,10 +178,12 @@ MOD_SPECS = (
 def test_term_mod_matches_term():
     for spec in MOD_SPECS:
         count = 4 if isinstance(spec, Explicit) else 15
-        for n in range(1, count + 1):
-            t = term(spec, n)
-            for m in (1, 2, 3, 5, 9, 10, 16, 97):
-                assert term_mod(spec, n, m) == t % m, (spec, n, m)
+        terms = [term(spec, n) for n in range(1, count + 1)]
+        for m in (1, 2, 3, 5, 9, 10, 16, 97):
+            want = [t % m for t in terms]
+            assert [term_mod(spec, n, m) for n in range(1, count + 1)] == want, (spec, m)
+            for start in (2, 4):
+                assert list(residues(spec, start, count - start + 1, m)) == want[start - 1 :], (spec, m, start)
 
 
 def test_term_mod_factorial_power():
@@ -189,6 +196,9 @@ def test_term_mod_factorial_power():
         f = math.factorial(n)
         for m in range(2, 60):
             assert term_mod(FactorialPower(), n, m) == pow(f, f, m), (n, m)
+    for m in (2, 97, 1001):
+        want = [pow(math.factorial(n), math.factorial(n), m) for n in range(5, 13)]
+        assert list(residues(FactorialPower(), 5, 8, m)) == want
 
 
 def test_factorial_power_guards():
@@ -212,14 +222,55 @@ def test_powrec_growth_guard():
 def test_powrec_positivity_guard():
     with pytest.raises(DomainError):
         list(iter_terms(PowerRecurrence((1, -2), (1, 1), (1, 1)), 1, 5))
+    # residues cannot show a term turning nonpositive (here a_3 = -1, and
+    # a_2 = 0), so these recurrences are reduced from checked exact terms
+    for spec in (PowerRecurrence((1, -2), (1, 2), (1, 1)), PowerRecurrence((0,), (2,), (3,))):
+        with pytest.raises(DomainError):
+            list(residues(spec, 1, 6, 6))
+        with pytest.raises(DomainError):
+            term_mod(spec, 3, 6)
 
 
-def test_is_superlinear():
-    assert is_superlinear(FactorialPower())
-    assert is_superlinear(PowerRecurrence((1, 1), (1, 2), (1, 1)))
-    assert not is_superlinear(PowerRecurrence((1, 1), (1, 1), (1, 1)))
-    assert not is_superlinear(FibonacciPower(3))
-    assert not is_superlinear(KthPower(5))
+def _reduced_index(sp, n):
+    return n if n <= sp.preperiod else sp.preperiod + 1 + (n - sp.preperiod - 1) % sp.period
+
+
+def test_large_index_agrees_with_residue_cycle():
+    """Jumps to huge n land where the residue cycle, walked from n = 1, says."""
+    specs = (
+        FibonacciPower(1),
+        FibonacciPower(3),
+        FibonacciLike(3, 5),
+        Balancing(),
+        LucasBalancing(),
+        Naturals(),
+        Odds(),
+        Arithmetic(7, 3),
+        KthPower(5),
+        ShiftedGeometric(2, 3),
+        ShiftedGeometric(1, 4),
+    )
+    for spec in specs:
+        for m in (14, 97, 1000):
+            sp = state_period_mod(spec, m)
+            walked = [t % m for t in iter_terms(spec, 1, sp.preperiod + sp.period)]
+            for n in (10**6, 10**30, 10**30 + 1, 3**200):
+                assert term_mod(spec, n, m) == walked[_reduced_index(sp, n) - 1], (spec, m, n)
+
+
+def test_exact_terms_at_large_start():
+    # t_{n+1}^2 - t_n t_{n+1} - t_n^2 = (-1)^(n-1) (t_2^2 - t_1 t_2 - t_1^2), = (-1)^(n-1) for (3, 5)
+    n = 200_000
+    x, y = iter_terms(FibonacciLike(3, 5), n, 2)
+    assert y * y - x * y - x * x == (-1) ** (n - 1)
+    assert (x, y) == fiblike_pair(3, 5, n)
+    # b_{n+1}^2 - 6 b_n b_{n+1} + b_n^2 = 1 for the balancing numbers
+    x, y, z = iter_terms(Balancing(), 3000, 3)
+    assert y * y - 6 * x * y + x * x == 1 and z == 6 * y - x
+    sp = state_period_mod(Balancing(), 97)
+    assert x % 97 == term_mod(Balancing(), _reduced_index(sp, 3000), 97)
+    assert term(ShiftedGeometric(5, 7), 300) == 5 * 7**299 + 1
+    assert term(Arithmetic(9, 4), 10**40) == 9 * 10**40 - 4
 
 
 # ---------------- odd multiplier ----------------
