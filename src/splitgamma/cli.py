@@ -1,8 +1,13 @@
 """Command line front end.
 
-Every command honors --format text|csv|json.  JSON payloads carry all numbers
-as decimal strings so arbitrary precision survives any consumer.  Exit codes:
-0 ok, 1 usage, 2 domain error, 3 verification failure, 4 resource cap.
+Every command honors --format text|csv|json.  A handler builds one ordered
+payload of native values plus its text lines, and ``_emit`` converts only for
+the requested format, by one rule.  JSON prints every number as a decimal
+string, so arbitrary precision survives any consumer, and leaves booleans and
+null native.  CSV prints booleans as 0/1, None as an empty cell and lists
+joined by ";"; its header is the payload's keys bar "command", unless the
+command is table-valued.  Text says yes/no for booleans and "none" for None.
+Exit codes: 0 ok, 1 usage, 2 domain error, 3 verification failure, 4 resource cap.
 """
 
 from __future__ import annotations
@@ -10,8 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 
 from .core import (
     DomainError,
@@ -21,17 +29,17 @@ from .core import (
     gamma,
     solve_split,
 )
-from .density import DENSITY_CSV_HEADER, build_density_sequence, trace_rows, trace_to_json, verify_growth_bounds
+from .density import build_density_sequence, verify_growth_bounds
 from .explorer import (
+    DEFAULT_RHS_CAP,
     SCAN_CSV_HEADER,
     SCAN_METADATA,
-    beiter_density,
+    iter_scan,
     nvar_classify,
     record_to_csv_row,
     record_to_json,
     rs_solve,
     run_scan,
-    scan_shard,
 )
 from .periodicity import (
     InconclusiveError,
@@ -41,7 +49,7 @@ from .periodicity import (
     row_period,
     state_period_mod,
 )
-from .sequences import fib, fib_square_solution, fib_cube_solution, fib_identity_solution, fiblike_pair
+from .sequences import fib_pair, fib_square_solution, fib_cube_solution, fib_identity_solution, fiblike_pair
 from .sequences import closed_form_mod6_4, format_spec, parse_spec
 
 EXIT_OK = 0
@@ -51,6 +59,15 @@ EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 
 
+# stderr label and exit code of each error a command may raise
+_ERRORS = {
+    DomainError: ("domain error", EXIT_DOMAIN),
+    InconclusiveError: ("inconclusive", EXIT_VERIFY),
+    InvariantViolation: ("verification failure", EXIT_VERIFY),
+    ResourceLimitError: ("resource cap", EXIT_RESOURCE),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here says 1
     def error(self, message):
@@ -58,22 +75,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(fmt: str, payload: dict, text_lines: list[str], header=None, rows=None) -> None:
+def _json_value(value):
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    return [_json_value(v) for v in value]
+
+
+def _csv_cell(value):
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(str, value))
+    return int(value) if isinstance(value, bool) else value  # the writer prints None as ""
+
+
+def _emit(fmt: str, payload: dict, text: list[str], table=None, json_only=None) -> None:
+    """Print one result, converting only for the requested format (see the module docstring).
+
+    table is (header, rows) for table-valued commands; json_only holds trailing keys with no CSV column.
+    """
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_json_value({**payload, **(json_only or {})}), indent=2))
     elif fmt == "csv":
+        if table is None:
+            keys = [key for key in payload if key != "command"]
+            table = (keys, [[payload[key] for key in keys]])
+        header, rows = table
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        if header:
-            writer.writerow(header)
-        for row in rows or []:
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(map(_csv_cell, row) for row in rows)
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(text))
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _word(value) -> str:
+    if value is None:
+        return "none"
+    return ("yes" if value else "no") if isinstance(value, bool) else str(value)
 
 
 # ---------------- Command handlers ----------------
@@ -81,14 +121,12 @@ def _yn(flag: bool) -> str:
 
 def _cmd_gamma(args) -> int:
     g = gamma(args.a, args.b)
-    payload = {"command": "gamma", "a": str(args.a), "b": str(args.b), "gamma": str(g)}
-    _emit(args.format, payload, [str(g)], ("a", "b", "gamma"), [(args.a, args.b, g)])
+    _emit(args.format, {"command": "gamma", "a": args.a, "b": args.b, "gamma": g}, [str(g)])
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     sol = solve_split(args.a, args.b)
-    checked = False
     if args.oracle:
         report = brute_force_split(args.a, args.b)
         if sorted(report.counts) != [0, 1]:
@@ -96,33 +134,18 @@ def _cmd_solve(args) -> int:
         osol = report.solution
         if (osol.delta, osol.x, osol.y) != (sol.delta, sol.x, sol.y):
             raise InvariantViolation(f"oracle disagrees with solver on ({args.a}, {args.b})")
-        checked = True
-    payload = {
-        "command": "solve",
-        "a": str(args.a),
-        "b": str(args.b),
-        "delta": str(sol.delta),
-        "x": str(sol.x),
-        "y": str(sol.y),
-        "oracle_checked": checked,
-    }
-    text = f"delta={sol.delta} x={sol.x} y={sol.y}" + (" oracle=ok" if checked else "")
-    _emit(args.format, payload, [text], ("a", "b", "delta", "x", "y"), [(args.a, args.b, sol.delta, sol.x, sol.y)])
+    payload = {"command": "solve", "a": args.a, "b": args.b, "delta": sol.delta, "x": sol.x, "y": sol.y}
+    text = f"delta={sol.delta} x={sol.x} y={sol.y}" + (" oracle=ok" if args.oracle else "")
+    _emit(args.format, payload, [text], json_only={"oracle_checked": args.oracle})
     return EXIT_OK
 
 
 def _cmd_row(args) -> int:
     spec = parse_spec(args.seq)
-    row = gamma_row(args.k, spec, args.start, args.count)
-    payload = {
-        "command": "row",
-        "k": str(args.k),
-        "seq": format_spec(spec),
-        "start": str(args.start),
-        "bits": [str(b) for b in row.bits],
-    }
-    rows = [(args.start + j, bit) for j, bit in enumerate(row.bits)]
-    _emit(args.format, payload, [" ".join(str(b) for b in row.bits)], ("n", "bit"), rows)
+    bits = gamma_row(args.k, spec, args.start, args.count).bits
+    payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
+    table = (("n", "bit"), enumerate(bits, args.start))
+    _emit(args.format, payload, [" ".join(map(str, bits))], table)
     return EXIT_OK
 
 
@@ -135,67 +158,33 @@ def _cmd_period(args) -> int:
         sp = None
     payload = {
         "command": "period",
-        "k": str(args.k),
+        "k": args.k,
         "seq": format_spec(spec),
-        "preperiod": str(rep.preperiod),
-        "period": str(rep.period),
-        "zeros": str(rep.zeros),
-        "ones": str(rep.ones),
-        "certified": rep.certified,
-        "verified_repeats": str(rep.verified_repeats),
-        "residue_preperiod": None if sp is None else str(sp.preperiod),
-        "residue_period": None if sp is None else str(sp.period),
+        **asdict(rep),
+        "residue_preperiod": None if sp is None else sp.preperiod,
+        "residue_period": None if sp is None else sp.period,
     }
     text = (
         f"period={rep.period} preperiod={rep.preperiod} zeros={rep.zeros} ones={rep.ones}"
-        f" certified={_yn(rep.certified)} verified_repeats={rep.verified_repeats}"
+        f" certified={_word(rep.certified)} verified_repeats={rep.verified_repeats}"
     )
     if sp is not None:
         text += f" residue_period={sp.period} residue_preperiod={sp.preperiod}"
-    header = (
-        "k",
-        "seq",
-        "preperiod",
-        "period",
-        "zeros",
-        "ones",
-        "certified",
-        "verified_repeats",
-        "residue_preperiod",
-        "residue_period",
-    )
-    row = (
-        args.k,
-        format_spec(spec),
-        rep.preperiod,
-        rep.period,
-        rep.zeros,
-        rep.ones,
-        int(rep.certified),
-        rep.verified_repeats,
-        "" if sp is None else sp.preperiod,
-        "" if sp is None else sp.period,
-    )
-    _emit(args.format, payload, [text], header, [row])
+    _emit(args.format, payload, [text])
     return EXIT_OK
 
 
 def _cmd_pisano(args) -> int:
     value = pisano(args.m)
-    payload = {"command": "pisano", "m": str(args.m), "pisano": str(value)}
-    _emit(args.format, payload, [str(value)], ("m", "pisano"), [(args.m, value)])
+    _emit(args.format, {"command": "pisano", "m": args.m, "pisano": value}, [str(value)])
     return EXIT_OK
 
 
 def _cmd_table1(args) -> int:
     rows = fibonacci_period_table(args.kmax)
-    payload = {
-        "command": "table1",
-        "rows": [{"k": str(k), "t_k": str(t), "pi_2k": str(p)} for k, t, p in rows],
-    }
-    text = ["  k   t_k  pi(2k)"]
-    text += [f"{k:>3} {t:>5} {p:>7}" for k, t, p in rows]
-    _emit(args.format, payload, text, ("k", "t_k", "pi_2k"), rows)
+    payload = {"command": "table1", "rows": [{"k": k, "t_k": t, "pi_2k": p} for k, t, p in rows]}
+    text = ["  k   t_k  pi(2k)"] + [f"{k:>3} {t:>5} {p:>7}" for k, t, p in rows]
+    _emit(args.format, payload, text, (("k", "t_k", "pi_2k"), rows))
     return EXIT_OK
 
 
@@ -207,70 +196,32 @@ def _cmd_density(args) -> int:
     trace = build_density_sequence(p, args.n)
     bounds = verify_growth_bounds(trace)
     final = trace.ratios[-1]
-    payload = dict(trace_to_json(trace), command="density", growth_bounds_ok=bounds)
+    payload = {
+        "p_num": p.numerator,
+        "p_den": p.denominator,
+        "terms": trace.terms,
+        "bits": trace.bits,
+        "ratios": [{"num": r.numerator, "den": r.denominator} for r in trace.ratios],
+        "crossings": trace.crossings,
+        "command": "density",
+        "growth_bounds_ok": bounds,
+    }
     text = [
         f"p={p}",
         f"terms={len(trace.terms)}",
         f"final_ratio={final.numerator}/{final.denominator}",
         f"crossings={len(trace.crossings)}" + (f" last={trace.crossings[-1]}" if trace.crossings else ""),
-        f"growth_bounds={_yn(bounds)}",
+        f"growth_bounds={_word(bounds)}",
     ]
-    _emit(args.format, payload, text, DENSITY_CSV_HEADER, trace_rows(trace))
+    # the seed row n = 0 has no bit or ratio
+    rows = [(0, trace.terms[0], None, None, None)]
+    rows += [(n, t, bit, r.numerator, r.denominator) for n, (t, bit, r) in
+             enumerate(zip(trace.terms[1:], trace.bits, trace.ratios), 1)]
+    _emit(args.format, payload, text, (("n", "a_n", "gamma_bit", "ratio_num", "ratio_den"), rows))
     return EXIT_OK
 
 
-def _verify_items(family: str, lo: int, hi: int):
-    if family == "fib":
-        for n in range(max(lo, 6), hi + 1):
-            if n % 6 in (0, 4):
-                sol = fib_identity_solution(n)
-                ref = solve_split(fib(n), fib(n + 1))
-                yield f"n={n}", sol == ref
-    elif family == "fib2":
-        for n in range(max(lo, 2), hi + 1):
-            if n % 6 in (0, 2, 3, 5):
-                sol = fib_square_solution(n)
-                ref = solve_split(fib(n) ** 2, fib(n + 1) ** 2)
-                yield f"n={n}", sol == ref
-    elif family == "fib3":
-        for m in range(max(lo, 2), hi + 1):
-            sol = fib_cube_solution(m)
-            ref = solve_split(fib(2 * m - 1) ** 3, fib(2 * m) ** 3)
-            yield f"m={m}", sol == ref
-    elif family == "fiblike":
-        import math as _math
-
-        for u in range(max(lo, 1), hi + 1):
-            for v in range(max(lo, 1), hi + 1):
-                if _math.gcd(u, v) != 1:
-                    continue
-                ok = True
-                x, y = u, v
-                for n in range(1, 31):
-                    pair = fiblike_pair(u, v, n)
-                    if pair != (x, y) or _math.gcd(x, y) != 1:
-                        ok = False
-                        break
-                    x, y = y, x + y
-                yield f"u={u},v={v}", ok
-    elif family == "mod6-4":
-        import math as _math
-
-        for u in range(max(lo, 1), hi + 1):
-            for v in range(max(lo, 1), hi + 1):
-                if _math.gcd(u, v) != 1:
-                    continue
-                ok = True
-                for n in (4, 10, 16, 22):
-                    tn, tn1 = fiblike_pair(u, v, n)
-                    if closed_form_mod6_4(u, v, n) != solve_split(tn, tn1):
-                        ok = False
-                        break
-                yield f"u={u},v={v}", ok
-    else:
-        raise DomainError(f"unknown verify family {family!r}")
-
-
+# default LO:HI per family; LO is also the smallest index the family accepts
 _VERIFY_DEFAULT_RANGE = {
     "fib": (6, 30),
     "fib2": (2, 30),
@@ -278,6 +229,39 @@ _VERIFY_DEFAULT_RANGE = {
     "fiblike": (1, 8),
     "mod6-4": (1, 8),
 }
+
+
+def _fiblike_ok(u: int, v: int) -> bool:
+    x, y = u, v
+    for n in range(1, 31):
+        if fiblike_pair(u, v, n) != (x, y) or math.gcd(x, y) != 1:
+            return False
+        x, y = y, x + y
+    return True
+
+
+def _mod6_4_ok(u: int, v: int) -> bool:
+    return all(closed_form_mod6_4(u, v, n) == solve_split(*fiblike_pair(u, v, n)) for n in (4, 10, 16, 22))
+
+
+def _verify_items(family: str, lo: int, hi: int):
+    lo = max(lo, _VERIFY_DEFAULT_RANGE[family][0])
+    if family == "fib":
+        for n in range(lo, hi + 1):
+            if n % 6 in (0, 4):
+                yield f"n={n}", fib_identity_solution(n) == solve_split(*fib_pair(n))
+    elif family == "fib2":
+        for n in range(lo, hi + 1):
+            if n % 6 in (0, 2, 3, 5):
+                yield f"n={n}", fib_square_solution(n) == solve_split(*(f**2 for f in fib_pair(n)))
+    elif family == "fib3":
+        for m in range(lo, hi + 1):
+            yield f"m={m}", fib_cube_solution(m) == solve_split(*(f**3 for f in fib_pair(2 * m - 1)))
+    else:
+        ok = _fiblike_ok if family == "fiblike" else _mod6_4_ok
+        for u, v in product(range(lo, hi + 1), repeat=2):
+            if math.gcd(u, v) == 1:
+                yield f"u={u},v={v}", ok(u, v)
 
 
 def _cmd_verify(args) -> int:
@@ -290,19 +274,19 @@ def _cmd_verify(args) -> int:
     else:
         lo, hi = _VERIFY_DEFAULT_RANGE[args.family]
     items = list(_verify_items(args.family, lo, hi))
-    failed = [label for label, ok in items if not ok]
+    failed = sum(not ok for _, ok in items)
     payload = {
         "command": "verify",
         "family": args.family,
         "range": f"{lo}:{hi}",
         "items": [{"item": label, "ok": ok} for label, ok in items],
-        "checked": str(len(items)),
-        "failed": str(len(failed)),
+        "checked": len(items),
+        "failed": failed,
     }
     text = [("ok " if ok else "FAIL ") + label for label, ok in items]
-    text.append(f"checked={len(items)} failed={len(failed)}")
-    rows = [(args.family, label, int(ok)) for label, ok in items]
-    _emit(args.format, payload, text, ("family", "item", "ok"), rows)
+    text.append(f"checked={len(items)} failed={failed}")
+    table = (("family", "item", "ok"), [(args.family, label, ok) for label, ok in items])
+    _emit(args.format, payload, text, table)
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -311,60 +295,32 @@ def _cmd_nvar(args) -> int:
     inst = rep.instance
     payload = {
         "command": "nvar",
-        "coeffs": [str(c) for c in inst.coeffs],
-        "rhs_numerator": str(inst.rhs_numerator),
-        "rhs": None if inst.rhs is None else str(inst.rhs),
+        "coeffs": inst.coeffs,
+        "rhs_numerator": inst.rhs_numerator,
+        "rhs": inst.rhs,
         "integral": inst.rhs is not None,
-        "counts": [str(c) for c in rep.counts],
-        "solvable": [str(i) for i in rep.solvable],
+        "counts": rep.counts,
+        "solvable": rep.solvable,
         "exactly_one": rep.exactly_one,
         "setwise_coprime": inst.setwise_coprime,
         "pairwise_coprime": inst.pairwise_coprime,
     }
     text = (
         f"coeffs={','.join(map(str, inst.coeffs))}"
-        f" rhs={'none' if inst.rhs is None else inst.rhs}"
+        f" rhs={_word(inst.rhs)}"
         f" counts={','.join(map(str, rep.counts))}"
         f" solvable={','.join(map(str, rep.solvable)) or '-'}"
-        f" exactly_one={_yn(rep.exactly_one)}"
-        f" setwise={_yn(inst.setwise_coprime)} pairwise={_yn(inst.pairwise_coprime)}"
+        f" exactly_one={_word(rep.exactly_one)}"
+        f" setwise={_word(inst.setwise_coprime)} pairwise={_word(inst.pairwise_coprime)}"
     )
-    header = (
-        "coeffs",
-        "rhs_numerator",
-        "rhs",
-        "integral",
-        "counts",
-        "solvable",
-        "exactly_one",
-        "setwise_coprime",
-        "pairwise_coprime",
-    )
-    row = (
-        ";".join(map(str, inst.coeffs)),
-        inst.rhs_numerator,
-        "" if inst.rhs is None else inst.rhs,
-        int(inst.rhs is not None),
-        ";".join(map(str, rep.counts)),
-        ";".join(map(str, rep.solvable)),
-        int(rep.exactly_one),
-        int(inst.setwise_coprime),
-        int(inst.pairwise_coprime),
-    )
-    _emit(args.format, payload, [text], header, [row])
+    _emit(args.format, payload, [text])
     return EXIT_OK
 
 
 def _cmd_rs(args) -> int:
-    rec = rs_solve(args.a, args.b, args.r, args.s, args.cap)
-    payload = dict(record_to_json(rec), command="rs")
-    text = (
-        f"a={rec.a} b={rec.b} r={rec.r} s={rec.s}"
-        f" rhs={'none' if rec.rhs is None else rec.rhs} integral={_yn(rec.integral)}"
-        f" solvable_i0={_yn(rec.solvable_i0)} solvable_i1={_yn(rec.solvable_i1)}"
-        f" exactly_one={_yn(rec.exactly_one)}"
-    )
-    _emit(args.format, payload, [text], SCAN_CSV_HEADER, [record_to_csv_row(rec)])
+    record = asdict(rs_solve(args.a, args.b, args.r, args.s, args.cap))
+    text = " ".join(f"{key}={_word(value)}" for key, value in record.items())
+    _emit(args.format, {**record, "command": "rs"}, [text])
     return EXIT_OK
 
 
@@ -374,53 +330,28 @@ def _cmd_beiter_scan(args) -> int:
     if args.out:
         fmt = "jsonl" if args.format == "json" else "csv"
         summary = run_scan(args.r, args.s, args.xmax, args.out, fmt, args.resume, args.jobs, args.cap)
-        dens = summary["density"]
-        payload = {
-            "command": "beiter-scan",
-            "r": str(summary["r"]),
-            "s": str(summary["s"]),
-            "x_max": str(summary["x_max"]),
-            "pairs": str(summary["pairs"]),
-            "exactly_one": str(summary["exactly_one"]),
-            "density_num": str(dens.numerator),
-            "density_den": str(dens.denominator),
-            "out": str(args.out),
-            "metadata": summary["metadata"],
-        }
-        text = [
-            f"pairs={summary['pairs']} exactly_one={summary['exactly_one']}"
-            f" density={dens.numerator}/{dens.denominator}",
-            f"written={args.out}",
-        ]
-        header = ("r", "s", "x_max", "pairs", "exactly_one", "density_num", "density_den")
-        row = (args.r, args.s, args.xmax, summary["pairs"], summary["exactly_one"], dens.numerator, dens.denominator)
-        _emit(args.format, payload, text, header, [row])
-        return EXIT_OK
-    records = [rec for a in range(1, args.xmax + 1) for rec in scan_shard(a, args.r, args.s, args.xmax, args.cap)]
-    hits = sum(rec.exactly_one for rec in records)
-    dens = Fraction(hits, len(records))
-    if args.format == "json":
-        payload = {
-            "command": "beiter-scan",
-            "r": str(args.r),
-            "s": str(args.s),
-            "x_max": str(args.xmax),
-            "pairs": str(len(records)),
-            "exactly_one": str(hits),
-            "density_num": str(dens.numerator),
-            "density_den": str(dens.denominator),
-            "metadata": dict(SCAN_METADATA),
-            "records": [record_to_json(rec) for rec in records],
-        }
-        _emit("json", payload, [])
-    elif args.format == "csv":
-        _emit("csv", {}, [], SCAN_CSV_HEADER, [record_to_csv_row(rec) for rec in records])
+        pairs, hits, table = summary["pairs"], summary["exactly_one"], None
+        json_only = {"out": args.out, "metadata": summary["metadata"]}
     else:
-        _emit(
-            "text",
-            {},
-            [f"pairs={len(records)} exactly_one={hits} density={dens.numerator}/{dens.denominator}"],
-        )
+        records = [rec for _, shard in iter_scan(args.r, args.s, args.xmax, 1, args.jobs, args.cap) for rec in shard]
+        pairs, hits = len(records), sum(rec.exactly_one for rec in records)
+        table = (SCAN_CSV_HEADER, map(record_to_csv_row, records))
+        json_only = {"metadata": dict(SCAN_METADATA), "records": map(record_to_json, records)}
+    dens = Fraction(hits, pairs)
+    payload = {
+        "command": "beiter-scan",
+        "r": args.r,
+        "s": args.s,
+        "x_max": args.xmax,
+        "pairs": pairs,
+        "exactly_one": hits,
+        "density_num": dens.numerator,
+        "density_den": dens.denominator,
+    }
+    text = [f"pairs={pairs} exactly_one={hits} density={dens.numerator}/{dens.denominator}"]
+    if args.out:
+        text.append(f"written={args.out}")
+    _emit(args.format, payload, text, table, json_only)
     return EXIT_OK
 
 
@@ -434,95 +365,85 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="splitgamma", description="Split-equation classifier, solver and explorer.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", parents=[fmt_parent], help="which equation of the pair is solvable")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[fmt_parent], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gamma", _cmd_gamma, "which equation of the pair is solvable")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("solve", parents=[fmt_parent], help="the unique nonnegative witness")
+    p = command("solve", _cmd_solve, "the unique nonnegative witness")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--oracle", action="store_true", help="cross-check against brute-force enumeration")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("row", parents=[fmt_parent], help="classifier bits along a sequence")
+    p = command("row", _cmd_row, "classifier bits along a sequence")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=_cmd_row)
 
-    p = sub.add_parser("period", parents=[fmt_parent], help="eventual period of a classifier row")
+    p = command("period", _cmd_period, "eventual period of a classifier row")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--min-repeats", type=int, default=3)
-    p.set_defaults(func=_cmd_period)
 
-    p = sub.add_parser("pisano", parents=[fmt_parent], help="Fibonacci period modulo m")
+    p = command("pisano", _cmd_pisano, "Fibonacci period modulo m")
     p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_pisano)
 
-    p = sub.add_parser("table1", parents=[fmt_parent], help="row periods against Fibonacci for k = 1..kmax")
+    p = command("table1", _cmd_table1, "row periods against Fibonacci for k = 1..kmax")
     p.add_argument("--kmax", type=int, default=10)
-    p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("density", parents=[fmt_parent], help="greedy chain hitting a target zero-bit density")
+    p = command("density", _cmd_density, "greedy chain hitting a target zero-bit density")
     p.add_argument("--p", required=True, help="target density, e.g. 1/2")
     p.add_argument("--n", type=int, required=True, help="number of steps")
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("verify", parents=[fmt_parent], help="closed-form witnesses against the solver")
+    p = command("verify", _cmd_verify, "closed-form witnesses against the solver")
     p.add_argument("--family", choices=("fib", "fib2", "fib3", "fiblike", "mod6-4"), required=True)
     p.add_argument("--range", default=None, help="LO:HI, meaning depends on the family")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("nvar", parents=[fmt_parent], help="solution counts for an n-variable instance")
+    p = command("nvar", _cmd_nvar, "solution counts for an n-variable instance")
     p.add_argument("coeffs", type=int, nargs="+")
-    p.add_argument("--cap", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_nvar)
 
-    p = sub.add_parser("rs", parents=[fmt_parent], help="solvability with a shifted right-hand side")
+    p = command("rs", _cmd_rs, "solvability with a shifted right-hand side")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--cap", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_rs)
 
-    p = sub.add_parser("beiter-scan", parents=[fmt_parent], help="scan coprime pairs for exactly-one solvability")
+    p = command("beiter-scan", _cmd_beiter_scan, "scan coprime pairs for exactly-one solvability")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--out", default=None, help="stream records to this file (csv, or json lines with --format json)")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint next to --out")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cap", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_beiter_scan)
 
+    for name in ("nvar", "rs", "beiter-scan"):
+        sub.choices[name].add_argument("--cap", type=int, default=DEFAULT_RHS_CAP)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # exact answers run to any number of digits: no int <-> str digit limit while a command runs
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except InvariantViolation as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ResourceLimitError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except tuple(_ERRORS) as exc:
+        label, code = next(v for kind, v in _ERRORS.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .core import DomainError, gamma
 
-DENSITY_CSV_HEADER = ("n", "a_n", "gamma_bit", "ratio_num", "ratio_den")
-
 
 @dataclass(frozen=True)
 class DensityTrace:
@@ -70,25 +68,3 @@ def verify_growth_bounds(trace: DensityTrace) -> bool:
     if any(terms[i] >= terms[i + 1] for i in range(len(terms) - 1)):
         return False
     return all(2 ** (n - 1) < terms[n] <= 2 ** (n + 1) for n in range(1, len(terms)))
-
-
-def trace_rows(trace: DensityTrace) -> list[tuple[str, str, str, str, str]]:
-    """CSV rows; the seed row n = 0 has no bit or ratio."""
-    rows = [("0", str(trace.terms[0]), "", "", "")]
-    for n in range(1, len(trace.terms)):
-        ratio = trace.ratios[n - 1]
-        rows.append(
-            (str(n), str(trace.terms[n]), str(trace.bits[n - 1]), str(ratio.numerator), str(ratio.denominator))
-        )
-    return rows
-
-
-def trace_to_json(trace: DensityTrace) -> dict:
-    return {
-        "p_num": str(trace.p.numerator),
-        "p_den": str(trace.p.denominator),
-        "terms": [str(t) for t in trace.terms],
-        "bits": [str(b) for b in trace.bits],
-        "ratios": [{"num": str(r.numerator), "den": str(r.denominator)} for r in trace.ratios],
-        "crossings": [str(n) for n in trace.crossings],
-    }

@@ -6,8 +6,10 @@ aggregate statistics over coprime pairs.  Solution counting is a saturating
 coin-style DP, deliberately independent of the modular-inverse route in the
 core so the two can be played against each other.
 
-Pair scans shard by the first coordinate, stream CSV or JSON lines, and
-resume from a plain-text checkpoint holding the last completed shard id.
+Pair scans shard by the first coordinate.  Every scan draws its shards from
+``iter_scan``, the one place a process pool is made; ``run_scan`` streams them
+as CSV or JSON lines and resumes from a plain-text checkpoint holding the last
+completed shard id.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent import futures
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -145,15 +149,35 @@ def scan_shard(a: int, r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -
     return [rs_solve(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
 
 
-def beiter_density(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Fraction:
-    """Fraction of ordered coprime pairs in [1, x_max]^2 with exactly one solvable side."""
+def iter_scan(
+    r: int, s: int, x_max: int, start: int = 1, jobs: int = 1, cap: int = DEFAULT_RHS_CAP
+) -> Iterator[tuple[int, list[ScanRecord]]]:
+    """(shard id, records) for the shards start..x_max, in shard order.
+
+    Arguments are checked here, before anything is yielded.  With jobs > 1
+    the shards run in a process pool of min(jobs, shards, cpu count) workers.
+    """
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
+    shard_ids = range(start, x_max + 1)
+    worker = partial(scan_shard, r=r, s=s, x_max=x_max, cap=cap)
+    workers = min(jobs, len(shard_ids), os.cpu_count() or 1)
+    if workers > 1:
+        return _pooled(worker, shard_ids, workers)
+    return ((i, worker(i)) for i in shard_ids)
+
+
+def _pooled(worker, shard_ids: range, workers: int) -> Iterator[tuple[int, list[ScanRecord]]]:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from zip(shard_ids, pool.map(worker, shard_ids))
+
+
+def beiter_density(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Fraction:
+    """Fraction of ordered coprime pairs in [1, x_max]^2 with exactly one solvable side."""
     hits = total = 0
-    for a in range(1, x_max + 1):
-        for rec in scan_shard(a, r, s, x_max, cap):
-            total += 1
-            hits += rec.exactly_one
+    for _, records in iter_scan(r, s, x_max, cap=cap):
+        total += len(records)
+        hits += sum(rec.exactly_one for rec in records)
     return Fraction(hits, total)
 
 
@@ -165,17 +189,7 @@ def density_curve(r: int, s: int, x_values, cap: int = DEFAULT_RHS_CAP) -> list[
 
 
 def record_to_csv_row(rec: ScanRecord) -> tuple[str, ...]:
-    return (
-        str(rec.a),
-        str(rec.b),
-        str(rec.r),
-        str(rec.s),
-        "" if rec.rhs is None else str(rec.rhs),
-        "1" if rec.integral else "0",
-        "1" if rec.solvable_i0 else "0",
-        "1" if rec.solvable_i1 else "0",
-        "1" if rec.exactly_one else "0",
-    )
+    return tuple(["" if v is None else str(int(v)) for v in vars(rec).values()])
 
 
 def record_from_csv_row(row) -> ScanRecord:
@@ -194,17 +208,7 @@ def record_from_csv_row(row) -> ScanRecord:
 
 
 def record_to_json(rec: ScanRecord) -> dict:
-    return {
-        "a": str(rec.a),
-        "b": str(rec.b),
-        "r": str(rec.r),
-        "s": str(rec.s),
-        "rhs": None if rec.rhs is None else str(rec.rhs),
-        "integral": rec.integral,
-        "solvable_i0": rec.solvable_i0,
-        "solvable_i1": rec.solvable_i1,
-        "exactly_one": rec.exactly_one,
-    }
+    return {key: v if v is None or isinstance(v, bool) else str(v) for key, v in vars(rec).items()}
 
 
 def record_from_json(obj: dict) -> ScanRecord:
@@ -263,8 +267,6 @@ def run_scan(
     shard fully written.  Output bytes do not depend on jobs or on where a
     previous run stopped.
     """
-    if x_max < 1:
-        raise DomainError(f"need x_max >= 1, got {x_max}")
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"scan format must be csv or jsonl, got {fmt!r}")
     out_path = Path(out_path)
@@ -274,32 +276,21 @@ def run_scan(
     if resume and ckpt_path.exists() and out_path.exists():
         done = min(int(ckpt_path.read_text().strip() or 0), x_max)
         pairs, hits = _read_existing(out_path, fmt)
-    mode = "a" if done else "w"
-    shard_ids = range(done + 1, x_max + 1)
-    worker = partial(scan_shard, r=r, s=s, x_max=x_max, cap=cap)
-    with out_path.open(mode, newline="") as fh:
+    shards = iter_scan(r, s, x_max, done + 1, jobs, cap)  # a bad x_max raises before the file is opened
+    with out_path.open("a" if done else "w", newline="") as fh, closing(shards):
         writer = csv.writer(fh, lineterminator="\n") if fmt == "csv" else None
         if fmt == "csv" and not done:
             writer.writerow(SCAN_CSV_HEADER)
-
-        def _consume(shards: Iterator[tuple[int, list[ScanRecord]]]) -> None:
-            nonlocal pairs, hits
-            for shard_id, records in shards:
-                for rec in records:
-                    pairs += 1
-                    hits += rec.exactly_one
-                    if writer is not None:
-                        writer.writerow(record_to_csv_row(rec))
-                    else:
-                        fh.write(json.dumps(record_to_json(rec)) + "\n")
-                fh.flush()
-                ckpt_path.write_text(f"{shard_id}\n")
-
-        if jobs > 1 and len(shard_ids) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                _consume(zip(shard_ids, pool.map(worker, shard_ids)))
-        else:
-            _consume((i, worker(i)) for i in shard_ids)
+        for shard_id, records in shards:
+            for rec in records:
+                pairs += 1
+                hits += rec.exactly_one
+                if writer is not None:
+                    writer.writerow(record_to_csv_row(rec))
+                else:
+                    fh.write(json.dumps(record_to_json(rec)) + "\n")
+            fh.flush()
+            ckpt_path.write_text(f"{shard_id}\n")
     return {
         "r": r,
         "s": s,

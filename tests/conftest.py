@@ -1,6 +1,9 @@
-"""Shared brute-force oracle, written independently of the package internals."""
+"""Shared brute-force oracle, written independently of the package internals,
+and a stand-in for the scan's process pool."""
 
 import math
+
+import pytest
 
 
 def oracle_solutions(a, b):
@@ -29,3 +32,31 @@ def coprime_pairs(limit):
         for b in range(1, limit + 1):
             if math.gcd(a, b) == 1:
                 yield a, b
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the scan's process pool with an in-process map.
+
+    Returns the list of max_workers values the scan asked for, one per pool;
+    no worker process is started.
+    """
+    from splitgamma import explorer
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(explorer.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes

@@ -1,6 +1,12 @@
 import csv
 import io
 import json
+import pathlib
+import shlex
+import sys
+from fractions import Fraction
+
+import pytest
 
 from splitgamma import (
     BruteForceReport,
@@ -8,10 +14,11 @@ from splitgamma import (
     beiter_density,
     build_density_sequence,
     fibonacci_period_table,
+    gamma,
     gamma_row,
-    trace_rows,
 )
-from splitgamma.cli import main
+from splitgamma import explorer
+from splitgamma.cli import build_parser, main
 from splitgamma.sequences import FibonacciPower
 
 
@@ -111,7 +118,26 @@ def test_density_matches_library(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     trace = build_density_sequence("1/2", 8)
-    assert rows[1:] == [list(r) for r in trace_rows(trace)]
+    assert len(rows) == 1 + 9  # header, then n = 0 .. n_max
+    assert rows[1][2:] == ["", "", ""]  # the seed row has no bit or ratio
+    for n, row in enumerate(rows[1:]):
+        assert row[:2] == [str(n), str(trace.terms[n])]
+        if n:
+            ratio = trace.ratios[n - 1]
+            assert row[2:] == [str(trace.bits[n - 1]), str(ratio.numerator), str(ratio.denominator)]
+
+
+def test_density_json_uses_decimal_strings(capsys):
+    code, out, _ = run(capsys, "density", "--p", "1/3", "--n", "12", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    trace = build_density_sequence(Fraction(1, 3), 12)
+    assert doc["p_num"] == "1" and doc["p_den"] == "3"
+    assert doc["terms"] == [str(t) for t in trace.terms]
+    assert doc["bits"] == [str(b) for b in trace.bits]
+    assert doc["ratios"] == [{"num": str(r.numerator), "den": str(r.denominator)} for r in trace.ratios]
+    assert doc["crossings"] == [str(n) for n in trace.crossings]
+    assert doc["command"] == "density" and doc["growth_bounds_ok"] is True
 
 
 def test_verify_families(capsys):
@@ -210,3 +236,74 @@ def test_resource_cap_exit_4(capsys):
     code, _, err = run(capsys, "nvar", "101", "103", "--cap", "100")
     assert code == 4
     assert "resource" in err
+
+
+def test_beiter_scan_bad_xmax_is_a_domain_error_with_and_without_out(capsys, tmp_path):
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"keep these bytes\n")
+    for fmt in ("text", "csv", "json"):
+        for extra in ((), ("--out", str(target)), ("--out", str(target), "--resume")):
+            code, out, err = run(capsys, "beiter-scan", "--xmax", "0", "--format", fmt, *extra)
+            assert (code, out) == (2, ""), (fmt, extra)
+            assert err.startswith("domain error:")
+    assert target.read_bytes() == b"keep these bytes\n"
+    assert not (tmp_path / "scan.csv.checkpoint").exists()
+
+
+def test_beiter_scan_without_out_uses_the_capped_pool(capsys, inline_pool, monkeypatch):
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 8)
+    code, pooled, _ = run(capsys, "beiter-scan", "--xmax", "3", "--jobs", "64", "--format", "csv")
+    assert code == 0 and inline_pool == [3]
+    assert pooled == run(capsys, "beiter-scan", "--xmax", "3", "--format", "csv")[1]
+
+
+# ---------------- digit limit ----------------
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_main_lifts_and_restores_the_int_str_digit_limit(capsys):
+    a, b = 10**699 + 7, 10**699 + 9
+    wide = (str(a), str(b))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit; the density terms reach ~660 digits
+    try:
+        outs = {}
+        for fmt in ("text", "csv", "json"):
+            code, outs[fmt], _ = run(capsys, "density", "--p", "1/2", "--n", "2200", "--format", fmt)
+            assert code == 0, fmt
+        code, out, _ = run(capsys, "gamma", *wide)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (0, f"{gamma(a, b)}\n")
+    trace = build_density_sequence("1/2", 2200)
+    assert max(len(str(t)) for t in trace.terms) > 640
+    assert json.loads(outs["json"])["terms"] == [str(t) for t in trace.terms]
+    assert list(csv.reader(io.StringIO(outs["csv"])))[-1][1] == str(trace.terms[-1])
+    assert "terms=2201" in outs["text"]
+
+
+# ---------------- README ----------------
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """(argv, expected stdout or "") for each line of the README's CLI code block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    for line in block.strip().splitlines():
+        command, _, expect = line.partition("->")
+        yield shlex.split(command), expect.strip()
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = list(readme_cli_examples())
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert sorted(argv[0] for argv, _ in examples) == sorted(sub.choices)
+    for argv, expect in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expect:
+            assert out == expect + "\n", argv

@@ -1,8 +1,10 @@
-"""Golden CLI contract for the row and period commands.
+"""Golden CLI contract for every command.
 
-Each argv below runs ``cli.main`` in-process; its exit code and the sha256 of
-its stdout must match the values recorded in ``golden_cli.json``.  To record
-the file afresh, run this module as a script from the repository root:
+Each argv below runs ``cli.main`` in-process, in a fresh temporary working
+directory; its exit code, the sha256 of its stdout and, when the run leaves
+files behind (``beiter-scan --out``), the sha256 of each file must match the
+values recorded in ``golden_cli.json``.  To record the file afresh, run this
+module as a script from the repository root:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -11,9 +13,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import tempfile
 
-from splitgamma.cli import main
+from splitgamma.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
@@ -41,36 +45,111 @@ SPECS = (
 KS = (1, 2, 3, 7, 12, 30)
 FORMATS = ("text", "csv", "json")
 
+# two coprime 300-digit operands: both odd, and they differ by 2
+WIDE_A = str(10**299 + 7)
+WIDE_B = str(10**299 + 9)
+PAIRS = (
+    ("7", "14"),
+    ("3", "5"),
+    ("8", "13"),
+    ("6", "9"),
+    ("7", "7"),
+    ("1", "1"),
+    ("1", "5"),
+    ("5", "1"),
+    ("0", "5"),
+    ("5", "0"),
+    ("-3", "5"),
+    (WIDE_A, WIDE_B),
+    (WIDE_B, WIDE_A),
+)
+
+
+def _row_argvs(f):
+    out = []
+    for spec in SPECS:
+        for k in KS:
+            out.append(["row", "--k", str(k), "--seq", spec, "--count", "16", *f])
+            out.append(["row", "--k", str(k), "--seq", spec, "--start", "37", "--count", "40", *f])
+            out.append(["period", "--k", str(k), "--seq", spec, *f])
+    out.append(["row", "--k", "3", "--seq", "fib", "--start", "0", "--count", "5", *f])
+    out.append(["row", "--k", "0", "--seq", "fib", "--count", "5", *f])
+    out.append(["row", "--k", "3", "--seq", "nat", "--count", "-1", *f])
+    out.append(["row", "--k", "3", "--seq", "nat", "--count", "0", *f])
+    out.append(["period", "--k", "0", "--seq", "fib", *f])
+    for m in (1, 2, 10, 97, 1000, 4096):
+        out.append(["pisano", str(m), *f])
+    out.append(["table1", "--kmax", "12", *f])
+    for k in (3, 7, 30):
+        out.append(["row", "--k", str(k), "--seq", "fib", "--start", "20000", "--count", "50", *f])
+        out.append(["row", "--k", str(k), "--seq", "bal", "--start", "3000", "--count", "50", *f])
+        out.append(["row", "--k", str(k), "--seq", "n^6", "--start", "500000", "--count", "50", *f])
+    return out
+
+
+def _other_argvs(f):
+    out = []
+    for a, b in PAIRS:
+        out.append(["gamma", a, b, *f])
+        out.append(["solve", a, b, *f])
+    for a, b in (("8", "13"), ("3", "5"), ("1", "1"), ("1", "5"), ("6", "9"), ("0", "5"), ("17", "29")):
+        out.append(["solve", a, b, "--oracle", *f])
+    for p in ("0", "1", "1/2", "3/7"):
+        out.append(["density", "--p", p, "--n", "40", *f])
+        out.append(["density", "--p", p, "--n", "1", *f])
+    for p in ("abc", "1/0", "3/2", "-1/3"):
+        out.append(["density", "--p", p, "--n", "10", *f])
+    for family in ("fib", "fib2", "fib3", "fiblike", "mod6-4"):
+        out.append(["verify", "--family", family, *f])
+        out.append(["verify", "--family", family, "--range", "10:5", *f])
+        out.append(["verify", "--family", family, "--range", "6", *f])
+    out.append(["verify", "--family", "fib", "--range", "6:12", *f])
+    out.append(["verify", "--family", "fiblike", "--range", "a:b", *f])
+    for coeffs in (("3", "5"), ("3", "5", "7"), ("2", "4"), ("4", "6", "8"), ("5",), ("0", "5"), ("6", "10", "15")):
+        out.append(["nvar", *coeffs, *f])
+    out.append(["nvar", "101", "103", "--cap", "100", *f])
+    for a, b, r, s in (("5", "7", "3", "3"), ("5", "7", "1", "1"), ("2", "5", "1", "2"), ("2", "5", "3", "1"),
+                       ("4", "6", "1", "1"), ("0", "5", "1", "1"), ("1", "1", "1", "1")):
+        out.append(["rs", "--a", a, "--b", b, "--r", r, "--s", s, *f])
+    out.append(["rs", "--a", "997", "--b", "991", "--cap", "100", *f])
+    for r, s, x in (("1", "1", "12"), ("3", "3", "9"), ("2", "5", "7"), ("1", "1", "1")):
+        scan = ["beiter-scan", "--r", r, "--s", s, "--xmax", x, *f]
+        out.append(scan)
+        out.append([*scan, "--out", "scan.out"])
+        out.append([*scan, "--out", "scan.out", "--resume"])
+    out.append(["beiter-scan", "--xmax", "9", "--jobs", "2", "--out", "scan.out", *f])
+    out.append(["beiter-scan", "--xmax", "9", "--resume", *f])
+    out.append(["beiter-scan", "--xmax", "0", "--out", "scan.out", *f])
+    out.append(["beiter-scan", "--xmax", "30", "--cap", "10", *f])
+    out.append(["beiter-scan", "--xmax", "30", "--cap", "10", "--out", "scan.out", *f])
+    return out
+
 
 def golden_argvs():
     out = []
     for fmt in FORMATS:
-        f = ["--format", fmt]
-        for spec in SPECS:
-            for k in KS:
-                out.append(["row", "--k", str(k), "--seq", spec, "--count", "16", *f])
-                out.append(["row", "--k", str(k), "--seq", spec, "--start", "37", "--count", "40", *f])
-                out.append(["period", "--k", str(k), "--seq", spec, *f])
-        out.append(["row", "--k", "3", "--seq", "fib", "--start", "0", "--count", "5", *f])
-        out.append(["row", "--k", "0", "--seq", "fib", "--count", "5", *f])
-        out.append(["row", "--k", "3", "--seq", "nat", "--count", "-1", *f])
-        out.append(["row", "--k", "3", "--seq", "nat", "--count", "0", *f])
-        out.append(["period", "--k", "0", "--seq", "fib", *f])
-        for m in (1, 2, 10, 97, 1000, 4096):
-            out.append(["pisano", str(m), *f])
-        out.append(["table1", "--kmax", "12", *f])
-        for k in (3, 7, 30):
-            out.append(["row", "--k", str(k), "--seq", "fib", "--start", "20000", "--count", "50", *f])
-            out.append(["row", "--k", str(k), "--seq", "bal", "--start", "3000", "--count", "50", *f])
-            out.append(["row", "--k", str(k), "--seq", "n^6", "--start", "500000", "--count", "50", *f])
+        out += _row_argvs(["--format", fmt])
+    for fmt in FORMATS:
+        out += _other_argvs(["--format", fmt])
     return out
 
 
 def run_argv(argv):
+    """Exit code, stdout hash and the hash of every file the run leaves in its cwd."""
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return {"exit": code, "sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(list(argv))
+        finally:
+            os.chdir(home)
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(pathlib.Path(tmp).iterdir())}
+    result = {"exit": code, "sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    if files:
+        result["files"] = files
+    return result
 
 
 def test_cli_output_matches_golden_record():
@@ -79,6 +158,14 @@ def test_cli_output_matches_golden_record():
     assert sorted(golden) == sorted(" ".join(a) for a in argvs)
     mismatched = [" ".join(a) for a in argvs if run_argv(a) != golden[" ".join(a)]]
     assert not mismatched, mismatched[:10]
+
+
+def test_golden_record_covers_every_command_in_every_format():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    argvs = golden_argvs()
+    assert {a[0] for a in argvs} == set(sub.choices)
+    for fmt in FORMATS:
+        assert {a[0] for a in argvs if fmt in a} == set(sub.choices), fmt
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
-import json
+import csv
+import io
 from fractions import Fraction
 
 import pytest
 
+from splitgamma import cli
 from splitgamma import (
     DomainError,
     build_density_sequence,
     gamma,
-    trace_rows,
-    trace_to_json,
     verify_growth_bounds,
 )
-from splitgamma.density import DENSITY_CSV_HEADER
 
 TARGETS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
@@ -98,22 +97,13 @@ def test_ratio_converges_at_desk_scale():
         assert abs(tr.ratios[-1] - p) <= Fraction(2, 100), p
 
 
-def test_trace_rows_layout():
-    tr = build_density_sequence(Fraction(1, 2), 8)
-    rows = trace_rows(tr)
+def test_trace_rows_layout(capsys):
+    # the density CSV: one row per n = 0 .. n_max, every cell a decimal string
+    assert cli.main(["density", "--p", "1/2", "--n", "8", "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["n", "a_n", "gamma_bit", "ratio_num", "ratio_den"]
     assert len(rows) == 9  # n = 0 .. n_max
-    assert DENSITY_CSV_HEADER == ("n", "a_n", "gamma_bit", "ratio_num", "ratio_den")
-    assert rows[0] == ("0", "1", "", "", "")
-    assert rows[1] == ("1", "2", "0", "1", "1")
+    assert rows[0] == ["0", "1", "", "", ""]  # the seed row has no bit or ratio
+    assert rows[1] == ["1", "2", "0", "1", "1"]
     for row in rows:
-        assert all(isinstance(cell, str) for cell in row)
-
-
-def test_trace_json_uses_decimal_strings():
-    tr = build_density_sequence(Fraction(1, 3), 12)
-    doc = trace_to_json(tr)
-    text = json.dumps(doc)
-    parsed = json.loads(text)
-    assert parsed["p_num"] == "1" and parsed["p_den"] == "3"
-    assert parsed["terms"] == [str(t) for t in tr.terms]
-    assert all(isinstance(t, str) for t in parsed["terms"])
+        assert all(cell == "" or cell.isdigit() for cell in row)
