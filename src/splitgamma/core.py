@@ -6,11 +6,13 @@ R = (a' - 1)(b' - 1)/2.  Exactly one of
     a'x + b'y = R          (delta = 0)
     1 + a'x + b'y = R      (delta = 1)
 
-is solvable in nonnegative integers x, y, and the solution is unique.
-``gamma`` computes the solvable delta from inverse parities alone,
-``solve_split`` produces the witness through one modular inverse, and
-``brute_force_split`` re-derives everything by plain enumeration so the fast
-route can be audited against it.
+is solvable in nonnegative integers x, y, and the solution is unique: R and
+R - 1 sum to the Frobenius number a'b' - a' - b', so by Sylvester's symmetry
+exactly one of them is a sum of a's and b's.  Every representability question
+in the package goes through ``_witness``, which needs one modular inverse per
+pair; ``gamma`` and ``solve_split`` both read the pair off it.
+``brute_force_split`` and ``theta`` are kept as independent oracles for the
+tests and are not called on any fast path.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "ResourceLimitError",
     "InvariantViolation",
     "gcd",
-    "egcd",
     "mod_inverse",
     "theta",
     "gamma",
@@ -60,28 +61,14 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid.  Returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    r0, r1 = a, b
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m in [1, m-1], via the extended Euclidean algorithm."""
+    """Inverse of a modulo m in [1, m-1]."""
     if m < 2:
         raise DomainError(f"modulus must be >= 2, got {m}")
-    a %= m
-    g, x, _ = egcd(a, m)
-    if g != 1:
-        raise DomainError(f"{a} is not invertible modulo {m} (gcd = {g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise DomainError(f"{a % m} is not invertible modulo {m} (gcd = {math.gcd(a, m)})") from None
 
 
 def theta(a: int, b: int) -> int:
@@ -97,20 +84,39 @@ def theta(a: int, b: int) -> int:
     return mod_inverse(a // g, b_red)
 
 
+def _witness(a: int, b: int, inv: int, n: int) -> tuple[int, int] | None:
+    """The least-x solution (x, y) of a*x + b*y = n with x, y >= 0, or None.
+
+    a, b are coprime and inv is a's inverse modulo b (0 when b = 1).  Sylvester
+    (1884): x = n*inv mod b is the least x >= 0 that makes n - a*x divisible
+    by b, so n is representable exactly when n - a*x >= 0.
+    """
+    x = n * inv % b
+    rem = n - a * x
+    return (x, rem // b) if rem >= 0 else None
+
+
+def _split(a: int, b: int) -> tuple[int, int, int]:
+    # (delta, x, y) for the pair: one inverse, then R, and R - 1 only if R fails
+    _check_pair(a, b)
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    rhs = (a - 1) * (b - 1) // 2
+    inv = mod_inverse(a, b) if b > 1 else 0
+    for delta in (0, 1):
+        w = _witness(a, b, inv, rhs - delta)
+        if w is not None:
+            return delta, w[0], w[1]
+    raise InvariantViolation(f"neither R nor R - 1 is representable for ({a}, {b})")
+
+
 def gamma(a: int, b: int) -> int:
     """Which delta in {0, 1} makes the split equation solvable for the pair (a, b).
 
-    Divisibility either way forces 0.  Otherwise the answer is read off the
-    parity of a single modular inverse: with a' = a/gcd(a,b), the value is 0
-    exactly when theta(b, a) is odd (a' odd) or theta(a, b) is odd (a' even).
+    0 exactly when R = (a'-1)(b'-1)/2 is a sum of a's and b's for the reduced
+    pair; when b divides a or a divides b, R = 0 and the answer is 0.
     """
-    _check_pair(a, b)
-    if b % a == 0 or a % b == 0:
-        return 0
-    g = math.gcd(a, b)
-    if (a // g) % 2 == 1:
-        return 0 if theta(b, a) % 2 == 1 else 1
-    return 0 if theta(a, b) % 2 == 1 else 1
+    return _split(a, b)[0]
 
 
 @dataclass(frozen=True)
@@ -154,15 +160,7 @@ def solve_split(a: int, b: int) -> SplitSolution:
     Works on the gcd-reduced pair: x is the least nonnegative residue of
     (R - delta) / a' modulo b', and y follows by exact division.
     """
-    inst = SplitInstance(a, b)
-    if inst.a_red == 1 or inst.b_red == 1:
-        return SplitSolution(0, 0, 0)
-    delta = gamma(a, b)
-    x = ((inst.rhs - delta) * mod_inverse(inst.a_red, inst.b_red)) % inst.b_red
-    rem = inst.rhs - delta - inst.a_red * x
-    if rem < 0 or rem % inst.b_red:
-        raise InvariantViolation(f"no nonnegative witness for ({a}, {b}) at delta={delta}")
-    return SplitSolution(delta, x, rem // inst.b_red)
+    return SplitSolution(*_split(a, b))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Three generalizations: more variables (i + sum a_j x_j = prod (a_j - 1)/2 for
 i = 0..n-1), shifted right-hand sides ((a-r)(b-s)/2 in place of (1,1)), and
-aggregate statistics over coprime pairs.  Solution counting is a saturating
-coin-style DP, deliberately independent of the modular-inverse route in the
-core so the two can be played against each other.
+aggregate statistics over coprime pairs.  Two-coin questions (the shifted
+right-hand sides, and so every scan) go through the core's one-inverse
+representability kernel in O(log) per pair; only the n-variable counts use a
+saturating coin-style DP, which the tests also use as the oracle for the
+kernel.
 
 Pair scans shard by the first coordinate.  Every scan draws its shards from
 ``iter_scan``, the one place a process pool is made; ``run_scan`` streams them
@@ -26,7 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterator
 
-from .core import DomainError, ResourceLimitError
+from .core import DomainError, ResourceLimitError, _witness, mod_inverse
 
 DEFAULT_RHS_CAP = 1_000_000
 
@@ -131,13 +133,11 @@ def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: int = DEFAULT_RHS_CAP)
     if num % 2:
         return ScanRecord(a, b, r, s, None, False, False, False, False)
     rhs = num // 2
-    if rhs < 0:
-        return ScanRecord(a, b, r, s, rhs, True, False, False, False)
     if rhs > cap:
         raise ResourceLimitError(f"rhs {rhs} exceeds cap {cap}")
-    dp = _count_table((a, b), rhs)
-    s0 = dp[rhs] > 0
-    s1 = rhs >= 1 and dp[rhs - 1] > 0
+    inv = mod_inverse(a, b) if b > 1 else 0
+    s0 = _witness(a, b, inv, rhs) is not None
+    s1 = _witness(a, b, inv, rhs - 1) is not None
     return ScanRecord(a, b, r, s, rhs, True, s0, s1, s0 != s1)
 
 

@@ -475,16 +475,14 @@ def oddr(u: int, v: int) -> OddrResult:
     if u == 1:
         return OddrResult(1, 1)
     modulus = u if u % 2 else 2 * u
-    hits = []
-    for r in range(1, u + 1, 2):
-        p = v * r % modulus
-        if p == 1:
-            hits.append(OddrResult(r, 1))
-        elif p == modulus - 1:
-            hits.append(OddrResult(r, -1))
-    if len(hits) != 1:
-        raise InvariantViolation(f"expected one odd r for ({u}, {v}), found {len(hits)}")
-    return hits[0]
+    # v*r = 1 has one root r in [1, modulus-1] and v*r = -1 has modulus - r.
+    # For odd u the two differ in parity; for even u both are odd and sum to
+    # 2u.  Either way exactly one of them is odd and at most u.
+    r = mod_inverse(v, modulus)
+    res = OddrResult(r, 1) if r % 2 and r <= u else OddrResult(modulus - r, -1)
+    if not (res.r % 2 and 1 <= res.r <= u and (v * res.r - res.sign) % modulus == 0):
+        raise InvariantViolation(f"no odd r in [1, {u}] for ({u}, {v})")
+    return res
 
 
 def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fraction]:

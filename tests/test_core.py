@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,7 +9,6 @@ from splitgamma import (
     ResourceLimitError,
     SplitInstance,
     brute_force_split,
-    egcd,
     gamma,
     gcd,
     mod_inverse,
@@ -36,14 +36,6 @@ def test_gcd_rejects_double_zero():
         gcd(0, 0)
 
 
-def test_egcd_bezout_identity():
-    for a in range(1, 60):
-        for b in range(1, 60):
-            g, x, y = egcd(a, b)
-            assert g == math.gcd(a, b)
-            assert a * x + b * y == g
-
-
 def test_mod_inverse_range_and_product():
     for m in range(2, 50):
         for a in range(1, m):
@@ -59,6 +51,9 @@ def test_mod_inverse_rejects_non_coprime():
         mod_inverse(6, 9)
     with pytest.raises(DomainError):
         mod_inverse(0, 7)
+    for m in (1, 0, -5):
+        with pytest.raises(DomainError):
+            mod_inverse(3, m)
 
 
 # ---------------- theta ----------------
@@ -97,6 +92,30 @@ def test_gamma_agrees_with_reduced_pair():
         for b in range(1, 50):
             g = math.gcd(a, b)
             assert gamma(a, b) == gamma(a // g, b // g)
+
+
+def theta_parity_gamma(a, b):
+    """The inverse-parity rule: with a' = a/gcd(a, b), gamma is 0 exactly when
+    theta(b, a) is odd (a' odd) or theta(a, b) is odd (a' even), and 0 when
+    either number divides the other."""
+    if b % a == 0 or a % b == 0:
+        return 0
+    if (a // math.gcd(a, b)) % 2 == 1:
+        return 0 if theta(b, a) % 2 == 1 else 1
+    return 0 if theta(a, b) % 2 == 1 else 1
+
+
+def test_gamma_matches_theta_parity_rule():
+    for a in range(1, 200):
+        for b in range(1, 200):
+            assert gamma(a, b) == theta_parity_gamma(a, b), (a, b)
+    rng = random.Random(20240605)
+    for i in range(60):
+        a, b = rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300)
+        if i % 3 == 0:
+            g = rng.randrange(2, 10**40)
+            a, b = a * g, b * g
+        assert gamma(a, b) == theta_parity_gamma(a, b), (a, b)
 
 
 def test_gamma_rejects_nonpositive():

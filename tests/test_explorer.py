@@ -182,6 +182,25 @@ def test_rs_counts_match_enumeration():
                 assert rec.exactly_one == ((counts[0] > 0) != (counts[1] > 0))
 
 
+def test_rs_matches_coin_dp_for_every_small_shift():
+    shifts = range(-3, 8)
+    for a in range(1, 61):
+        for b in range(1, 61):
+            if math.gcd(a, b) != 1:
+                continue
+            dp = explorer._count_table((a, b), max((a - r) * (b - s) for r in shifts for s in shifts) // 2)
+            for r in shifts:
+                for s in shifts:
+                    rec = rs_solve(a, b, r, s)
+                    num = (a - r) * (b - s)
+                    assert rec.integral == (num % 2 == 0)
+                    rhs = num // 2
+                    s0 = rec.integral and rhs >= 0 and dp[rhs] > 0
+                    s1 = rec.integral and rhs >= 1 and dp[rhs - 1] > 0
+                    assert (rec.solvable_i0, rec.solvable_i1) == (s0, s1), (a, b, r, s)
+                    assert rec.exactly_one == (s0 != s1)
+
+
 # ---------------- densities ----------------
 
 

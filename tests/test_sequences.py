@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,22 @@ def test_oddr_unique_over_grid():
             assert got.sign in (-1, 1)
             if u > 1:
                 assert (v * got.r - got.sign) % modulus == 0
+
+
+def test_oddr_wide_u_satisfies_the_congruence():
+    rng = random.Random(4099)
+    for digits in (40, 41, 100, 250):
+        for parity in (0, 1):
+            u = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            u -= 1 - parity
+            v = rng.randrange(1, 10 ** (digits + 5))
+            while math.gcd(u, v) != 1:
+                v += 1
+            modulus = u if u % 2 else 2 * u
+            got = oddr(u, v)
+            assert got.r % 2 == 1 and 1 <= got.r <= u, (u, v)
+            assert got.sign in (-1, 1)
+            assert (v * got.r - got.sign) % modulus == 0, (u, v)
 
 
 def test_oddr_rejects_common_factor():
