@@ -41,14 +41,7 @@ from .explorer import (
     rs_solve,
     run_scan,
 )
-from .periodicity import (
-    InconclusiveError,
-    fibonacci_period_table,
-    gamma_row,
-    pisano,
-    row_period,
-    state_period_mod,
-)
+from .periodicity import InconclusiveError, _row_period, fibonacci_period_table, gamma_row, pisano
 from .sequences import fib_pair, fib_square_solution, fib_cube_solution, fib_identity_solution, fiblike_pair
 from .sequences import closed_form_mod6_4, format_spec, parse_spec
 
@@ -151,11 +144,7 @@ def _cmd_row(args) -> int:
 
 def _cmd_period(args) -> int:
     spec = parse_spec(args.seq)
-    rep = row_period(args.k, spec, args.window, args.min_repeats)
-    try:
-        sp = state_period_mod(spec, 2 * args.k)
-    except DomainError:
-        sp = None
+    rep, sp = _row_period(args.k, spec, args.window, args.min_repeats)
     payload = {
         "command": "period",
         "k": args.k,
@@ -333,7 +322,7 @@ def _cmd_beiter_scan(args) -> int:
         pairs, hits, table = summary["pairs"], summary["exactly_one"], None
         json_only = {"out": args.out, "metadata": summary["metadata"]}
     else:
-        records = [rec for _, shard in iter_scan(args.r, args.s, args.xmax, 1, args.jobs, args.cap) for rec in shard]
+        records = [rec for _, shard in iter_scan(args.r, args.s, args.xmax, 1, args.cap) for rec in shard]
         pairs, hits = len(records), sum(rec.exactly_one for rec in records)
         table = (SCAN_CSV_HEADER, map(record_to_csv_row, records))
         json_only = {"metadata": dict(SCAN_METADATA), "records": map(record_to_json, records)}
@@ -420,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--out", default=None, help="stream records to this file (csv, or json lines with --format json)")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint next to --out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the scan runs in one process")
 
     for name in ("nvar", "rs", "beiter-scan"):
         sub.choices[name].add_argument("--cap", type=int, default=DEFAULT_RHS_CAP)

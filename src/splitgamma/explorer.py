@@ -9,8 +9,9 @@ saturating coin-style DP, which the tests also use as the oracle for the
 kernel.
 
 Pair scans shard by the first coordinate.  Every scan draws its shards from
-``iter_scan``, the one place a process pool is made; ``run_scan`` streams them
-as CSV or JSON lines and resumes from a plain-text checkpoint holding the last
+``iter_scan``, in this process: a pair costs microseconds, so worker start-up
+and pickling would outweigh it.  ``run_scan`` streams the shards as CSV or
+JSON lines and resumes from a plain-text checkpoint holding the last
 completed shard id.
 """
 
@@ -19,12 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent import futures
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -150,26 +147,15 @@ def scan_shard(a: int, r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -
 
 
 def iter_scan(
-    r: int, s: int, x_max: int, start: int = 1, jobs: int = 1, cap: int = DEFAULT_RHS_CAP
+    r: int, s: int, x_max: int, start: int = 1, cap: int = DEFAULT_RHS_CAP
 ) -> Iterator[tuple[int, list[ScanRecord]]]:
     """(shard id, records) for the shards start..x_max, in shard order.
 
-    Arguments are checked here, before anything is yielded.  With jobs > 1
-    the shards run in a process pool of min(jobs, shards, cpu count) workers.
+    Arguments are checked here, before anything is yielded.
     """
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
-    shard_ids = range(start, x_max + 1)
-    worker = partial(scan_shard, r=r, s=s, x_max=x_max, cap=cap)
-    workers = min(jobs, len(shard_ids), os.cpu_count() or 1)
-    if workers > 1:
-        return _pooled(worker, shard_ids, workers)
-    return ((i, worker(i)) for i in shard_ids)
-
-
-def _pooled(worker, shard_ids: range, workers: int) -> Iterator[tuple[int, list[ScanRecord]]]:
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from zip(shard_ids, pool.map(worker, shard_ids))
+    return ((a, scan_shard(a, r, s, x_max, cap)) for a in range(start, x_max + 1))
 
 
 def beiter_density(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Fraction:
@@ -264,8 +250,8 @@ def run_scan(
     """Stream all shards to out_path with checkpointing; returns a summary.
 
     The checkpoint sits next to the output file and holds the id of the last
-    shard fully written.  Output bytes do not depend on jobs or on where a
-    previous run stopped.
+    shard fully written.  Output bytes do not depend on where a previous run
+    stopped.  jobs is accepted and ignored: every scan runs in this process.
     """
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"scan format must be csv or jsonl, got {fmt!r}")
@@ -276,8 +262,8 @@ def run_scan(
     if resume and ckpt_path.exists() and out_path.exists():
         done = min(int(ckpt_path.read_text().strip() or 0), x_max)
         pairs, hits = _read_existing(out_path, fmt)
-    shards = iter_scan(r, s, x_max, done + 1, jobs, cap)  # a bad x_max raises before the file is opened
-    with out_path.open("a" if done else "w", newline="") as fh, closing(shards):
+    shards = iter_scan(r, s, x_max, done + 1, cap)  # a bad x_max raises before the file is opened
+    with out_path.open("a" if done else "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n") if fmt == "csv" else None
         if fmt == "csv" and not done:
             writer.writerow(SCAN_CSV_HEADER)

@@ -2,21 +2,27 @@
 
 Fix k and a sequence (a_n).  The row of bits gamma(k, a_n) is eventually
 periodic whenever the residues a_n mod 2k are, because adding a multiple of
-2k to the second argument never changes gamma.  The machinery here computes
-rows from the residues mod 2k that ``sequences`` supplies, detects their
-periods from finite windows, computes exact residue-state periods by running
-the residue engine of ``sequences`` until its state repeats, and certifies a
-detected row period by checking one full residue period beyond the preperiod
-and divisibility into it.
+2k to the second argument never changes gamma.  So for every family with a
+residue engine in ``sequences`` the exact row period is read off one cycle of
+residues and certified: ``state_period_mod`` finds the residue preperiod mu
+and period lam by Brent's cycle finding (two states held, O(mu + lam) steps
+per prime factor of lam), and ``row_period`` classifies the mu + lam terms of
+that cycle once.  ``pisano`` needs no walk at all: Wall's divisor test costs
+O(log m) Fibonacci doublings per candidate.  Explicit lists, power
+recurrences reduced from exact terms and an explicit window still detect a
+period on a finite window (``detect_period``, O(window^2)) and certify it
+against the residue period where there is one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import DomainError, InvariantViolation, gamma, gcd, solve_split
-from .sequences import Explicit, FibonacciPower, SequenceSpec, iter_terms, residue_engine, residues
+from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, fib_pair
+from .sequences import iter_terms, residue_engine, residues
 
 __all__ = [
     "BitRow",
@@ -136,74 +142,109 @@ def detect_period(bits: Sequence[int], min_repeats: int = 3) -> PeriodReport | N
 # ---------------- Residue-state periods ----------------
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _least_period(n: int, is_period: Callable[[int], bool]) -> int:
+    """Least d dividing n with is_period(d), given that is_period(n) holds.
+
+    Valid when the d | n passing the test are exactly the multiples of the
+    answer (rotations fixing a cyclic word, multiples of a Pisano period):
+    each prime factor is divided out while the quotient still passes.
+    """
+    for r, _ in _factorize(n):
+        while n % r == 0 and is_period(n // r):
+            n //= r
+    return n
+
+
+def _shift_agrees(engine, start: int, shift: int, count: int) -> bool:
+    # a_n = a_{n+shift} mod m for n in [start, start + count), by re-stepping two engine cursors
+    state_at, step, out = engine
+    a, b = state_at(start), state_at(start + shift)
+    for _ in range(count):
+        if out(a) != out(b):
+            return False
+        a, b = step(a), step(b)
+    return True
 
 
 def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     """Exact preperiod and period of the residue sequence (a_n mod m).
 
-    Iterates the recurrence state until it repeats, then refines to the
-    minimal period of the output residues and walks the preperiod back.
+    Brent's cycle finding (BIT 1980) gives the period lam and preperiod mu of
+    the recurrence state while holding two states; the output residues then
+    get their least period among the divisors of lam by walking two engine
+    cursors, so memory stays O(1) in the orbit length.  Time is O(mu + lam)
+    steps times the number of prime factors of lam.  The output preperiod is
+    mu: every engine state is either its last outputs (power 1 linear
+    families, power recurrences) or on a pure cycle (fib^I, n^K).
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    state_at, step, out = residue_engine(spec, m)
-    seen: dict[tuple[int, ...], int] = {}
-    outputs: list[int] = []
-    st = state_at(1)
-    while st not in seen:
-        seen[st] = len(outputs)
-        outputs.append(out(st))
-        st = step(st)
-    s0 = seen[st]
-    t0 = len(outputs) - s0
-    cycle = outputs[s0:]
-    period = t0
-    for d in _divisors(t0):
-        if all(cycle[i] == cycle[(i + d) % t0] for i in range(t0)):
-            period = d
-            break
-    pre = s0
-    while pre > 0 and outputs[pre - 1] == outputs[pre - 1 + period]:
-        pre -= 1
-    return StatePeriod(pre, period)
+    engine = residue_engine(spec, m)
+    state_at, step, _ = engine
+    x0 = state_at(1)
+    power = lam = 1
+    tortoise, hare = x0, step(x0)
+    while tortoise != hare:
+        if power == lam:
+            tortoise, power, lam = hare, 2 * power, 0
+        hare = step(hare)
+        lam += 1
+    mu, tortoise, hare = 0, x0, state_at(1 + lam)
+    while tortoise != hare:
+        mu, tortoise, hare = mu + 1, step(tortoise), step(hare)
+    return StatePeriod(mu, _least_period(lam, lambda d: _shift_agrees(engine, 1 + mu, d, lam - d)))
 
 
 def pisano(m: int) -> int:
-    """Period of the Fibonacci numbers modulo m."""
-    sp = state_period_mod(FibonacciPower(1), m)
-    if sp.preperiod:
-        raise InvariantViolation(f"Fibonacci residues mod {m} reported preperiod {sp.preperiod}")
-    return sp.period
+    """Period of the Fibonacci numbers modulo m, from the factorization of m.
+
+    Wall (Amer. Math. Monthly 1960): pi(m) = lcm of pi(p^e) over p^e || m,
+    and pi(p^e) divides p^(e-1) * c with c = 3 (p = 2), 20 (p = 5), p - 1
+    (p = +-1 mod 5) or 2(p + 1) (p = +-2 mod 5).  n is a multiple of pi(q)
+    exactly when (F_n, F_{n+1}) = (0, 1) mod q, an O(log n) doubling, so the
+    least such divisor is found without walking the orbit.
+    """
+    if m < 1:
+        raise DomainError(f"modulus must be >= 1, got {m}")
+    period = 1
+    for p, e in _factorize(m):
+        q = p**e
+        c = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+        period = math.lcm(period, _least_period(p ** (e - 1) * c, lambda n: fib_pair(n, q) == (0, 1 % q)))
+    return period
 
 
 # ---------------- Row periods with certification ----------------
 
 
-def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeats: int = 3) -> PeriodReport:
-    """Eventual period of the bit row gamma(k, a_n), certified when possible.
-
-    The detected period is certified once it divides the residue period
-    pi = period of (a_n mod 2k) and the bits repeat across one full pi-length
-    stretch beyond the preperiod.  Those two facts pin the row period exactly,
-    not just over the window.
-    """
+def _row_period(
+    k: int, spec: SequenceSpec, window: int | None, min_repeats: int
+) -> tuple[PeriodReport, StatePeriod | None]:
+    """row_period's report with the residue period it used (None without a residue engine)."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    if window is not None and window < 1:
+        raise DomainError(f"need window >= 1, got {window}")
+    if min_repeats < 2:
+        raise DomainError(f"min_repeats must be >= 2, got {min_repeats}")
     sp: StatePeriod | None
     try:
         sp = state_period_mod(spec, 2 * k)
     except DomainError:
         sp = None
+    if window is None and sp is not None and not _exact_only(spec):
+        # the bits are a function of the residues, so mu + lam of them hold the whole row
+        mu, lam = sp.preperiod, sp.period
+        bits = gamma_row(k, spec, 1, mu + lam).bits
+        cycle = bits[mu:]
+        period = _least_period(lam, lambda d: cycle[d:] == cycle[:-d])
+        pre = mu
+        while pre and bits[pre - 1] == bits[pre - 1 + period]:
+            pre -= 1
+        zeros = bits[pre : pre + period].count(0)
+        # verified_repeats: what the default window max(4 lam, 200) + mu would have shown
+        repeats = (max(4 * lam, 200) + mu - pre) // period
+        return PeriodReport(pre, period, zeros, period - zeros, True, repeats), sp
     if window is None:
         window = max(4 * sp.period, 200) + sp.preperiod if sp else 1000
         if isinstance(spec, Explicit):
@@ -219,7 +260,21 @@ def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeat
         bits = row.bits
         if end + rep.period <= len(bits) and all(bits[i] == bits[i + rep.period] for i in range(base, end)):
             certified = True
-    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats)
+    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats), sp
+
+
+def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeats: int = 3) -> PeriodReport:
+    """Eventual period of the bit row gamma(k, a_n), certified when possible.
+
+    With a residue engine and no window, the report is exact and certified:
+    the bits for n = 1 .. mu + lam, (mu, lam) the residue preperiod and
+    period mod 2k, hold the whole row, and the least bit period divides lam.
+    min_repeats then only has to be >= 2.  Explicit lists, power recurrences
+    reduced from exact terms and an explicit window use detect_period on a
+    window instead; such a period is certified once it divides lam and the
+    bits repeat across one full lam-length stretch beyond the preperiod.
+    """
+    return _row_period(k, spec, window, min_repeats)[0]
 
 
 def gamma_shift_check(a: int, b: int, n_shift: int) -> bool:

@@ -32,6 +32,8 @@ from .core import (
 
 FACTPOW_FULL_TERM_MAX = 6
 MAX_TERM_BITS = 1_000_000
+# trial division stops here, so every m <= 10**12 factors, in at most ~5e5 divisions
+FACTOR_TRIAL_MAX = 1_000_000
 
 
 # ---------------- Lucas doubling ----------------
@@ -407,9 +409,13 @@ def _factorial_mod(n: int, m: int) -> int:
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:
+    # (prime, exponent) pairs of m >= 1, by trial division up to FACTOR_TRIAL_MAX
+    whole = m
     out = []
     d = 2
     while d * d <= m:
+        if d > FACTOR_TRIAL_MAX:
+            raise ResourceLimitError(f"factoring {whole} needs trial divisors above {FACTOR_TRIAL_MAX}")
         if m % d == 0:
             e = 0
             while m % d == 0:

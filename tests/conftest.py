@@ -1,10 +1,16 @@
-"""Shared oracles, written independently of the package internals (a
+"""Shared oracles, written independently of the package's fast paths: a
 brute-force enumeration and Sylvester's closed form for two-coin
-representability), and a stand-in for the scan's process pool."""
+representability; a plain Fibonacci orbit walk for Pisano periods; and the
+former table-walk residue periods and windowed row periods, which the exact
+one-pass row periods are checked against.  Also a deadline for calls that
+must stop quickly, so a regression fails the test instead of running away."""
 
+import contextlib
 import math
+import signal
 
-import pytest
+from splitgamma.periodicity import PeriodReport, StatePeriod, detect_period, gamma_row
+from splitgamma.sequences import residue_engine
 
 
 def oracle_solutions(a, b):
@@ -49,29 +55,60 @@ def coprime_pairs(limit):
                 yield a, b
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the scan's process pool with an in-process map.
+def oracle_pisano(m):
+    """Period of (F_n mod m), by stepping the pair until (0, 1) recurs."""
+    one = 1 % m
+    a, b, n = one, one, 1
+    while (a, b) != (0, one):
+        a, b, n = b, (a + b) % m, n + 1
+    return n
 
-    Returns the list of max_workers values the scan asked for, one per pool;
-    no worker process is started.
-    """
-    from splitgamma import explorer
 
-    sizes = []
+def oracle_state_period(spec, m):
+    """(preperiod, period) of (a_n mod m): every engine state is kept until one repeats."""
+    state_at, step, out = residue_engine(spec, m)
+    seen, outputs = {}, []
+    st = state_at(1)
+    while st not in seen:
+        seen[st] = len(outputs)
+        outputs.append(out(st))
+        st = step(st)
+    s0 = seen[st]
+    t0 = len(outputs) - s0
+    cycle = outputs[s0:]
+    period = next(d for d in range(1, t0 + 1)
+                  if t0 % d == 0 and all(cycle[i] == cycle[(i + d) % t0] for i in range(t0)))
+    pre = s0
+    while pre > 0 and outputs[pre - 1] == outputs[pre - 1 + period]:
+        pre -= 1
+    return StatePeriod(pre, period)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+def oracle_row_period(k, spec):
+    """The windowed row period: detect_period on max(4 pi, 200) + mu bits, then certify."""
+    sp = oracle_state_period(spec, 2 * k)
+    bits = gamma_row(k, spec, 1, max(4 * sp.period, 200) + sp.preperiod).bits
+    rep = detect_period(bits)
+    base = max(rep.preperiod, sp.preperiod)
+    certified = (
+        sp.period % rep.period == 0
+        and base + sp.period + rep.period <= len(bits)
+        and all(bits[i] == bits[i + rep.period] for i in range(base, base + sp.period))
+    )
+    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once it has run for `seconds` (POSIX SIGALRM)."""
 
-    monkeypatch.setattr(explorer.futures, "ProcessPoolExecutor", InlinePool)
-    return sizes
+    def overrun(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

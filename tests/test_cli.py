@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import deadline
 from splitgamma import (
     BruteForceReport,
     SplitSolution,
@@ -17,7 +18,6 @@ from splitgamma import (
     gamma,
     gamma_row,
 )
-from splitgamma import explorer
 from splitgamma.cli import build_parser, main
 from splitgamma.sequences import FibonacciPower
 
@@ -238,6 +238,23 @@ def test_resource_cap_exit_4(capsys):
     assert "resource" in err
 
 
+def test_factoring_past_the_trial_bound_exits_4_within_a_second(capsys):
+    # a 30-digit prime modulus, and 2k with k an 18-digit prime: trial division
+    # would need ~1e15 and ~1e9 steps, so both stop at the stated bound instead
+    for argv in (("pisano", str(10**29 + 319)), ("row", "--k", str(10**17 + 3), "--seq", "factpow", "--count", "1")):
+        with deadline(1.0):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert "trial divisors above 1000000" in err
+
+
+def test_period_window_below_one_is_a_domain_error(capsys):
+    for window in ("0", "-5"):
+        code, out, err = run(capsys, "period", "--k", "5", "--seq", "fib", "--window", window)
+        assert (code, out) == (2, "")
+        assert err == f"domain error: need window >= 1, got {window}\n"
+
+
 def test_beiter_scan_bad_xmax_is_a_domain_error_with_and_without_out(capsys, tmp_path):
     target = tmp_path / "scan.csv"
     target.write_bytes(b"keep these bytes\n")
@@ -250,11 +267,16 @@ def test_beiter_scan_bad_xmax_is_a_domain_error_with_and_without_out(capsys, tmp
     assert not (tmp_path / "scan.csv.checkpoint").exists()
 
 
-def test_beiter_scan_without_out_uses_the_capped_pool(capsys, inline_pool, monkeypatch):
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 8)
-    code, pooled, _ = run(capsys, "beiter-scan", "--xmax", "3", "--jobs", "64", "--format", "csv")
-    assert code == 0 and inline_pool == [3]
-    assert pooled == run(capsys, "beiter-scan", "--xmax", "3", "--format", "csv")[1]
+def test_beiter_scan_jobs_is_accepted_and_ignored(capsys, tmp_path):
+    argv = ("beiter-scan", "--xmax", "12", "--format", "csv")
+    tables = []
+    for jobs in ("1", "8"):
+        code, out, _ = run(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        tables.append(out)
+        assert run(capsys, *argv, "--jobs", jobs, "--out", str(tmp_path / f"{jobs}.csv"))[0] == 0
+    assert tables[0] == tables[1]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "8.csv").read_bytes()
 
 
 # ---------------- digit limit ----------------

@@ -301,26 +301,3 @@ def test_iter_scan_matches_shards_and_checks_before_yielding():
     # raised by the call itself, so a caller can validate before it opens anything
     with pytest.raises(DomainError):
         iter_scan(1, 1, 0)
-
-
-def test_pool_size_is_capped_by_shards_and_cpus(inline_pool, monkeypatch, tmp_path):
-    sizes = inline_pool
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 4)
-    solo = tmp_path / "solo.csv"
-    run_scan(1, 3, 20, solo)
-    assert sizes == []
-
-    run_scan(1, 3, 3, tmp_path / "three.csv", jobs=64)  # three shards
-    pooled = tmp_path / "pooled.csv"
-    run_scan(1, 3, 20, pooled, jobs=64)  # four cpus
-    assert sizes == [3, 4]
-    assert pooled.read_bytes() == solo.read_bytes()
-
-    run_scan(1, 3, 20, pooled, resume=True, jobs=64)  # finished: no shard left
-    assert list(iter_scan(1, 3, 1, jobs=64)) == [(1, scan_shard(1, 1, 3, 1))]  # one shard
-    assert list(iter_scan(1, 3, 20, jobs=3)) == list(iter_scan(1, 3, 20))
-    assert sizes == [3, 4, 3]
-
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: None)  # unknown: one worker, no pool
-    list(iter_scan(1, 3, 20, jobs=8))
-    assert sizes == [3, 4, 3]

@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from conftest import deadline, oracle_pisano, oracle_row_period, oracle_state_period
 from splitgamma import (
     Arithmetic,
     Balancing,
@@ -32,6 +34,7 @@ from splitgamma import (
     state_period_mod,
     term,
 )
+from splitgamma.sequences import _factorize, fib_pair, parse_spec
 
 # k, T_k for the Fibonacci row, pi(2k)
 TABLE1 = [
@@ -46,6 +49,13 @@ TABLE1 = [
     (9, 24, 24),
     (10, 60, 60),
 ]
+
+
+# every family with a residue engine whose rows are read from residues
+ENGINE_SPECS = tuple(parse_spec(t) for t in (
+    "fib", "fib^2", "fib^3", "fiblike:3,5", "bal", "lucasbal", "nat", "odds", "arith:5,2", "n^3",
+    "geo:2,3", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=1,1;t=1,2;init=1,1", "powrec:c=1,2;t=2,1;init=2,1",
+))
 
 
 # ---------------- rows ----------------
@@ -176,6 +186,41 @@ def test_pisano_known_values():
         assert pisano(m) == want
 
 
+def test_state_period_matches_table_walk_oracle():
+    for spec in ENGINE_SPECS:
+        for m in range(1, 121):
+            assert state_period_mod(spec, m) == oracle_state_period(spec, m), (spec, m)
+
+
+def test_pisano_matches_orbit_oracle():
+    for m in range(1, 3001):
+        assert pisano(m) == oracle_pisano(m), m
+    for p, top in ((2, 14), (3, 9), (5, 6), (7, 5), (11, 4)):
+        for e in range(1, top + 1):
+            assert pisano(p**e) == oracle_pisano(p**e), (p, e)
+
+
+def test_pisano_is_the_order_of_the_fibonacci_matrix_for_wide_moduli():
+    # (F_n, F_{n+1}) = (0, 1) mod m exactly for the multiples of pi(m), so pi(m)
+    # passes and pi(m)/r fails for every prime r | pi(m); m up to 10**12 factors
+    for m in (10007 * 10009, 2**40 * 3**5, 999983**2, 999979 * 999983, 10**12, 2**64 + 13 * 2**40):
+        with deadline(2.0):  # an orbit walk would take hours and gigabytes
+            pi = pisano(m)
+        assert fib_pair(pi, m) == (0, 1), m
+        assert all(fib_pair(pi // r, m) != (0, 1) for r, _ in _factorize(pi)), m
+
+
+def test_residue_periods_hold_constant_memory():
+    for run in (lambda: pisano(203317), lambda: state_period_mod(FibonacciPower(1), 100003)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
 def test_pisano_orbit_has_no_tail():
     for m in range(2, 201):
         assert state_period_mod(FibonacciPower(1), m).preperiod == 0
@@ -196,6 +241,14 @@ def test_row_period_certifies_fibonacci_rows():
         assert rep.certified
         assert pi_2k % rep.period == 0
         assert pisano(2 * k) == pi_2k
+
+
+def test_row_period_matches_windowed_oracle():
+    for spec in ENGINE_SPECS:
+        for k in range(1, 61):
+            rep = row_period(k, spec)
+            assert rep == oracle_row_period(k, spec), (spec, k)
+            assert rep.certified
 
 
 def test_row_period_window_too_small():
