@@ -8,42 +8,31 @@ null native.  CSV prints booleans as 0/1, None as an empty cell and lists
 joined by ";"; its header is the payload's keys bar "command", unless the
 command is table-valued.  Text says yes/no for booleans and "none" for None.
 Exit codes: 0 ok, 1 usage, 2 domain error, 3 verification failure, 4 resource cap.
+
+Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
+a process compiles every module it imports, which costs more than most answers,
+so this module imports only ``core`` up front; each handler imports the layer it
+uses, and ``_emit`` imports ``json`` or ``csv`` only for those formats.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from itertools import product
 
 from .core import (
+    DEFAULT_RHS_CAP,
     DomainError,
+    InconclusiveError,
     InvariantViolation,
     ResourceLimitError,
     brute_force_split,
     gamma,
     solve_split,
 )
-from .density import build_density_sequence, verify_growth_bounds
-from .explorer import (
-    DEFAULT_RHS_CAP,
-    SCAN_CSV_HEADER,
-    SCAN_METADATA,
-    iter_scan,
-    nvar_classify,
-    record_to_csv_row,
-    record_to_json,
-    rs_solve,
-    run_scan,
-)
-from .periodicity import InconclusiveError, _row_period, fibonacci_period_table, gamma_row, pisano
-from .sequences import fib_pair, fib_square_solution, fib_cube_solution, fib_identity_solution, fiblike_pair
-from .sequences import closed_form_mod6_4, format_spec, parse_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,8 +79,10 @@ def _emit(fmt: str, payload: dict, text: list[str], table=None, json_only=None) 
     table is (header, rows) for table-valued commands; json_only holds trailing keys with no CSV column.
     """
     if fmt == "json":
+        import json
         print(json.dumps(_json_value({**payload, **(json_only or {})}), indent=2))
     elif fmt == "csv":
+        import csv
         if table is None:
             keys = [key for key in payload if key != "command"]
             table = (keys, [[payload[key] for key in keys]])
@@ -134,6 +125,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_row(args) -> int:
+    from .periodicity import gamma_row
+    from .sequences import format_spec, parse_spec
     spec = parse_spec(args.seq)
     bits = gamma_row(args.k, spec, args.start, args.count).bits
     payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
@@ -143,6 +136,8 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    from .periodicity import _row_period
+    from .sequences import format_spec, parse_spec
     spec = parse_spec(args.seq)
     rep, sp = _row_period(args.k, spec, args.window, args.min_repeats)
     payload = {
@@ -164,12 +159,14 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_pisano(args) -> int:
+    from .periodicity import pisano
     value = pisano(args.m)
     _emit(args.format, {"command": "pisano", "m": args.m, "pisano": value}, [str(value)])
     return EXIT_OK
 
 
 def _cmd_table1(args) -> int:
+    from .periodicity import fibonacci_period_table
     rows = fibonacci_period_table(args.kmax)
     payload = {"command": "table1", "rows": [{"k": k, "t_k": t, "pi_2k": p} for k, t, p in rows]}
     text = ["  k   t_k  pi(2k)"] + [f"{k:>3} {t:>5} {p:>7}" for k, t, p in rows]
@@ -178,6 +175,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from fractions import Fraction
+    from .density import build_density_sequence, verify_growth_bounds
     try:
         p = Fraction(args.p)
     except (ValueError, ZeroDivisionError) as exc:
@@ -221,6 +220,7 @@ _VERIFY_DEFAULT_RANGE = {
 
 
 def _fiblike_ok(u: int, v: int) -> bool:
+    from .sequences import fiblike_pair
     x, y = u, v
     for n in range(1, 31):
         if fiblike_pair(u, v, n) != (x, y) or math.gcd(x, y) != 1:
@@ -230,10 +230,12 @@ def _fiblike_ok(u: int, v: int) -> bool:
 
 
 def _mod6_4_ok(u: int, v: int) -> bool:
+    from .sequences import closed_form_mod6_4, fiblike_pair
     return all(closed_form_mod6_4(u, v, n) == solve_split(*fiblike_pair(u, v, n)) for n in (4, 10, 16, 22))
 
 
 def _verify_items(family: str, lo: int, hi: int):
+    from .sequences import fib_cube_solution, fib_identity_solution, fib_pair, fib_square_solution
     lo = max(lo, _VERIFY_DEFAULT_RANGE[family][0])
     if family == "fib":
         for n in range(lo, hi + 1):
@@ -280,6 +282,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_nvar(args) -> int:
+    from .explorer import nvar_classify
     rep = nvar_classify(tuple(args.coeffs), args.cap)
     inst = rep.instance
     payload = {
@@ -307,6 +310,7 @@ def _cmd_nvar(args) -> int:
 
 
 def _cmd_rs(args) -> int:
+    from .explorer import rs_solve
     record = asdict(rs_solve(args.a, args.b, args.r, args.s, args.cap))
     text = " ".join(f"{key}={_word(value)}" for key, value in record.items())
     _emit(args.format, {**record, "command": "rs"}, [text])
@@ -314,6 +318,8 @@ def _cmd_rs(args) -> int:
 
 
 def _cmd_beiter_scan(args) -> int:
+    from fractions import Fraction
+    from .explorer import SCAN_CSV_HEADER, SCAN_METADATA, iter_scan, record_to_csv_row, record_to_json, run_scan
     if args.resume and not args.out:
         raise DomainError("--resume needs --out")
     if args.out:

@@ -34,6 +34,8 @@ __all__ = [
     "BruteForceReport",
     "brute_force_split",
     "DEFAULT_BRUTE_CAP",
+    "DEFAULT_RHS_CAP",
+    "InconclusiveError",
 ]
 
 
@@ -47,6 +49,14 @@ class ResourceLimitError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed.  Seeing this means a bug."""
+
+
+class InconclusiveError(RuntimeError):
+    """No period could be certified inside the examined window."""
+
+    def __init__(self, window: int):
+        super().__init__(f"no period found within a window of {window} terms; retry with a larger window")
+        self.window = window
 
 
 def _check_pair(a: int, b: int) -> None:
@@ -178,6 +188,8 @@ class BruteForceReport:
 
 
 DEFAULT_BRUTE_CAP = 10_000_000
+# largest right-hand side the n-variable counts and the shifted two-coin questions accept by default
+DEFAULT_RHS_CAP = 1_000_000
 
 
 def brute_force_split(a: int, b: int, max_iterations: int = DEFAULT_BRUTE_CAP) -> BruteForceReport:

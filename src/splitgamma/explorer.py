@@ -17,17 +17,11 @@ completed shard id.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from pathlib import Path
 from typing import Iterator
 
-from .core import DomainError, ResourceLimitError, _witness, mod_inverse
-
-DEFAULT_RHS_CAP = 1_000_000
+from .core import DEFAULT_RHS_CAP, DomainError, ResourceLimitError, _witness, mod_inverse
 
 SCAN_CSV_HEADER = ("a", "b", "r", "s", "rhs", "integral", "solvable_i0", "solvable_i1", "exactly_one")
 
@@ -160,6 +154,7 @@ def iter_scan(
 
 def beiter_density(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Fraction:
     """Fraction of ordered coprime pairs in [1, x_max]^2 with exactly one solvable side."""
+    from fractions import Fraction
     hits = total = 0
     for _, records in iter_scan(r, s, x_max, cap=cap):
         total += len(records)
@@ -216,6 +211,8 @@ def record_from_json(obj: dict) -> ScanRecord:
 
 def _read_existing(out_path: Path, fmt: str) -> tuple[int, int]:
     # (pairs, exactly_one hits) already on disk
+    import csv
+    import json
     pairs = hits = 0
     with out_path.open(newline="") as fh:
         if fmt == "csv":
@@ -253,6 +250,10 @@ def run_scan(
     shard fully written.  Output bytes do not depend on where a previous run
     stopped.  jobs is accepted and ignored: every scan runs in this process.
     """
+    import csv
+    import json
+    from fractions import Fraction
+    from pathlib import Path
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"scan format must be csv or jsonl, got {fmt!r}")
     out_path = Path(out_path)

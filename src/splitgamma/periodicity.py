@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import DomainError, InvariantViolation, gamma, gcd, solve_split
+from .core import DomainError, InconclusiveError, InvariantViolation, ResourceLimitError, gamma, gcd, solve_split
 from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, fib_pair
 from .sequences import iter_terms, residue_engine, residues
 
@@ -42,12 +42,10 @@ __all__ = [
 ]
 
 
-class InconclusiveError(RuntimeError):
-    """No period could be certified inside the examined window."""
-
-    def __init__(self, window: int):
-        super().__init__(f"no period found within a window of {window} terms; retry with a larger window")
-        self.window = window
+# Brent's walk refuses (exit 4) once a window longer than this closes without
+# finding the cycle, so every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX is
+# walked, in at most about 4 * ORBIT_MAX steps (~1 us each)
+ORBIT_MAX = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,10 @@ def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     the recurrence state while holding two states; the output residues then
     get their least period among the divisors of lam by walking two engine
     cursors, so memory stays O(1) in the orbit length.  Time is O(mu + lam)
-    steps times the number of prime factors of lam.  The output preperiod is
-    mu: every engine state is either its last outputs (power 1 linear
-    families, power recurrences) or on a pure cycle (fib^I, n^K).
+    steps times the number of prime factors of lam, and ORBIT_MAX bounds the
+    walk.  The output preperiod is mu: every engine state is either its last
+    outputs (power 1 linear families, power recurrences) or on a pure cycle
+    (fib^I, n^K).
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
@@ -186,6 +185,8 @@ def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     tortoise, hare = x0, step(x0)
     while tortoise != hare:
         if power == lam:
+            if power > ORBIT_MAX:
+                raise ResourceLimitError(f"the residue orbit mod {m} is longer than {ORBIT_MAX} states")
             tortoise, power, lam = hare, 2 * power, 0
         hare = step(hare)
         lam += 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 from .core import (
@@ -498,6 +497,7 @@ def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fra
     flips both signs.  The inner fractions must be integers; the returned pair
     is exact and may be negative or half-integral, which callers validate.
     """
+    from fractions import Fraction
     if variant not in (0, 1):
         raise DomainError(f"variant must be 0 or 1, got {variant}")
     if u == 0:

@@ -248,6 +248,15 @@ def test_factoring_past_the_trial_bound_exits_4_within_a_second(capsys):
         assert "trial divisors above 1000000" in err
 
 
+def test_period_with_an_orbit_past_the_walk_bound_exits_4(capsys):
+    # the Fibonacci residues mod 2 * 10**9 cycle after ~3e9 states; the walk
+    # stops after ~4e6 of them instead of running for an hour
+    with deadline(30.0):
+        code, out, err = run(capsys, "period", "--k", str(10**9), "--seq", "fib")
+    assert (code, out) == (4, "")
+    assert err == "resource cap: the residue orbit mod 2000000000 is longer than 2000000 states\n"
+
+
 def test_period_window_below_one_is_a_domain_error(capsys):
     for window in ("0", "-5"):
         code, out, err = run(capsys, "period", "--k", "5", "--seq", "fib", "--window", window)

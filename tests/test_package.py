@@ -1,0 +1,139 @@
+"""The package as a whole: its lazy namespace, what a CLI process imports, and
+its dependencies.
+
+A process that cannot write a bytecode cache (PYTHONDONTWRITEBYTECODE)
+compiles every module it imports, so the start-up budget is checked in fresh
+``python -m splitgamma.cli`` processes: ``-X importtime`` lists each module
+the run imports, and a bare interpreter in the same environment gives the
+modules the site preloads anyway.
+"""
+
+import ast
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import splitgamma
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splitgamma"
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+# every name the package exported when its __init__ imported each submodule eagerly
+EXPORTS = {
+    "core": "DomainError InvariantViolation ResourceLimitError BruteForceReport SplitInstance SplitSolution"
+    " brute_force_split gamma gcd mod_inverse solve_split theta",
+    "sequences": "Arithmetic Balancing Explicit FactorialPower FibonacciLike FibonacciPower KthPower"
+    " LucasBalancing Naturals Odds OddrResult PowerRecurrence SequenceSpec ShiftedGeometric closed_form_mod6_4"
+    " fib fib_cube_solution fib_identity_solution fib_pair fib_square_solution fiblike_pair format_spec"
+    " iter_terms oddr parse_spec phi_psi term term_mod",
+    "periodicity": "BitRow InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
+    " first_alternation_index gamma_row gamma_shift_check halfperiod_reflection pair_row pisano row_period"
+    " state_period_mod",
+    "density": "DensityTrace build_density_sequence verify_growth_bounds",
+    "explorer": "NVarInstance NVarReport ScanRecord beiter_density density_curve nvar_classify rs_solve run_scan"
+    " scan_shard",
+}
+
+
+# ---------------- lazy namespace ----------------
+
+
+def test_every_exported_name_is_the_submodule_object():
+    star: dict = {}
+    exec("from splitgamma import *", star)
+    for module, names in EXPORTS.items():
+        mod = importlib.import_module(f"splitgamma.{module}")
+        for name in names.split():
+            assert getattr(splitgamma, name) is getattr(mod, name), (module, name)
+            assert star[name] is getattr(mod, name), (module, name)
+            assert name in dir(splitgamma)
+    assert splitgamma.__version__ == "0.1.0"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        splitgamma.no_such_name
+    assert not hasattr(splitgamma, "_witness")
+
+
+def test_moved_names_are_one_object():
+    from splitgamma import core, explorer, periodicity
+
+    assert periodicity.InconclusiveError is core.InconclusiveError
+    assert explorer.DEFAULT_RHS_CAP is core.DEFAULT_RHS_CAP
+
+
+# ---------------- start-up budget ----------------
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV, cwd=ROOT, check=False)
+
+
+@pytest.fixture(scope="module")
+def preloaded() -> set[str]:
+    out = _python("-c", "import sys; print(sorted(sys.modules))").stdout
+    return set(ast.literal_eval(out))
+
+
+def _imports(preloaded: set[str], *args: str) -> set[str]:
+    # modules a fresh process imports beyond a bare interpreter, from its -X importtime lines
+    proc = _python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return names - preloaded - {"imported package"}
+
+
+def test_import_splitgamma_loads_no_submodule(preloaded):
+    assert {m for m in _imports(preloaded, "-c", "import splitgamma") if m.startswith("splitgamma")} == {"splitgamma"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["gamma", "7", "14"], ["solve", "7", "10"], ["solve", "7", "10", "--oracle"]]
+)
+def test_kernel_commands_load_only_cli_and_core(preloaded, argv):
+    package = {m for m in _imports(preloaded, "-m", "splitgamma.cli", *argv) if m.startswith("splitgamma")}
+    assert package <= {"splitgamma", "splitgamma.cli", "splitgamma.core"}, package
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "7", "14"],
+        ["solve", "7", "10"],
+        ["row", "--k", "7", "--seq", "fib", "--count", "12"],
+        ["pisano", "10"],
+        ["rs", "--a", "7", "--b", "10"],
+        ["nvar", "3", "5", "7"],
+    ],
+)
+def test_text_commands_load_no_number_or_format_modules(preloaded, argv):
+    heavy = _imports(preloaded, "-m", "splitgamma.cli", *argv) & {"fractions", "decimal", "json", "csv"}
+    assert not heavy, heavy
+
+
+# ---------------- dependencies ----------------
+
+
+def test_the_package_imports_only_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {top}"
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []

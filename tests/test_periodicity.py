@@ -19,7 +19,9 @@ from splitgamma import (
     Naturals,
     Odds,
     PowerRecurrence,
+    ResourceLimitError,
     ShiftedGeometric,
+    StatePeriod,
     detect_period,
     fib,
     fibonacci_period_table,
@@ -34,6 +36,7 @@ from splitgamma import (
     state_period_mod,
     term,
 )
+from splitgamma import periodicity
 from splitgamma.sequences import _factorize, fib_pair, parse_spec
 
 # k, T_k for the Fibonacci row, pi(2k)
@@ -219,6 +222,18 @@ def test_residue_periods_hold_constant_memory():
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+def test_orbit_walk_refuses_past_its_bound(monkeypatch):
+    # pi(25) = 100 and pi(50) = 300: with the bound at 100 the first orbit is
+    # walked, and the second is refused once the 128-state window closes
+    monkeypatch.setattr(periodicity, "ORBIT_MAX", 100)
+    with deadline(0.5):
+        assert state_period_mod(FibonacciPower(1), 25) == StatePeriod(0, 100)
+        with pytest.raises(ResourceLimitError, match="longer than 100 states"):
+            state_period_mod(FibonacciPower(1), 50)
+        with pytest.raises(ResourceLimitError):
+            row_period(25, FibonacciPower(1))
 
 
 def test_pisano_orbit_has_no_tail():
