@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from itertools import product
 
 from .core import (
@@ -144,7 +143,7 @@ def _cmd_period(args) -> int:
         "command": "period",
         "k": args.k,
         "seq": format_spec(spec),
-        **asdict(rep),
+        **vars(rep),
         "residue_preperiod": None if sp is None else sp.preperiod,
         "residue_period": None if sp is None else sp.period,
     }
@@ -311,7 +310,7 @@ def _cmd_nvar(args) -> int:
 
 def _cmd_rs(args) -> int:
     from .explorer import rs_solve
-    record = asdict(rs_solve(args.a, args.b, args.r, args.s, args.cap))
+    record = vars(rs_solve(args.a, args.b, args.r, args.s, args.cap))
     text = " ".join(f"{key}={_word(value)}" for key, value in record.items())
     _emit(args.format, {**record, "command": "rs"}, [text])
     return EXIT_OK

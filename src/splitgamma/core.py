@@ -13,12 +13,21 @@ in the package goes through ``_witness``, which needs one modular inverse per
 pair; ``gamma`` and ``solve_split`` both read the pair off it.
 ``brute_force_split`` and ``theta`` are kept as independent oracles for the
 tests and are not called on any fast path.
+
+Every result and spec type in the package is a ``Record``: an immutable value
+whose fields are the names its class annotates.  Records replace frozen
+dataclasses because a CLI process pays for the dataclass machinery before it
+answers anything: importing ``dataclasses`` (which loads ``inspect``, ``ast``,
+``dis`` and ``tokenize``) took about 6 ms, and building each frozen class about
+0.57 ms, so a ``row`` process spent some 17 ms on its 19 classes.  Records
+compare, hash and print as those dataclasses did, but ``dataclasses.fields``,
+``asdict`` and ``replace`` do not apply to them: ``vars(rec)`` gives the fields
+in order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
     "DomainError",
@@ -36,6 +45,7 @@ __all__ = [
     "DEFAULT_BRUTE_CAP",
     "DEFAULT_RHS_CAP",
     "InconclusiveError",
+    "Record",
 ]
 
 
@@ -57,6 +67,76 @@ class InconclusiveError(RuntimeError):
     def __init__(self, window: int):
         super().__init__(f"no period found within a window of {window} terms; retry with a larger window")
         self.window = window
+
+
+class Record:
+    """Immutable value whose fields are the names its class annotates, in order.
+
+    Construction takes the fields positionally or by keyword; a class attribute
+    of a field's name is its default, and ``__post_init__`` may validate or
+    normalise (through ``object.__setattr__``).  Equality needs the same class,
+    hashing hashes the field tuple, and the repr lists every field, as for a
+    frozen dataclass.  ``vars(rec)`` holds the fields in order.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _tail: tuple = ()  # defaults of the trailing fields that have one
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = names = tuple(cls.__annotations__)
+        n = len(names)
+        while n and hasattr(cls, names[n - 1]):
+            n -= 1
+        cls._tail = tuple(getattr(cls, name) for name in names[n:])
+
+    def __init__(self, *args, **kwargs) -> None:
+        # a positional call, trailing defaults left out, skips _bind: it costs ~2 us a record
+        names, tail = self._fields, self._tail
+        missing = len(names) - len(args)
+        if kwargs or not 0 <= missing <= len(tail):
+            args = _bind(type(self), args, kwargs)
+        elif missing:
+            args += tail[len(tail) - missing :]
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    # field values in field order from a call's arguments and the class defaults
+    names = cls._fields
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names or name in values:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+        values[name] = value
+    missing = [name for name in names if name not in values and not hasattr(cls, name)]
+    if missing:
+        raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
+    return [values[name] if name in values else getattr(cls, name) for name in names]
 
 
 def _check_pair(a: int, b: int) -> None:
@@ -129,33 +209,28 @@ def gamma(a: int, b: int) -> int:
     return _split(a, b)[0]
 
 
-@dataclass(frozen=True)
-class SplitInstance:
+class SplitInstance(Record):
     """A pair (a, b) with its gcd-reduced form and common right-hand side."""
 
     a: int
     b: int
-    g: int = field(init=False)
-    a_red: int = field(init=False)
-    b_red: int = field(init=False)
-    rhs: int = field(init=False)
+    g: int
+    a_red: int
+    b_red: int
+    rhs: int
 
-    def __post_init__(self) -> None:
-        _check_pair(self.a, self.b)
-        g = math.gcd(self.a, self.b)
-        a_red = self.a // g
-        b_red = self.b // g
+    def __init__(self, a: int, b: int) -> None:
+        _check_pair(a, b)
+        g = math.gcd(a, b)
+        a_red = a // g
+        b_red = b // g
         prod = (a_red - 1) * (b_red - 1)
         if prod % 2:
             raise InvariantViolation(f"odd product for reduced pair ({a_red}, {b_red})")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "a_red", a_red)
-        object.__setattr__(self, "b_red", b_red)
-        object.__setattr__(self, "rhs", prod // 2)
+        self.__dict__.update(a=a, b=b, g=g, a_red=a_red, b_red=b_red, rhs=prod // 2)
 
 
-@dataclass(frozen=True)
-class SplitSolution:
+class SplitSolution(Record):
     """A witness (delta, x, y) with delta + a'x + b'y = (a'-1)(b'-1)/2."""
 
     delta: int
@@ -173,8 +248,7 @@ def solve_split(a: int, b: int) -> SplitSolution:
     return SplitSolution(*_split(a, b))
 
 
-@dataclass(frozen=True)
-class BruteForceReport:
+class BruteForceReport(Record):
     """All enumerated solutions for both deltas, plus the per-delta counts."""
 
     solutions: tuple[SplitSolution, ...]

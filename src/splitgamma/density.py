@@ -8,14 +8,12 @@ so steering by the running zero ratio drives the ratio to any target p in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, gamma
+from .core import DomainError, Record, gamma
 
 
-@dataclass(frozen=True)
-class DensityTrace:
+class DensityTrace(Record):
     p: Fraction
     terms: tuple[int, ...]  # a_0 .. a_N
     bits: tuple[int, ...]  # gamma(a_{n-1}, a_n) for n = 1 .. N

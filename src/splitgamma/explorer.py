@@ -18,10 +18,9 @@ completed shard id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
-from .core import DEFAULT_RHS_CAP, DomainError, ResourceLimitError, _witness, mod_inverse
+from .core import DEFAULT_RHS_CAP, DomainError, Record, ResourceLimitError, _witness, mod_inverse
 
 SCAN_CSV_HEADER = ("a", "b", "r", "s", "rhs", "integral", "solvable_i0", "solvable_i1", "exactly_one")
 
@@ -32,8 +31,7 @@ SCAN_METADATA = {
 }
 
 
-@dataclass(frozen=True)
-class NVarInstance:
+class NVarInstance(Record):
     """Coefficients with the common right-hand side prod(a_j - 1)/2."""
 
     coeffs: tuple[int, ...]
@@ -60,16 +58,14 @@ class NVarInstance:
         return cls(coeffs, num, rhs, setwise, pairwise)
 
 
-@dataclass(frozen=True)
-class NVarReport:
+class NVarReport(Record):
     instance: NVarInstance
     counts: tuple[int, ...]  # per equation index, saturated at 2
     solvable: tuple[int, ...]
     exactly_one: bool
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(Record):
     """One pair-scan row; field set matches the CSV schema exactly."""
 
     a: int

@@ -17,10 +17,10 @@ against the residue period where there is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import DomainError, InconclusiveError, InvariantViolation, ResourceLimitError, gamma, gcd, solve_split
+from .core import DomainError, InconclusiveError, InvariantViolation, Record, ResourceLimitError
+from .core import gamma, gcd, solve_split
 from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, fib_pair
 from .sequences import iter_terms, residue_engine, residues
 
@@ -48,8 +48,7 @@ __all__ = [
 ORBIT_MAX = 2_000_000
 
 
-@dataclass(frozen=True)
-class BitRow:
+class BitRow(Record):
     """gamma(k, a_n) for n = start .. start + len(bits) - 1."""
 
     k: int
@@ -58,8 +57,7 @@ class BitRow:
     bits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Record):
     preperiod: int
     period: int
     zeros: int
@@ -68,10 +66,31 @@ class PeriodReport:
     verified_repeats: int
 
 
-@dataclass(frozen=True)
-class StatePeriod:
+class StatePeriod(Record):
     preperiod: int
     period: int
+
+
+class _Memo(dict):
+    # residue -> bit for rows shorter than 2k, answering 2 for a residue not classified yet
+    def __missing__(self, residue: int) -> int:
+        return 2
+
+
+def _row_bits(k: int, spec: SequenceSpec, start: int, count: int) -> bytearray:
+    # gamma_row's bits, one byte each; the memo is a residue-indexed bytearray
+    # (2 = not classified yet) once the row is at least 2k long, a dict before
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    m = 2 * k
+    memo = bytearray(b"\x02") * m if m <= count else _Memo()
+    bits = bytearray()
+    for r in residues(spec, start, count, m):
+        bit = memo[r]
+        if bit == 2:
+            bit = memo[r] = gamma(k, r or m)
+        bits.append(bit)
+    return bits
 
 
 def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
@@ -79,20 +98,11 @@ def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
 
     Every family is read through its residues mod 2k, which is exact because
     gamma(k, b) only depends on b mod 2k, so the classifier runs at most once
-    per residue: min(count, 2k) calls.  Power recurrences that may turn
-    nonpositive and explicit lists reduce exact terms (see residues).
+    per residue: min(count, 2k) calls, with O(min(count, 2k)) memo.  Power
+    recurrences that may turn nonpositive and explicit lists reduce exact
+    terms (see residues).
     """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    m = 2 * k
-    table: dict[int, int] = {}
-    bits = []
-    for r in residues(spec, start, count, m):
-        bit = table.get(r)
-        if bit is None:
-            bit = table[r] = gamma(k, r or m)
-        bits.append(bit)
-    return BitRow(k, spec, start, tuple(bits))
+    return BitRow(k, spec, start, tuple(_row_bits(k, spec, start, count)))
 
 
 def pair_row(spec: SequenceSpec, start: int, count: int) -> tuple[int, ...]:
@@ -236,8 +246,8 @@ def _row_period(
     if window is None and sp is not None and not _exact_only(spec):
         # the bits are a function of the residues, so mu + lam of them hold the whole row
         mu, lam = sp.preperiod, sp.period
-        bits = gamma_row(k, spec, 1, mu + lam).bits
-        cycle = bits[mu:]
+        bits = _row_bits(k, spec, 1, mu + lam)
+        cycle = memoryview(bits)[mu:]  # views: a period test copies no bits
         period = _least_period(lam, lambda d: cycle[d:] == cycle[:-d])
         pre = mu
         while pre and bits[pre - 1] == bits[pre - 1 + period]:

@@ -17,12 +17,12 @@ indices n with n mod 6 = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .core import (
     DomainError,
     InvariantViolation,
+    Record,
     ResourceLimitError,
     SplitInstance,
     SplitSolution,
@@ -84,8 +84,7 @@ def fib(n: int) -> int:
 # ---------------- Sequence specs ----------------
 
 
-@dataclass(frozen=True)
-class FibonacciPower:
+class FibonacciPower(Record):
     """Terms F_n ** power."""
 
     power: int = 1
@@ -95,8 +94,7 @@ class FibonacciPower:
             raise DomainError(f"power must be >= 1, got {self.power}")
 
 
-@dataclass(frozen=True)
-class FibonacciLike:
+class FibonacciLike(Record):
     """t_1 = t1, t_2 = t2 coprime, then t_n = t_{n-1} + t_{n-2}."""
 
     t1: int
@@ -109,28 +107,23 @@ class FibonacciLike:
             raise DomainError(f"seeds must be coprime, got ({self.t1}, {self.t2})")
 
 
-@dataclass(frozen=True)
-class Balancing:
+class Balancing(Record):
     """1, 6, 35, 204, ... with b_n = 6 b_{n-1} - b_{n-2}."""
 
 
-@dataclass(frozen=True)
-class LucasBalancing:
+class LucasBalancing(Record):
     """3, 17, 99, 577, ... same recurrence as Balancing."""
 
 
-@dataclass(frozen=True)
-class Naturals:
+class Naturals(Record):
     """1, 2, 3, ..."""
 
 
-@dataclass(frozen=True)
-class Odds:
+class Odds(Record):
     """1, 3, 5, ..."""
 
 
-@dataclass(frozen=True)
-class Arithmetic:
+class Arithmetic(Record):
     """a_n = p*n - r with p >= 1 and 0 <= r < p."""
 
     p: int
@@ -141,8 +134,7 @@ class Arithmetic:
             raise DomainError(f"need p >= 1 and 0 <= r < p, got (p={self.p}, r={self.r})")
 
 
-@dataclass(frozen=True)
-class KthPower:
+class KthPower(Record):
     """a_n = n ** k."""
 
     k: int
@@ -152,8 +144,7 @@ class KthPower:
             raise DomainError(f"k must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
-class ShiftedGeometric:
+class ShiftedGeometric(Record):
     """a_n = a * r**(n-1) + 1 with r >= 2."""
 
     a: int
@@ -166,8 +157,7 @@ class ShiftedGeometric:
             raise DomainError(f"r must be >= 2, got {self.r}")
 
 
-@dataclass(frozen=True)
-class PowerRecurrence:
+class PowerRecurrence(Record):
     """a_n = sum_i coeffs[i] * a_{n-1-i} ** powers[i], seeded by init."""
 
     coeffs: tuple[int, ...]
@@ -191,13 +181,11 @@ class PowerRecurrence:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class FactorialPower:
+class FactorialPower(Record):
     """a_n = (n!) ** (n!).  Full terms only up to n = 6; use term_mod beyond."""
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Record):
     """A finite list of positive terms given verbatim."""
 
     terms: tuple[int, ...]
@@ -458,8 +446,7 @@ def _crt(pairs: list[tuple[int, int]]) -> int:
 # ---------------- Closed-form witnesses ----------------
 
 
-@dataclass(frozen=True)
-class OddrResult:
+class OddrResult(Record):
     """The unique odd r in [1, u] with v*r = sign mod (u odd ? u : 2u)."""
 
     r: int
@@ -620,13 +607,14 @@ def parse_spec(text: str) -> SequenceSpec:
     }
     if t in plain:
         return plain[t]
-    try:
-        if t.startswith("fib^"):
-            return FibonacciPower(int(t[4:]))
-        if t.startswith("n^"):
-            return KthPower(int(t[2:]))
-    except ValueError as exc:
-        raise DomainError(f"bad exponent in sequence spec: {text!r}") from exc
+    for prefix, family in (("fib^", FibonacciPower), ("n^", KthPower)):
+        if t.startswith(prefix):
+            try:
+                exponent = int(t[len(prefix):])
+            except ValueError as exc:
+                raise DomainError(f"bad exponent in sequence spec: {text!r}") from exc
+            # outside the try: the family's own DomainError is also a ValueError
+            return family(exponent)
     if t.startswith("fiblike:"):
         vals = _ints(t[8:], "seeds")
         if len(vals) != 2:

@@ -216,6 +216,15 @@ def test_domain_error_exit_2(capsys):
     assert "domain error" in err
 
 
+def test_zero_exponent_reports_the_constructor_error(capsys):
+    # the spec parses; the family refuses the exponent, and says why
+    for spec, message in (("fib^0", "power must be >= 1, got 0"), ("n^0", "k must be >= 1, got 0")):
+        assert run(capsys, "row", "--k", "3", "--seq", spec, "--count", "3") == (2, "", f"domain error: {message}\n")
+    for spec in ("fib^x", "n^"):
+        code, out, err = run(capsys, "row", "--k", "3", "--seq", spec, "--count", "3")
+        assert (code, out, err) == (2, "", f"domain error: bad exponent in sequence spec: {spec!r}\n")
+
+
 def test_powrec_with_nonpositive_term_exits_2(capsys):
     # a_3 = 1 - 2 * 1^2 = -1 in the first two; a_2 = 0 * 3^2 = 0 in the last.
     # Residues cannot show either, so rows and periods must not print bits.

@@ -8,6 +8,7 @@ from splitgamma import (
     DomainError,
     ResourceLimitError,
     SplitInstance,
+    SplitSolution,
     brute_force_split,
     gamma,
     gcd,
@@ -15,7 +16,18 @@ from splitgamma import (
     solve_split,
     theta,
 )
-from splitgamma.core import DEFAULT_BRUTE_CAP
+from splitgamma.core import DEFAULT_BRUTE_CAP, Record
+from splitgamma.explorer import rs_solve
+from splitgamma.periodicity import PeriodReport
+from splitgamma.sequences import (
+    Arithmetic,
+    Balancing,
+    FibonacciLike,
+    FibonacciPower,
+    KthPower,
+    LucasBalancing,
+    PowerRecurrence,
+)
 
 from conftest import coprime_pairs, oracle_representable, oracle_solutions
 
@@ -219,3 +231,72 @@ def test_brute_force_iteration_cap():
     assert DEFAULT_BRUTE_CAP == 10_000_000
     with pytest.raises(ResourceLimitError):
         brute_force_split(99991, 99989, max_iterations=100)
+
+
+# ---------------- records ----------------
+
+
+def test_records_compare_hash_and_print_as_frozen_values():
+    # equality needs the same class, even between records with equal fields
+    assert Balancing() == Balancing() and Balancing() != LucasBalancing()
+    assert FibonacciPower(2) == FibonacciPower(power=2) and FibonacciPower(2) != KthPower(2)
+    assert SplitInstance(6, 4) == SplitInstance(b=4, a=6) != SplitInstance(4, 6)
+    assert hash(SplitSolution(0, 1, 2)) == hash((0, 1, 2, True))
+    assert len({FibonacciPower(), FibonacciPower(1), KthPower(1)}) == 2
+    assert repr(SplitInstance(6, 4)) == "SplitInstance(a=6, b=4, g=2, a_red=3, b_red=2, rhs=1)"
+    assert repr(PowerRecurrence([1, 1], [1, 2], [1, 1])) == "PowerRecurrence(coeffs=(1, 1), powers=(1, 2), init=(1, 1))"
+    assert repr(Balancing()) == "Balancing()"
+    assert repr(rs_solve(7, 10)) == (
+        "ScanRecord(a=7, b=10, r=1, s=1, rhs=27, integral=True, solvable_i0=True, solvable_i1=False,"
+        " exactly_one=True)"
+    )
+
+
+def test_records_are_immutable():
+    for rec in (FibonacciPower(2), PeriodReport(0, 3, 1, 2, True, 4), SplitInstance(6, 4)):
+        name = next(iter(vars(rec)))
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+    assert vars(SplitInstance(6, 4))["g"] == 2
+
+
+def test_records_construct_by_position_keyword_and_default():
+    assert SplitSolution(0, 1, 2).unique is True
+    assert SplitSolution(0, 1, 2, unique=False).unique is False
+    assert FibonacciPower().power == 1
+    rep = BruteForceReport(solutions=(SplitSolution(1, 1, 0),), counts=(0, 1))
+    assert rep.solution == SplitSolution(1, 1, 0) and rep.counts == (0, 1)
+    assert PeriodReport(verified_repeats=4, preperiod=0, period=3, zeros=1, ones=2, certified=True) == PeriodReport(
+        0, 3, 1, 2, True, 4
+    )
+    for bad in (lambda: FibonacciLike(2), lambda: SplitSolution(0, 1, 2, True, 5), lambda: FibonacciPower(q=1)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(TypeError):
+        SplitInstance(6, 4, 2)
+
+
+def test_vars_lists_fields_in_declaration_order():
+    # record_to_csv_row and record_to_json read vars() in this order
+    assert list(vars(SplitInstance(b=4, a=6))) == ["a", "b", "g", "a_red", "b_red", "rhs"]
+    assert list(vars(PeriodReport(verified_repeats=4, certified=True, ones=2, zeros=1, period=3, preperiod=0))) == [
+        "preperiod", "period", "zeros", "ones", "certified", "verified_repeats"
+    ]
+    assert list(vars(rs_solve(7, 10))) == ["a", "b", "r", "s", "rhs", "integral", "solvable_i0", "solvable_i1",
+                                          "exactly_one"]
+    assert isinstance(SplitSolution(0, 1, 2), Record) and SplitSolution._fields == ("delta", "x", "y", "unique")
+
+
+def test_record_validation_messages_are_unchanged():
+    with pytest.raises(DomainError, match=r"^seeds must be coprime, got \(2, 4\)$"):
+        FibonacciLike(2, 4)
+    with pytest.raises(DomainError, match=r"^need p >= 1 and 0 <= r < p, got \(p=3, r=3\)$"):
+        Arithmetic(3, 3)
+    with pytest.raises(DomainError, match=r"^power must be >= 1, got 0$"):
+        FibonacciPower(0)
+    with pytest.raises(DomainError, match=r"^need positive integers, got a=0, b=3$"):
+        SplitInstance(0, 3)

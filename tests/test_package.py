@@ -117,10 +117,40 @@ def test_text_commands_load_no_number_or_format_modules(preloaded, argv):
     assert not heavy, heavy
 
 
+# one argv per CLI command; the dataclass machinery would load all five modules
+ALL_COMMANDS = [
+    ["gamma", "7", "14"],
+    ["solve", "7", "10"],
+    ["row", "--k", "5", "--seq", "fib", "--count", "20"],
+    ["period", "--k", "5", "--seq", "fib"],
+    ["pisano", "10"],
+    ["table1", "--kmax", "3"],
+    ["density", "--p", "1/2", "--n", "10"],
+    ["verify", "--family", "fib", "--range", "6:12"],
+    ["nvar", "3", "5", "7"],
+    ["rs", "--a", "7", "--b", "10"],
+    ["beiter-scan", "--xmax", "5"],
+]
+
+
+def test_all_commands_are_listed():
+    from splitgamma.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert sorted(argv[0] for argv in ALL_COMMANDS) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=[argv[0] for argv in ALL_COMMANDS])
+def test_no_command_loads_the_dataclass_machinery(preloaded, argv):
+    machinery = _imports(preloaded, "-m", "splitgamma.cli", *argv) & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not machinery, machinery
+
+
 # ---------------- dependencies ----------------
 
 
-def test_the_package_imports_only_the_standard_library():
+def _package_imports():
+    # (file, line, top-level module) of every absolute import in the package
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -130,7 +160,17 @@ def test_the_package_imports_only_the_standard_library():
             else:
                 continue
             for top in tops:
-                assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {top}"
+                yield path.name, node.lineno, top
+
+
+def test_the_package_imports_only_the_standard_library():
+    for name, line, top in _package_imports():
+        assert top in sys.stdlib_module_names, f"{name}:{line} imports {top}"
+
+
+def test_no_module_imports_dataclasses():
+    # records are core.Record values: importing dataclasses costs every process its start-up
+    assert [f"{name}:{line}" for name, line, top in _package_imports() if top == "dataclasses"] == []
 
 
 def test_pyproject_declares_no_dependencies():

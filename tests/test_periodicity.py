@@ -213,15 +213,29 @@ def test_pisano_is_the_order_of_the_fibonacci_matrix_for_wide_moduli():
         assert all(fib_pair(pi // r, m) != (0, 1) for r, _ in _factorize(pi)), m
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_residue_periods_hold_constant_memory():
     for run in (lambda: pisano(203317), lambda: state_period_mod(FibonacciPower(1), 100003)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(run)
         assert peak < 2**20, peak
+
+
+def test_rows_hold_about_a_byte_per_bit():
+    # pi(10000) = 15000 bits and 10000 residues: one byte each in the certified
+    # period, where an int-keyed memo and tuple copies of the row took ~0.7 MB
+    assert _traced_peak(lambda: row_period(5000, FibonacciPower(1))) < 4 * 15000
+    # a row shorter than 2k keeps an O(count) memo, however large k is
+    row = []
+    assert _traced_peak(lambda: row.append(gamma_row(10**30, FibonacciPower(1), 1, 200))) < 200_000
+    assert row[0].bits == tuple(gamma(10**30, fib(n)) for n in range(1, 201))
 
 
 def test_orbit_walk_refuses_past_its_bound(monkeypatch):
