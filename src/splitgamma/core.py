@@ -80,24 +80,17 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
-    _tail: tuple = ()  # defaults of the trailing fields that have one
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__match_args__ = names = tuple(cls.__annotations__)
-        n = len(names)
-        while n and hasattr(cls, names[n - 1]):
-            n -= 1
-        cls._tail = tuple(getattr(cls, name) for name in names[n:])
+        cls._fields = tuple(cls.__annotations__)
+        if "__match_args__" not in vars(cls):
+            cls.__match_args__ = cls._fields
 
     def __init__(self, *args, **kwargs) -> None:
-        # a positional call, trailing defaults left out, skips _bind: it costs ~2 us a record
-        names, tail = self._fields, self._tail
-        missing = len(names) - len(args)
-        if kwargs or not 0 <= missing <= len(tail):
+        names = self._fields
+        if kwargs or len(args) != len(names):  # every field positional skips _bind
             args = _bind(type(self), args, kwargs)
-        elif missing:
-            args += tail[len(tail) - missing :]
         self.__dict__.update(zip(names, args))
         self.__post_init__()
 
@@ -218,6 +211,8 @@ class SplitInstance(Record):
     a_red: int
     b_red: int
     rhs: int
+
+    __match_args__ = ("a", "b")  # the derived fields are not constructor arguments
 
     def __init__(self, a: int, b: int) -> None:
         _check_pair(a, b)

@@ -278,6 +278,12 @@ def test_records_construct_by_position_keyword_and_default():
             bad()
     with pytest.raises(TypeError):
         SplitInstance(6, 4, 2)
+    # class patterns take the constructor arguments, as the dataclasses' __match_args__ did
+    assert SplitInstance.__match_args__ == ("a", "b")
+    assert SplitSolution.__match_args__ == ("delta", "x", "y", "unique")
+    match SplitInstance(6, 4):
+        case SplitInstance(a, b):
+            assert (a, b) == (6, 4)
 
 
 def test_vars_lists_fields_in_declaration_order():
