@@ -123,6 +123,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bit_line(bits) -> str:
+    # "0 1 1 ..." from the 0/1 bits: a byte per bit and per space, not a str object per bit
+    line = bytearray(b" ") * (2 * len(bits) - 1)
+    line[::2] = bytes(bits).translate(_DIGITS)
+    return line.decode("ascii")
+
+
 def _cmd_row(args) -> int:
     from .periodicity import gamma_row
     from .sequences import format_spec, parse_spec
@@ -130,7 +140,7 @@ def _cmd_row(args) -> int:
     bits = gamma_row(args.k, spec, args.start, args.count).bits
     payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
     table = (("n", "bit"), enumerate(bits, args.start))
-    _emit(args.format, payload, [" ".join(map(str, bits))], table)
+    _emit(args.format, payload, [_bit_line(bits)], table)
     return EXIT_OK
 
 

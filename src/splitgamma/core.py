@@ -8,9 +8,13 @@ R = (a' - 1)(b' - 1)/2.  Exactly one of
 
 is solvable in nonnegative integers x, y, and the solution is unique: R and
 R - 1 sum to the Frobenius number a'b' - a' - b', so by Sylvester's symmetry
-exactly one of them is a sum of a's and b's.  Every representability question
-in the package goes through ``_witness``, which needs one modular inverse per
-pair; ``gamma`` and ``solve_split`` both read the pair off it.
+exactly one of them is a sum of a's and b's.  ``gamma`` and ``solve_split``
+both read the pair off ``_split``, which needs one modular inverse per pair and
+no product with it: with b' odd (swap the roles of a' and b' if not),
+2R = 1 - a' (mod b'), so R's least witness x = R / a' mod b' is
+(a'^-1 - 1) / 2 mod b', a halving, and R - 1's is that minus a'^-1.
+``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
+shifted right-hand sides of ``explorer.rs_solve`` and the test oracles.
 ``brute_force_split`` and ``theta`` are kept as independent oracles for the
 tests and are not called on any fast path.
 
@@ -180,17 +184,27 @@ def _witness(a: int, b: int, inv: int, n: int) -> tuple[int, int] | None:
 
 
 def _split(a: int, b: int) -> tuple[int, int, int]:
-    # (delta, x, y) for the pair: one inverse, then R, and R - 1 only if R fails
+    # (delta, x, y) for the pair: one inverse, halved into R's witness, and R - 1's only if R fails
     _check_pair(a, b)
     g = math.gcd(a, b)
     a, b = a // g, b // g
+    swap = not b & 1  # a' and b' are coprime, so at most one is even; halving needs b' odd
+    if swap:
+        a, b = b, a
     rhs = (a - 1) * (b - 1) // 2
     inv = mod_inverse(a, b) if b > 1 else 0
+    # 2R = 1 - a (mod b), so R * inv = (inv - 1) / 2 (mod b); b odd makes the halving exact
+    x = (inv - 1 if inv & 1 else inv - 1 + b) >> 1
     for delta in (0, 1):
-        w = _witness(a, b, inv, rhs - delta)
-        if w is not None:
-            return delta, w[0], w[1]
-    raise InvariantViolation(f"neither R nor R - 1 is representable for ({a}, {b})")
+        rem = rhs - delta - a * x
+        if rem >= 0:
+            y = rem // b
+            return (delta, y, x) if swap else (delta, x, y)
+        x -= inv  # (R - 1) * inv = x - inv (mod b)
+        if x < 0:
+            x += b
+    pair = (b, a) if swap else (a, b)
+    raise InvariantViolation(f"neither R nor R - 1 is representable for {pair}")
 
 
 def gamma(a: int, b: int) -> int:
@@ -233,12 +247,17 @@ class SplitSolution(Record):
     y: int
     unique: bool = True
 
+    def __init__(self, delta: int, x: int, y: int, unique: bool = True) -> None:
+        self.__dict__.update(delta=delta, x=x, y=y, unique=unique)
+
 
 def solve_split(a: int, b: int) -> SplitSolution:
     """The unique nonnegative solution of the solvable equation for (a, b).
 
-    Works on the gcd-reduced pair: x is the least nonnegative residue of
-    (R - delta) / a' modulo b', and y follows by exact division.
+    Works on the gcd-reduced pair: with b' odd, x is the least nonnegative
+    residue of (R - delta) / a' modulo b', read off a'^-1 by halving, and y
+    follows by exact division (roles swapped when b' is even).  The solution
+    is unique, so either reading gives it.
     """
     return SplitSolution(*_split(a, b))
 

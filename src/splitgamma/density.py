@@ -3,7 +3,9 @@
 Walk a chain a_0 = 1, a_1 = 2, a_n in {2a_{n-1}, 2a_{n-1} - 1}.  Doubling
 appends a 0 bit to the row gamma(a_{n-1}, a_n), the other branch appends a 1,
 so steering by the running zero ratio drives the ratio to any target p in
-[0, 1].  Ratios are exact fractions throughout; no floats.
+[0, 1].  Ratios are exact fractions throughout; no floats.  Each step makes
+one classifier call, and the bit it returns is both recorded and steers the
+next step; the steering compares integers, zeros * den < num * (n - 1).
 """
 
 from __future__ import annotations
@@ -26,38 +28,38 @@ def build_density_sequence(p: Fraction | int | str, n_max: int) -> DensityTrace:
 
     p = 1 gives the pure doubling chain, p = 0 the 2^n + 1 chain; in between
     the branch is chosen by comparing the previous ratio to p.  Bits are
-    always evaluated by the classifier, never assumed from the branch taken.
+    always evaluated by the classifier, once per step, never assumed from the
+    branch taken.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise DomainError(f"target density must lie in [0, 1], got {p}")
     if n_max < 2:
         raise DomainError(f"need at least two steps, got {n_max}")
+    num, den = p.numerator, p.denominator
     if p == 1:
         terms = [2**n for n in range(n_max + 1)]
     elif p == 0:
         terms = [2**n + 1 for n in range(n_max + 1)]
     else:
         terms = [1, 2]
-        zeros = 1 - gamma(terms[0], terms[1])
-        for n in range(2, n_max + 1):
-            prev = terms[-1]
-            if Fraction(zeros, n - 1) < p:
-                nxt = 2 * prev
-            else:
-                nxt = 2 * prev - 1
-            terms.append(nxt)
-            zeros += 1 - gamma(prev, nxt)
-    bits = tuple(gamma(terms[n - 1], terms[n]) for n in range(1, n_max + 1))
-    zeros = 0
+    bits = []
     ratios = []
-    for n, bit in enumerate(bits, start=1):
+    crossings = []
+    zeros = 0
+    below = False  # whether the ratio over the bits so far lies below p
+    for n in range(1, n_max + 1):
+        prev = terms[n - 1]
+        if n == len(terms):  # a steered chain: double while the ratio over n - 1 bits is below p
+            terms.append(2 * prev if below else 2 * prev - 1)
+        bit = gamma(prev, terms[n])
+        bits.append(bit)
         zeros += 1 - bit
         ratios.append(Fraction(zeros, n))
-    crossings = tuple(
-        n for n in range(2, n_max + 1) if (ratios[n - 2] < p) != (ratios[n - 1] < p)
-    )
-    return DensityTrace(p, tuple(terms), bits, tuple(ratios), crossings)
+        was_below, below = below, zeros * den < num * n
+        if n >= 2 and below != was_below:
+            crossings.append(n)
+    return DensityTrace(p, tuple(terms), tuple(bits), tuple(ratios), tuple(crossings))
 
 
 def verify_growth_bounds(trace: DensityTrace) -> bool:
@@ -65,4 +67,5 @@ def verify_growth_bounds(trace: DensityTrace) -> bool:
     terms = trace.terms
     if any(terms[i] >= terms[i + 1] for i in range(len(terms) - 1)):
         return False
-    return all(2 ** (n - 1) < terms[n] <= 2 ** (n + 1) for n in range(1, len(terms)))
+    # 2^(n-1) < a <= 2^(n+1) is 2^(n-1) <= a - 1 < 2^(n+1)
+    return all(a > 0 and n <= (a - 1).bit_length() <= n + 1 for n, a in enumerate(terms[1:], 1))

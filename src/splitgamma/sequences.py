@@ -569,18 +569,20 @@ def fib_square_solution(n: int) -> SplitSolution:
 
 
 def fib_cube_solution(m: int) -> SplitSolution:
-    """Witness for (F_{2m-1}^3, F_{2m}^3), m >= 2."""
+    """Witness for (F_{2m-1}^3, F_{2m}^3), m >= 2, in O(log m) bigint steps.
+
+    The witness is the alternating sum x of the cubes F_1^3 .. F_{2m-1}^3 (newest
+    term positive) and the plain sum y of F_2^3 .. F_{2m-2}^3.  Vajda's
+    5 F_k^3 = F_{3k} + 3 (-1)^(k+1) F_k telescopes both sums:
+    x = ((F_{6m-2} + 1)/2 + 3 (F_{2m+1} - 1)) / 5 and
+    y = ((F_{6m-4} - 1)/2 - 3 (F_{2m-3} - 1)) / 5 - 1.
+    """
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
-    x = 0
-    y = 0
-    f, g = 1, 1  # F_1, F_2
-    for k in range(1, 2 * m):
-        c = f**3
-        x = c - x  # running alternating sum, newest term positive
-        if 2 <= k <= 2 * m - 2:
-            y += c
-        f, g = g, f + g
+    f6a, f6b = fib_pair(6 * m - 4)  # F_{6m-4}, F_{6m-3}
+    f2a, f2b = fib_pair(2 * m - 3)  # F_{2m-3}, F_{2m-2}
+    x = ((f6a + f6b + 1) // 2 + 3 * (3 * f2b + 2 * f2a - 1)) // 5  # F_{2m+1} = 3 F_{2m-2} + 2 F_{2m-3}
+    y = ((f6a - 1) // 2 - 3 * (f2a - 1)) // 5 - 1
     return SplitSolution(0, x, y)
 
 

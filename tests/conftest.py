@@ -1,14 +1,18 @@
 """Shared oracles, written independently of the package's fast paths: a
 brute-force enumeration and Sylvester's closed form for two-coin
-representability; a plain Fibonacci orbit walk for Pisano periods; and the
-former table-walk residue periods and windowed row periods, which the exact
-one-pass row periods are checked against.  Also a deadline for calls that
-must stop quickly, so a regression fails the test instead of running away."""
+representability; the former multiply-mod split witness and the former
+cube-by-cube Fibonacci cube witness; a plain Fibonacci orbit walk for Pisano
+periods; and the former table-walk residue periods and windowed row periods,
+which the exact one-pass row periods are checked against.  Also a deadline for
+calls that must stop quickly, so a regression fails the test instead of running
+away, and a call counter for complexity guards that count work instead of
+timing it."""
 
 import contextlib
 import math
 import signal
 
+from splitgamma.core import SplitSolution, _witness
 from splitgamma.periodicity import PeriodReport, StatePeriod, detect_period, gamma_row
 from splitgamma.sequences import residue_engine
 
@@ -46,6 +50,34 @@ def oracle_representable(n, a, b):
     if a == 1 or b == 1:
         return True
     return n - b * ((n * pow(b, -1, a)) % a) >= 0
+
+
+def oracle_split(a, b):
+    """(delta, x, y) by the multiply-mod route: Sylvester's witness R * a'^-1 mod b'
+    for R, then for R - 1, each with its own product and reduction."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    rhs = (a - 1) * (b - 1) // 2
+    inv = pow(a, -1, b) if b > 1 else 0
+    for delta in (0, 1):
+        w = _witness(a, b, inv, rhs - delta)
+        if w is not None:
+            return (delta, *w)
+    raise AssertionError(f"neither R nor R - 1 is representable for ({a}, {b})")
+
+
+def oracle_fib_cube_solution(m):
+    """The cube witness for (F_{2m-1}^3, F_{2m}^3) summed one cube at a time:
+    x alternates over F_1^3 .. F_{2m-1}^3 (newest term positive), y adds F_2^3 .. F_{2m-2}^3."""
+    x = y = 0
+    f, g = 1, 1  # F_1, F_2
+    for k in range(1, 2 * m):
+        c = f**3
+        x = c - x
+        if 2 <= k <= 2 * m - 2:
+            y += c
+        f, g = g, f + g
+    return SplitSolution(0, x, y)
 
 
 def coprime_pairs(limit):
@@ -112,3 +144,16 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls; the returned list grows by one per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 import pathlib
 import shlex
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,31 @@ def test_row_matches_library(capsys):
     want = gamma_row(3, FibonacciPower(1), 1, 12).bits
     assert [int(r[1]) for r in rows[1:]] == list(want)
     assert [int(r[0]) for r in rows[1:]] == list(range(1, 13))
+
+
+def test_row_text_line_memory():
+    class Sink:  # counts the ones in stdout instead of keeping a copy, so only the command's memory is traced
+        ones = 0
+
+        def write(self, chunk):
+            self.ones += chunk.count("1")
+            return len(chunk)
+
+        def flush(self):
+            pass
+
+    count = 200_000
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["row", "--k", "7", "--seq", "fib", "--count", str(count)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.ones == sum(gamma_row(7, FibonacciPower(1), 1, count).bits)
+    # the bits tuple holds 8 bytes a bit and the line 2; a str object per bit costs some 60 more
+    assert peak < 20 * count, peak / count
 
 
 def test_period_text(capsys):

@@ -16,7 +16,7 @@ from splitgamma import (
     solve_split,
     theta,
 )
-from splitgamma.core import DEFAULT_BRUTE_CAP, Record
+from splitgamma.core import DEFAULT_BRUTE_CAP, InvariantViolation, Record, _split
 from splitgamma.explorer import rs_solve
 from splitgamma.periodicity import PeriodReport
 from splitgamma.sequences import (
@@ -29,7 +29,7 @@ from splitgamma.sequences import (
     PowerRecurrence,
 )
 
-from conftest import coprime_pairs, oracle_representable, oracle_solutions
+from conftest import coprime_pairs, oracle_representable, oracle_solutions, oracle_split
 
 
 # ---------------- arithmetic helpers ----------------
@@ -128,6 +128,22 @@ def test_gamma_matches_theta_parity_rule():
             g = rng.randrange(2, 10**40)
             a, b = a * g, b * g
         assert gamma(a, b) == theta_parity_gamma(a, b), (a, b)
+
+
+def test_halved_inverse_witness_matches_multiply_mod_route():
+    # every pair up to 150, common factors, even a', even b', a' = 1 and b' = 1 among them
+    for a in range(1, 151):
+        for b in range(1, 151):
+            assert _split(a, b) == oracle_split(a, b), (a, b)
+
+
+def test_split_raises_when_neither_rhs_lifts(monkeypatch):
+    # a zero "inverse" puts both candidates at x = (b' - 1) / 2 > R / a', so neither lifts
+    monkeypatch.setattr("splitgamma.core.mod_inverse", lambda a, m: 0)
+    with pytest.raises(InvariantViolation, match=r"\(7, 9\)"):
+        _split(7, 9)
+    with pytest.raises(InvariantViolation, match=r"\(9, 14\)"):  # b' even: the message keeps the order
+        _split(18, 28)
 
 
 def test_gamma_rejects_nonpositive():

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from splitgamma import cli
+from splitgamma import cli, core
 from splitgamma import (
+    DensityTrace,
     DomainError,
     build_density_sequence,
     gamma,
     verify_growth_bounds,
 )
+
+from conftest import count_calls
 
 TARGETS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
@@ -82,6 +85,29 @@ def test_growth_bounds():
         assert verify_growth_bounds(tr)
         for n in range(61):
             assert 2 ** (n - 1) < tr.terms[n] <= 2 ** (n + 1), (p, n)
+
+
+def test_growth_bounds_at_the_powers_of_two():
+    # a_n on each side of 2^(n-1) and 2^(n+1), after the increasing prefix 1, 2, 3, 5, .., 2^(n-2) + 1
+    for n in range(3, 300):
+        prefix = (1,) + tuple(2 ** (k - 1) + 1 for k in range(1, n))
+        for last, ok in ((2 ** (n - 1), False), (2 ** (n - 1) + 1, True), (2 ** (n + 1), True), (2 ** (n + 1) + 1, False)):
+            terms = prefix + (last,)
+            power_form = all(2 ** (i - 1) < t <= 2 ** (i + 1) for i, t in enumerate(terms) if i)
+            trace = DensityTrace(Fraction(1, 2), terms, (), (), ())
+            assert verify_growth_bounds(trace) == power_form == ok, (n, last)
+    for terms in ((1, 2, 4), (1, 3, 8), (1, 2, 9), (1, 1, 2), (0, 1, 2), (-5, -2, 3), (1, 0, 2)):
+        power_form = all(a < b for a, b in zip(terms, terms[1:])) and all(
+            2 ** (i - 1) < t <= 2 ** (i + 1) for i, t in enumerate(terms) if i)
+        assert verify_growth_bounds(DensityTrace(Fraction(1, 2), terms, (), (), ())) == power_form, terms
+
+
+def test_one_classifier_call_per_step(monkeypatch):
+    calls = count_calls(monkeypatch, core, "_split")
+    for p in (*TARGETS, Fraction(2, 7), 0, 1):
+        calls.clear()
+        build_density_sequence(p, 300)
+        assert len(calls) == 300, p
 
 
 def test_crossings_keep_happening():

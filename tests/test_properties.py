@@ -1,5 +1,7 @@
 """Property tests: gamma and solve_split against Sylvester's closed form on
-pairs up to hundreds of digits, with and without a common factor."""
+pairs up to hundreds of digits, with and without a common factor, and with
+each reduced shape the split witness treats apart: b' even (the roles of a'
+and b' swap), a' even, a' = 1 and b' = 1."""
 
 import math
 
@@ -15,12 +17,21 @@ from conftest import oracle_representable
 wide = st.integers(min_value=1, max_value=10**400)
 small = st.integers(min_value=1, max_value=10**4)
 factor = st.one_of(st.just(1), st.integers(min_value=2, max_value=10**120))
-pairs = st.tuples(st.one_of(wide, small), st.one_of(wide, small), factor).map(
-    lambda t: (t[0] * t[2], t[1] * t[2])
+any_size = st.one_of(wide, small)
+odd = any_size.map(lambda n: 2 * n + 1)
+even = any_size.map(lambda n: 2 * n)
+# gcd(a, b) is odd when a or b is, so dividing it out keeps the parity of each shape
+shapes = st.one_of(
+    st.tuples(any_size, any_size),
+    st.tuples(odd, even),
+    st.tuples(even, odd),
+    st.tuples(st.just(1), any_size),
+    st.tuples(any_size, st.just(1)),
 )
+pairs = st.tuples(shapes, factor).map(lambda t: (t[0][0] * t[1], t[0][1] * t[1]))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(pairs)
 def test_witness_and_delta_agree_with_sylvester(pair):
     a, b = pair

@@ -36,9 +36,10 @@ from splitgamma import (
     term,
     term_mod,
 )
+from splitgamma import sequences
 from splitgamma.sequences import residues
 
-from conftest import oracle_solutions
+from conftest import count_calls, deadline, oracle_fib_cube_solution, oracle_solutions
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
 
@@ -431,6 +432,24 @@ def test_fib_cube_solution():
         assert fib_cube_solution(m) == solve_split(a, b), m
     with pytest.raises(DomainError):
         fib_cube_solution(1)
+
+
+def test_fib_cube_solution_matches_cube_by_cube_sums():
+    for m in range(2, 401):
+        assert fib_cube_solution(m) == oracle_fib_cube_solution(m), m
+
+
+def test_fib_cube_solution_takes_constant_fibonacci_evaluations(monkeypatch):
+    m = 10**5
+    calls = count_calls(monkeypatch, sequences, "fib_pair")
+    with deadline(30):  # the cube-by-cube sum would run for minutes here
+        s = fib_cube_solution(m)
+    assert 1 <= len(calls) <= 4
+    # the witness satisfies the equation modulo a large prime
+    q = 2**127 - 1
+    f, g = fib_pair(2 * m - 1, q)
+    a, b = f**3 % q, g**3 % q
+    assert (a * s.x + b * s.y) % q == (a - 1) * (b - 1) * pow(2, -1, q) % q
 
 
 def test_closed_forms_against_enumeration():
