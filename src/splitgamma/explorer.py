@@ -210,23 +210,26 @@ def _read_existing(out_path: Path, fmt: str) -> tuple[int, int]:
     import csv
     import json
     pairs = hits = 0
-    with out_path.open(newline="") as fh:
-        if fmt == "csv":
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is not None and tuple(header) != SCAN_CSV_HEADER:
-                raise DomainError(f"unexpected header in {out_path}")
-            for row in reader:
-                rec = record_from_csv_row(row)
-                pairs += 1
-                hits += rec.exactly_one
-        else:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = record_from_json(json.loads(line))
+    try:
+        with out_path.open(newline="") as fh:
+            if fmt == "csv":
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is not None and tuple(header) != SCAN_CSV_HEADER:
+                    raise ValueError("unexpected header")
+                for row in reader:
+                    rec = record_from_csv_row(row)
                     pairs += 1
                     hits += rec.exactly_one
+            else:
+                for line in fh:
+                    line = line.strip()
+                    if line:
+                        rec = record_from_json(json.loads(line))
+                        pairs += 1
+                        hits += rec.exactly_one
+    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise DomainError(f"{out_path} does not hold {fmt} scan records: {exc}") from exc
     return pairs, hits
 
 
@@ -257,7 +260,10 @@ def run_scan(
     done = 0
     pairs = hits = 0
     if resume and ckpt_path.exists() and out_path.exists():
-        done = min(int(ckpt_path.read_text().strip() or 0), x_max)
+        text = ckpt_path.read_bytes().strip() or b"0"
+        if not text.isdigit():  # bytes: ASCII digits only, so no sign
+            raise DomainError(f"checkpoint {ckpt_path} does not hold a shard id")
+        done = min(int(text), x_max)
         pairs, hits = _read_existing(out_path, fmt)
     shards = iter_scan(r, s, x_max, done + 1, cap)  # a bad x_max raises before the file is opened
     with out_path.open("a" if done else "w", newline="") as fh:

@@ -16,6 +16,7 @@ indices n with n mod 6 = 4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator, Union
 
@@ -343,7 +344,7 @@ def residues(spec: SequenceSpec, start: int, count: int, m: int) -> Iterator[int
     """Yield a_start mod m, ..., a_{start+count-1} mod m without full terms.
 
     Families with a residue engine jump to a_start and step from there;
-    (n!)^(n!) is reduced term by term through the factorization of m.
+    (n!)^(n!) comes from one running n! by Euler's theorem, then zeros.
     Explicit lists and power recurrences that may turn nonpositive reduce
     exact terms, so they keep the positivity and size guards of iter_terms.
     """
@@ -354,9 +355,24 @@ def residues(spec: SequenceSpec, start: int, count: int, m: int) -> Iterator[int
         for t in iter_terms(spec, start, count):
             yield t % m
     elif isinstance(spec, FactorialPower):
+        # One running n!, kept mod m, mod phi(m) and exactly while below
+        # m.bit_length().  Past that cap n! exceeds every exponent of m, so
+        # Euler's theorem holds for any base: a^k = a^(phi + k mod phi) mod m.
+        # Kempner: m | n! once n >= max p*e over p^e || m, so zeros follow,
+        # and a window that starts there skips the pass.
         factors = _factorize(m)
-        for n in range(start, start + count):
-            yield _crt([(_factpow_mod_primepower(n, p, e), p**e) for p, e in factors])
+        phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors)
+        cap = m.bit_length()
+        end = start + count
+        stop = min(end, max((p * e for p, e in factors), default=1))
+        f = f_m = f_phi = 1
+        for n in range(1, stop if start < stop else 1):
+            f_m, f_phi = f_m * n % m, f_phi * n % phi
+            if f < cap:
+                f *= n
+            if n >= start:
+                yield pow(f, f, m) if f < cap else pow(f_m, phi + f_phi, m)
+        yield from itertools.repeat(0, end - max(start, stop))
     else:
         state_at, step, out = residue_engine(spec, m)
         st = state_at(start)
@@ -373,26 +389,6 @@ def term(spec: SequenceSpec, n: int) -> int:
 def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
     """a_n mod m without materializing the full term."""
     return next(residues(spec, n, 1, m))
-
-
-# ---------------- (n!)^(n!) modulo m ----------------
-
-
-def _factorial_capped(n: int, cap: int) -> int:
-    # min-effort n!: stop multiplying once the product clears cap
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-        if f > cap:
-            break
-    return f
-
-
-def _factorial_mod(n: int, m: int) -> int:
-    f = 1 % m
-    for i in range(2, n + 1):
-        f = f * i % m
-    return f
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:
@@ -413,34 +409,6 @@ def _factorize(m: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
-
-
-def _factpow_mod_primepower(n: int, p: int, e: int) -> int:
-    q = p**e
-    v = 0
-    pk = p
-    while pk <= n:
-        v += n // pk
-        pk *= p
-    if v:
-        # p-valuation of (n!)^(n!) is v * n!; almost always saturates q
-        if v * _factorial_capped(n, e) >= e:
-            return 0
-        f = math.factorial(n)
-        return pow(f, f, q)
-    phi = q // p * (p - 1)
-    base = _factorial_mod(n, q)
-    exp = _factorial_mod(n, phi) if phi > 1 else 0
-    return pow(base, exp, q)
-
-
-def _crt(pairs: list[tuple[int, int]]) -> int:
-    r0, m0 = 0, 1
-    for r, m in pairs:
-        t = (r - r0) * mod_inverse(m0, m) % m if m > 1 else 0
-        r0 = r0 + m0 * t
-        m0 *= m
-    return r0 % m0
 
 
 # ---------------- Closed-form witnesses ----------------

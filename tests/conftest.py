@@ -2,8 +2,9 @@
 brute-force enumeration and Sylvester's closed form for two-coin
 representability; the former multiply-mod split witness and the former
 cube-by-cube Fibonacci cube witness; a plain Fibonacci orbit walk for Pisano
-periods; and the former table-walk residue periods and windowed row periods,
-which the exact one-pass row periods are checked against.  Also a deadline for
+periods; the former table-walk residue periods and windowed row periods,
+which the exact one-pass row periods are checked against; and the former
+per-prime-power route to (n!)^(n!) mod m.  Also a deadline for
 calls that must stop quickly, so a regression fails the test instead of running
 away, and a call counter for complexity guards that count work instead of
 timing it."""
@@ -14,7 +15,7 @@ import signal
 
 from splitgamma.core import SplitSolution, _witness
 from splitgamma.periodicity import PeriodReport, StatePeriod, detect_period, gamma_row
-from splitgamma.sequences import residue_engine
+from splitgamma.sequences import _factorize, residue_engine
 
 
 def oracle_solutions(a, b):
@@ -78,6 +79,33 @@ def oracle_fib_cube_solution(m):
             y += c
         f, g = g, f + g
     return SplitSolution(0, x, y)
+
+
+def oracle_factpow_mod(n, m):
+    """(n!)^(n!) mod m, one prime power p^e || m at a time, glued by CRT.
+
+    With v the p-valuation of n!, the term's p-valuation is v * n!: the residue
+    mod p^e is 0 once that reaches e, and for p > n it is Euler's
+    (n! mod p^e)^(n! mod phi(p^e)).
+    """
+    r0, m0 = 0, 1
+    for p, e in _factorize(m):
+        q = p**e
+        v, pk = 0, p
+        while pk <= n:
+            v, pk = v + n // pk, pk * p
+        if v:
+            f, i = 1, 1  # n!, or a partial product once v * f reaches e
+            while i < n and v * f < e:
+                i += 1
+                f *= i
+            r = 0 if v * f >= e else pow(f, f, q)
+        else:
+            phi = q // p * (p - 1)
+            r = pow(math.factorial(n) % q, math.factorial(n) % phi if phi > 1 else 0, q)
+        r0 += m0 * ((r - r0) * pow(m0, -1, q) % q)
+        m0 *= q
+    return r0 % m0
 
 
 def coprime_pairs(limit):

@@ -243,6 +243,19 @@ def test_domain_error_exit_2(capsys):
     assert "domain error" in err
 
 
+def test_resume_from_a_garbled_checkpoint_or_the_other_format_exits_2(capsys, tmp_path):
+    out_file = tmp_path / "scan.out"
+    ckpt = tmp_path / "scan.out.checkpoint"
+    assert run(capsys, "beiter-scan", "--xmax", "5", "--out", str(out_file))[0] == 0
+    before = out_file.read_bytes()
+    for text, fmt in (("garbage", "csv"), ("-1", "csv"), ("3", "json")):
+        ckpt.write_text(text + "\n")
+        code, out, err = run(capsys, "beiter-scan", "--xmax", "9", "--out", str(out_file), "--format", fmt, "--resume")
+        assert (code, out) == (2, ""), (text, fmt)
+        assert err.startswith("domain error: ") and "Traceback" not in err
+        assert out_file.read_bytes() == before
+
+
 def test_zero_exponent_reports_the_constructor_error(capsys):
     # the spec parses; the family refuses the exponent, and says why
     for spec, message in (("fib^0", "power must be >= 1, got 0"), ("n^0", "k must be >= 1, got 0")):

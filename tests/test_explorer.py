@@ -295,6 +295,34 @@ def test_run_scan_resume_on_complete_file_is_stable(tmp_path):
     assert first["density"] == second["density"] == Fraction(1)
 
 
+@pytest.mark.parametrize(
+    "written, resumed, corrupt",
+    [
+        ("csv", "csv", lambda out, ckpt: ckpt.write_text("garbage\n")),
+        ("csv", "csv", lambda out, ckpt: ckpt.write_text("-3\n")),
+        ("jsonl", "jsonl", lambda out, ckpt: ckpt.write_text("+4\n")),
+        ("csv", "csv", lambda out, ckpt: out.write_bytes(out.read_bytes() + b"1,2\n")),
+        ("csv", "csv", lambda out, ckpt: out.write_bytes(out.read_bytes().replace(b",1,1,", b",x,1,", 1))),
+        ("jsonl", "jsonl", lambda out, ckpt: out.write_bytes(out.read_bytes() + b'{"a": "1"}\n')),
+        ("jsonl", "jsonl", lambda out, ckpt: out.write_bytes(out.read_bytes() + b"[1, 2]\n")),
+        ("csv", "jsonl", lambda out, ckpt: None),
+        ("jsonl", "csv", lambda out, ckpt: None),
+    ],
+    ids=["word-checkpoint", "negative-checkpoint", "signed-checkpoint", "short-row", "non-integer-cell",
+         "missing-key", "non-object", "csv-as-jsonl", "jsonl-as-csv"],
+)
+def test_run_scan_resume_refuses_a_bad_checkpoint_or_record(tmp_path, written, resumed, corrupt):
+    out = tmp_path / "scan.out"
+    ckpt = tmp_path / "scan.out.checkpoint"
+    run_scan(1, 1, 6, out, written)
+    ckpt.write_text("4\n")
+    corrupt(out, ckpt)
+    before = out.read_bytes(), ckpt.read_bytes()
+    with pytest.raises(DomainError):
+        run_scan(1, 1, 9, out, resumed, resume=True)
+    assert (out.read_bytes(), ckpt.read_bytes()) == before
+
+
 def test_iter_scan_matches_shards_and_checks_before_yielding():
     assert list(iter_scan(2, 0, 6)) == [(a, scan_shard(a, 2, 0, 6)) for a in range(1, 7)]
     assert list(iter_scan(2, 0, 6, start=5)) == [(a, scan_shard(a, 2, 0, 6)) for a in (5, 6)]

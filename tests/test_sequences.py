@@ -39,7 +39,7 @@ from splitgamma import (
 from splitgamma import sequences
 from splitgamma.sequences import residues
 
-from conftest import count_calls, deadline, oracle_fib_cube_solution, oracle_solutions
+from conftest import count_calls, deadline, oracle_factpow_mod, oracle_fib_cube_solution, oracle_solutions
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
 
@@ -201,6 +201,53 @@ def test_term_mod_factorial_power():
     for m in (2, 97, 1001):
         want = [pow(math.factorial(n), math.factorial(n), m) for n in range(5, 13)]
         assert list(residues(FactorialPower(), 5, 8, m)) == want
+
+
+def _zero_bound(m):
+    # max p*e over p^e || m, by plain trial division: m | n! from there on (Kempner)
+    bound, p = 1, 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        bound, p = max(bound, p * e), p + 1
+    return bound
+
+
+def test_factpow_residues_match_direct_powers():
+    facts = [math.factorial(n) for n in range(1, 201)]
+    for m in range(1, 301):
+        want = [pow(f, f, m) for f in facts]
+        bound = _zero_bound(m)
+        assert want[bound - 1 :] == [0] * (200 - bound + 1), m
+        for start in {1, 2, bound - 1, bound, bound + 1, 200} & set(range(1, 201)):
+            assert list(residues(FactorialPower(), start, 201 - start, m)) == want[start - 1 :], (m, start)
+    for m in (1, 2**40, 3**20 * 5, 10**12 + 39):
+        want = [pow(f, f, m) for f in facts]
+        assert list(residues(FactorialPower(), 1, 200, m)) == want, m
+
+
+def test_factpow_residues_match_prime_power_route_at_huge_starts():
+    # start 10**6 stays below the zero bound of 10**12 + 39, a prime, where the
+    # oracle would need 10**6! itself
+    for m in [*range(1, 301), 2**40, 3**20 * 5, 10**12 + 39]:
+        for start in (10**6, 10**30) if m < 10**12 else (10**30,):
+            got = list(residues(FactorialPower(), start, 3, m))
+            assert got == [oracle_factpow_mod(n, m) for n in range(start, start + 3)], (m, start)
+    rng = random.Random(2031)
+    for _ in range(60):
+        n, m = rng.randrange(1, 3000), rng.randrange(1, 10**12)
+        assert term_mod(FactorialPower(), n, m) == oracle_factpow_mod(n, m), (n, m)
+
+
+def test_factpow_residues_are_linear_and_lazy():
+    # one running n! up to the zero bound 59 of 118 = 2 * 59, then zeros
+    with deadline(2):
+        got = list(residues(FactorialPower(), 1, 10**6, 118))
+    assert got[:70] == [oracle_factpow_mod(n, 118) for n in range(1, 71)]
+    assert got.count(0) == 10**6 - 58
+    with deadline(1):
+        assert next(residues(FactorialPower(), 1, 10**15, 6)) == 1
 
 
 def test_factorial_power_guards():
