@@ -217,17 +217,12 @@ def _read_existing(out_path: Path, fmt: str) -> tuple[int, int]:
                 header = next(reader, None)
                 if header is not None and tuple(header) != SCAN_CSV_HEADER:
                     raise ValueError("unexpected header")
-                for row in reader:
-                    rec = record_from_csv_row(row)
-                    pairs += 1
-                    hits += rec.exactly_one
+                recs = map(record_from_csv_row, reader)
             else:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rec = record_from_json(json.loads(line))
-                        pairs += 1
-                        hits += rec.exactly_one
+                recs = (record_from_json(json.loads(line)) for line in fh if line.strip())
+            for rec in recs:
+                pairs += 1
+                hits += rec.exactly_one
     except (ValueError, KeyError, TypeError, csv.Error) as exc:
         raise DomainError(f"{out_path} does not hold {fmt} scan records: {exc}") from exc
     return pairs, hits

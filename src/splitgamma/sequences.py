@@ -355,23 +355,29 @@ def residues(spec: SequenceSpec, start: int, count: int, m: int) -> Iterator[int
         for t in iter_terms(spec, start, count):
             yield t % m
     elif isinstance(spec, FactorialPower):
-        # One running n!, kept mod m, mod phi(m) and exactly while below
-        # m.bit_length().  Past that cap n! exceeds every exponent of m, so
-        # Euler's theorem holds for any base: a^k = a^(phi + k mod phi) mod m.
-        # Kempner: m | n! once n >= max p*e over p^e || m, so zeros follow,
-        # and a window that starts there skips the pass.
+        # Below cap = m.bit_length(), which exceeds every exponent of m, n! is
+        # raised exactly.  Past it every dead p^e || m (p <= n) divides
+        # (n!)^(n!), and on the live part (p > n, prime to n!) Euler's theorem
+        # needs only n! mod its phi: one running n! is kept mod the live part
+        # and mod its phi, and lift is 0 mod the dead part and 1 mod the live
+        # part.  Once no prime is live and n! >= cap, m | (n!)^(n!): zeros
+        # follow, and a window that starts there skips the pass.
         factors = _factorize(m)
-        phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors)
         cap = m.bit_length()
         end = start + count
-        stop = min(end, max((p * e for p, e in factors), default=1))
-        f = f_m = f_phi = 1
+        n0 = next(n for n in itertools.count(1) if math.factorial(n) >= cap)
+        stop = min(end, max(n0, factors[-1][0] if factors else 1))
+        live = factors[::-1]
+        lift, m_live, phi = 1, m, math.prod((p - 1) * p ** (e - 1) for p, e in factors)
+        f_m = f_phi = 1
         for n in range(1, stop if start < stop else 1):
-            f_m, f_phi = f_m * n % m, f_phi * n % phi
-            if f < cap:
-                f *= n
+            while live and live[-1][0] <= n:
+                p, e = live.pop()
+                m_live, phi = m_live // p**e, phi // ((p - 1) * p ** (e - 1))
+                lift = m // m_live * pow(m // m_live, -1, m_live)
+            f_m, f_phi = f_m * n % m_live, f_phi * n % phi
             if n >= start:
-                yield pow(f, f, m) if f < cap else pow(f_m, phi + f_phi, m)
+                yield pow(g := math.factorial(n), g, m) if n < n0 else pow(f_m, f_phi, m_live) * lift % m
         yield from itertools.repeat(0, end - max(start, stop))
     else:
         state_at, step, out = residue_engine(spec, m)

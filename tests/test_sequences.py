@@ -194,35 +194,18 @@ def test_term_mod_factorial_power():
         t = term(FactorialPower(), n)
         for m in (2, 5, 12, 30, 97):
             assert term_mod(FactorialPower(), n, m) == t % m
-    for n in range(7, 13):
-        f = math.factorial(n)
-        for m in range(2, 60):
-            assert term_mod(FactorialPower(), n, m) == pow(f, f, m), (n, m)
-    for m in (2, 97, 1001):
-        want = [pow(math.factorial(n), math.factorial(n), m) for n in range(5, 13)]
-        assert list(residues(FactorialPower(), 5, 8, m)) == want
-
-
-def _zero_bound(m):
-    # max p*e over p^e || m, by plain trial division: m | n! from there on (Kempner)
-    bound, p = 1, 2
-    while m > 1:
-        e = 0
-        while m % p == 0:
-            m, e = m // p, e + 1
-        bound, p = max(bound, p * e), p + 1
-    return bound
-
-
-def test_factpow_residues_match_direct_powers():
     facts = [math.factorial(n) for n in range(1, 201)]
     for m in range(1, 301):
         want = [pow(f, f, m) for f in facts]
-        bound = _zero_bound(m)
-        assert want[bound - 1 :] == [0] * (200 - bound + 1), m
-        for start in {1, 2, bound - 1, bound, bound + 1, 200} & set(range(1, 201)):
+        factors = sequences._factorize(m)
+        # Kempner's bound max p*e (m | n!) and the pass's zero bound (every p | m
+        # divides n! and n! >= m.bit_length(), past every exponent of m)
+        kempner = max((p * e for p, e in factors), default=1)
+        bound = max(factors[-1][0] if factors else 1, next(n for n in range(1, 9) if facts[n - 1] >= m.bit_length()))
+        assert want[bound - 1 :] == [0] * (201 - bound), m
+        for start in {1, 2, 5, kempner - 1, kempner, kempner + 1, bound - 1, bound, bound + 1, 200} & set(range(1, 201)):
             assert list(residues(FactorialPower(), start, 201 - start, m)) == want[start - 1 :], (m, start)
-    for m in (1, 2**40, 3**20 * 5, 10**12 + 39):
+    for m in (1, 1001, 2**40, 3**20 * 5, 10**12 + 39, 2**1001, 2**1000 * 1009, 2 * 999983**2):
         want = [pow(f, f, m) for f in facts]
         assert list(residues(FactorialPower(), 1, 200, m)) == want, m
 
@@ -248,6 +231,19 @@ def test_factpow_residues_are_linear_and_lazy():
     assert got.count(0) == 10**6 - 58
     with deadline(1):
         assert next(residues(FactorialPower(), 1, 10**15, 6)) == 1
+
+
+def test_factpow_residues_stay_cheap_on_wide_smooth_moduli():
+    # zeros start once every prime of m divides n! and n! >= m.bit_length(), not
+    # at Kempner's max p*e (2002 for 2**1001); a prime power that is already
+    # zero costs one product per term, not a pow as wide as m
+    with deadline(2):
+        got = {m: list(residues(FactorialPower(), 1, 2000, m)) for m in (2**1001, 2**1000 * 1009, 2**13000 * 1009)}
+    for m in got:
+        # the oracle factors m on each call, so it is asked at a sample of n
+        for n in {*range(1, 13), *range(13, 1011, 37), 1007, 1008, 1009, 1010}:
+            assert got[m][n - 1] == oracle_factpow_mod(n, m), (m, n)
+        assert got[m][1010:] == [0] * 990, m
 
 
 def test_factorial_power_guards():
