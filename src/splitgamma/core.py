@@ -11,8 +11,9 @@ R - 1 sum to the Frobenius number a'b' - a' - b', so by Sylvester's symmetry
 exactly one of them is a sum of a's and b's.  ``gamma`` and ``solve_split``
 both read the pair off ``_split``, which needs one modular inverse per pair and
 no product with it: with b' odd (swap the roles of a' and b' if not),
-2R = 1 - a' (mod b'), so R's least witness x = R / a' mod b' is
-(a'^-1 - 1) / 2 mod b', a halving, and R - 1's is that minus a'^-1.
+2R = 1 - a' (mod b'), and gamma is 0 exactly when a'^-1 mod b' is odd (or
+b' = 1).  Then R's least witness x = R / a' mod b' is (a'^-1 - 1) / 2, a
+halving; otherwise R - 1's is (b' - 1 - a'^-1) / 2.  y is one exact division.
 ``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
 shifted right-hand sides of ``explorer.rs_solve`` and the test oracles.
 ``brute_force_split`` and ``theta`` are kept as independent oracles for the
@@ -184,27 +185,24 @@ def _witness(a: int, b: int, inv: int, n: int) -> tuple[int, int] | None:
 
 
 def _split(a: int, b: int) -> tuple[int, int, int]:
-    # (delta, x, y) for the pair: one inverse, halved into R's witness, and R - 1's only if R fails
+    # (delta, x, y) for the pair: the parity of one inverse picks delta, a halving gives x
     _check_pair(a, b)
     g = math.gcd(a, b)
     a, b = a // g, b // g
     swap = not b & 1  # a' and b' are coprime, so at most one is even; halving needs b' odd
     if swap:
         a, b = b, a
-    rhs = (a - 1) * (b - 1) // 2
-    inv = mod_inverse(a, b) if b > 1 else 0
-    # 2R = 1 - a (mod b), so R * inv = (inv - 1) / 2 (mod b); b odd makes the halving exact
-    x = (inv - 1 if inv & 1 else inv - 1 + b) >> 1
-    for delta in (0, 1):
-        rem = rhs - delta - a * x
-        if rem >= 0:
-            y = rem // b
-            return (delta, y, x) if swap else (delta, x, y)
-        x -= inv  # (R - 1) * inv = x - inv (mod b)
-        if x < 0:
-            x += b
-    pair = (b, a) if swap else (a, b)
-    raise InvariantViolation(f"neither R nor R - 1 is representable for {pair}")
+    inv = mod_inverse(a, b) if b > 1 else 1
+    # 2R = 1 - a and 2(R - 1) = -1 - a (mod b), so R's least witness is (inv - 1) / 2 and
+    # R - 1's is (b - 1 - inv) / 2; with a * inv = kb + 1 the first leaves R - a x =
+    # (a - 1 - k) b / 2 >= 0 when inv is odd, the second (k - 1) b / 2 >= 0 when it is even
+    delta = 1 - (inv & 1)
+    x = (b - 1 - inv if delta else inv - 1) >> 1
+    y, rem = divmod((a - 1) * (b - 1) // 2 - delta - a * x, b)
+    if rem or y < 0:
+        pair = (b, a) if swap else (a, b)
+        raise InvariantViolation(f"no witness for R - {delta} of {pair}")
+    return (delta, y, x) if swap else (delta, x, y)
 
 
 def gamma(a: int, b: int) -> int:

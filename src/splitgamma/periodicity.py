@@ -5,9 +5,10 @@ periodic whenever the residues a_n mod 2k are, because adding a multiple of
 2k to the second argument never changes gamma.  So for every family with a
 residue engine in ``sequences`` the exact row period is read off one cycle of
 residues and certified: ``state_period_mod`` finds the residue preperiod mu
-and period lam by Brent's cycle finding (two states held, O(mu + lam) steps
-per prime factor of lam), and ``row_period`` classifies the mu + lam terms of
-that cycle once.  ``pisano`` needs no walk at all: Wall's divisor test costs
+and period lam by Brent's cycle finding (``sequences._orbit``: two states
+held, O(mu + lam) steps per prime factor of lam, exit 4 past
+``sequences.ORBIT_MAX``), and ``row_period`` classifies the mu + lam terms
+of that cycle once.  ``pisano`` needs no walk at all: Wall's divisor test costs
 O(log m) Fibonacci doublings per candidate.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
 period on a finite window (``detect_period``, O(window^2)) and certify it
@@ -19,9 +20,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .core import DomainError, InconclusiveError, InvariantViolation, Record, ResourceLimitError
+from .core import DomainError, InconclusiveError, InvariantViolation, Record
 from .core import gamma, gcd, solve_split
-from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, fib_pair
+from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, _orbit, fib_pair
 from .sequences import iter_terms, residue_engine, residues
 
 __all__ = [
@@ -40,12 +41,6 @@ __all__ = [
     "fibonacci_period_table",
     "first_alternation_index",
 ]
-
-
-# Brent's walk refuses (exit 4) once a window longer than this closes without
-# finding the cycle, so every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX is
-# walked, in at most about 4 * ORBIT_MAX steps (~1 us each)
-ORBIT_MAX = 2_000_000
 
 
 class BitRow(Record):
@@ -177,32 +172,19 @@ def _shift_agrees(engine, start: int, shift: int, count: int) -> bool:
 def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     """Exact preperiod and period of the residue sequence (a_n mod m).
 
-    Brent's cycle finding (BIT 1980) gives the period lam and preperiod mu of
-    the recurrence state while holding two states; the output residues then
-    get their least period among the divisors of lam by walking two engine
-    cursors, so memory stays O(1) in the orbit length.  Time is O(mu + lam)
-    steps times the number of prime factors of lam, and ORBIT_MAX bounds the
-    walk.  The output preperiod is mu: every engine state is either its last
-    outputs (power 1 linear families, power recurrences) or on a pure cycle
-    (fib^I, n^K).
+    Brent's cycle finding (sequences._orbit) gives the period lam and
+    preperiod mu of the recurrence state while holding two states; the output
+    residues then get their least period among the divisors of lam by walking
+    two engine cursors, so memory stays O(1) in the orbit length.  Time is
+    O(mu + lam) steps times the number of prime factors of lam, and
+    sequences.ORBIT_MAX bounds the walk.  The output preperiod is mu: every
+    engine state is either its last outputs (power 1 linear families, power
+    recurrences) or on a pure cycle (fib^I, n^K).
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
     engine = residue_engine(spec, m)
-    state_at, step, _ = engine
-    x0 = state_at(1)
-    power = lam = 1
-    tortoise, hare = x0, step(x0)
-    while tortoise != hare:
-        if power == lam:
-            if power > ORBIT_MAX:
-                raise ResourceLimitError(f"the residue orbit mod {m} is longer than {ORBIT_MAX} states")
-            tortoise, power, lam = hare, 2 * power, 0
-        hare = step(hare)
-        lam += 1
-    mu, tortoise, hare = 0, x0, state_at(1 + lam)
-    while tortoise != hare:
-        mu, tortoise, hare = mu + 1, step(tortoise), step(hare)
+    mu, lam = _orbit(engine[0], engine[1], m)
     return StatePeriod(mu, _least_period(lam, lambda d: _shift_agrees(engine, 1 + mu, d, lam - d)))
 
 

@@ -1,13 +1,16 @@
 """Integer sequence families fed to the split-equation classifier.
 
 All sequences are 1-indexed.  How each family recurs is written down once,
-here: ``_linear`` tabulates the eight order-2 linear families, which jump to
-any index by Lucas doubling, and ``residue_engine`` steps every family that
-has a finite residue state.  Exact terms (``iter_terms``, ``term``) and
-residues (``residues``, ``term_mod``) are both read off that one description;
-the modular route matters because several families (factorial powers,
-squared-lag recurrences) outgrow memory long before the classifier runs out
-of questions to ask about them.
+here: ``_linear`` tabulates the order-2 linear families (the eight named
+ones, n^K, and power recurrences of order <= 2 with powers 1), which jump to
+any index by Lucas doubling; ``residue_engine`` steps every family with a
+finite residue state and jumps the other power recurrences into their
+orbit's cycle (``_orbit``, Brent's cycle finding).  Exact terms (``iter_terms``, ``term``) and residues (``residues``,
+``term_mod``) are both read off that one description; the modular route
+matters because several families (factorial powers, squared-lag
+recurrences) outgrow memory long before the classifier runs out of
+questions to ask about them.  The text grammar is one table, read by both
+``parse_spec`` and ``format_spec``.
 
 Also here: closed-form witnesses for consecutive Fibonacci pairs, squared and
 cubed Fibonacci pairs, and general coprime-seeded Fibonacci-like pairs at
@@ -32,6 +35,10 @@ from .core import (
 
 FACTPOW_FULL_TERM_MAX = 6
 MAX_TERM_BITS = 1_000_000
+# Brent's walk (_orbit) finds every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX
+# in at most about 4 * ORBIT_MAX steps (~1 us each) and refuses longer ones (exit 4);
+# a walk from n = 1 that cannot jump refuses a start past it
+ORBIT_MAX = 2_000_000
 # trial division stops here, so every m <= 10**12 factors, in at most ~5e5 divisions
 FACTOR_TRIAL_MAX = 1_000_000
 
@@ -217,11 +224,12 @@ SequenceSpec = Union[
 
 
 def _linear(spec: SequenceSpec) -> tuple[int, int, int, int, int] | None:
-    """(a_1, a_2, c_1, c_2, power) of the eight order-2 linear families, else None.
+    """(a_1, a_2, c_1, c_2, power) of the order-2 linear families, else None.
 
     The base sequence starts a_1, a_2 and continues a_n = c_1 a_{n-1} +
-    c_2 a_{n-2}; the family's terms are its power-th powers (power > 1 only
-    for fib^I).
+    c_2 a_{n-2}; the family's terms are its power-th powers (power > 1 for
+    fib^I and n^K).  A power recurrence with all powers 1, order at most 2
+    and positive terms (see _exact_only) is one of them; order 1 has c_2 = 0.
     """
     if isinstance(spec, FibonacciPower):
         return 1, 1, 1, 1, spec.power
@@ -233,12 +241,18 @@ def _linear(spec: SequenceSpec) -> tuple[int, int, int, int, int] | None:
         return 3, 17, 6, -1, 1
     if isinstance(spec, Naturals):
         return 1, 2, 2, -1, 1
+    if isinstance(spec, KthPower):
+        return 1, 2, 2, -1, spec.k
     if isinstance(spec, Odds):
         return 1, 3, 2, -1, 1
     if isinstance(spec, Arithmetic):
         return spec.p - spec.r, 2 * spec.p - spec.r, 2, -1, 1
     if isinstance(spec, ShiftedGeometric):
         return spec.a + 1, spec.a * spec.r + 1, spec.r + 1, -spec.r, 1
+    if isinstance(spec, PowerRecurrence) and spec.order <= 2 and set(spec.powers) == {1} and not _exact_only(spec):
+        c1, c2 = (spec.coeffs + (0,))[:2]
+        a1 = spec.init[0]
+        return a1, spec.init[1] if spec.order == 2 else c1 * a1, c1, c2, 1
     return None
 
 
@@ -264,28 +278,55 @@ def residue_engine(
     """(state_at, step, out) for the residues of spec mod m.
 
     out(state_at(n)) = a_n mod m and step(state_at(n)) = state_at(n + 1).
-    state_at is O(log n) for the linear families and n^K, O(n) for power
-    recurrences.  Families without a finite residue state raise DomainError.
+    state_at is O(log n) for the linear families.  Other power recurrences
+    walk n - 1 steps, but past ORBIT_MAX only to 1 + mu + (n - 1 - mu) mod
+    lam, after _orbit finds the tail mu and cycle lam.  Families without a
+    finite residue state raise DomainError.
     """
     lin = _linear(spec)
     if lin is not None:
         c1, c2, power = lin[2:]
         step = lambda st: (st[1], (c1 * st[1] + c2 * st[0]) % m)
         return (lambda n: _linear_pair(lin, n, m)), step, (lambda st: pow(st[0], power, m))
-    if isinstance(spec, KthPower):
-        k = spec.k
-        return (lambda n: (n % m,)), (lambda st: ((st[0] + 1) % m,)), (lambda st: pow(st[0], k, m))
     if isinstance(spec, PowerRecurrence):
         step = lambda st: st[1:] + (_powrec_step(spec, st, m),)
 
-        def state_at(n: int) -> tuple[int, ...]:
+        def walk(n: int) -> tuple[int, ...]:
             st = tuple(a % m for a in spec.init)
             for _ in range(n - 1):
                 st = step(st)
             return st
 
+        def state_at(n: int) -> tuple[int, ...]:
+            if n > ORBIT_MAX:  # into the cycle; n itself while n - 1 is still in the tail
+                mu, lam = _orbit(walk, step, m)
+                n = min(n, 1 + mu + (n - 1 - mu) % lam)
+            return walk(n)
+
         return state_at, step, lambda st: st[0]
     raise DomainError(f"no residue recurrence available for {spec!r}")
+
+
+def _orbit(state_at: Callable[[int], tuple], step: Callable[[tuple], tuple], m: int) -> tuple[int, int]:
+    """(mu, lam), the tail and cycle lengths of the states from state_at(1) on, mod m.
+
+    Brent's cycle finding (BIT 1980) holds two states, takes O(mu + lam)
+    steps and calls state_at only at 1 and 1 + lam.  See ORBIT_MAX.
+    """
+    x0 = state_at(1)
+    power = lam = 1
+    tortoise, hare = x0, step(x0)
+    while tortoise != hare:
+        if power == lam:
+            if power > ORBIT_MAX:
+                raise ResourceLimitError(f"the residue orbit mod {m} is longer than {ORBIT_MAX} states")
+            tortoise, power, lam = hare, 2 * power, 0
+        hare = step(hare)
+        lam += 1
+    mu, tortoise, hare = 0, x0, state_at(1 + lam)
+    while tortoise != hare:
+        mu, tortoise, hare = mu + 1, step(tortoise), step(hare)
+    return mu, lam
 
 
 # ---------------- Terms and residues ----------------
@@ -307,10 +348,9 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
         for _ in range(count):
             yield x**power
             x, y = y, c1 * y + c2 * x
-    elif isinstance(spec, KthPower):
-        for n in range(start, end):
-            yield n**spec.k
     elif isinstance(spec, PowerRecurrence):
+        if start > ORBIT_MAX:
+            raise ResourceLimitError(f"exact power recurrence terms walk from n = 1; start {start} is past {ORBIT_MAX}")
         window = spec.init
         for n in range(1, end):
             if n <= spec.order:
@@ -367,6 +407,8 @@ def residues(spec: SequenceSpec, start: int, count: int, m: int) -> Iterator[int
         end = start + count
         n0 = next(n for n in itertools.count(1) if math.factorial(n) >= cap)
         stop = min(end, max(n0, factors[-1][0] if factors else 1))
+        if ORBIT_MAX < start < stop:
+            raise ResourceLimitError(f"(n!)^(n!) mod {m} walks n! from 1; start {start} is past {ORBIT_MAX}")
         live = factors[::-1]
         lift, m_live, phi = 1, m, math.prod((p - 1) * p ** (e - 1) for p, e in factors)
         f_m = f_phi = 1
@@ -563,91 +605,68 @@ def fib_cube_solution(m: int) -> SplitSolution:
 # ---------------- Text round-trip ----------------
 
 
-def _ints(body: str, what: str) -> list[int]:
+def _ints(body: str, what: str, text: str) -> list[int]:
     try:
         return [int(p) for p in body.split(",")]
     except ValueError as exc:
-        raise DomainError(f"bad {what} in sequence spec: {body!r}") from exc
+        raise DomainError(f"bad {what} in sequence spec: {text!r}") from exc
+
+
+# The grammar: plain names, and prefix -> (family, what its fields are called),
+# the fields comma-separated in field order; powrec and explicit parse apart
+_NAMES = {
+    "fib": FibonacciPower(1),
+    "nat": Naturals(),
+    "odds": Odds(),
+    "bal": Balancing(),
+    "lucasbal": LucasBalancing(),
+    "factpow": FactorialPower(),
+}
+_PREFIXES = {
+    "fib^": (FibonacciPower, "exponent"),
+    "n^": (KthPower, "exponent"),
+    "fiblike:": (FibonacciLike, "seeds"),
+    "arith:": (Arithmetic, "parameters"),
+    "geo:": (ShiftedGeometric, "parameters"),
+}
 
 
 def parse_spec(text: str) -> SequenceSpec:
     """Parse the compact CLI form, e.g. fib^2, fiblike:3,5, powrec:c=1,1;t=1,2;init=1,1."""
     t = text.strip()
-    plain = {
-        "fib": FibonacciPower(1),
-        "nat": Naturals(),
-        "odds": Odds(),
-        "bal": Balancing(),
-        "lucasbal": LucasBalancing(),
-        "factpow": FactorialPower(),
-    }
-    if t in plain:
-        return plain[t]
-    for prefix, family in (("fib^", FibonacciPower), ("n^", KthPower)):
+    if t in _NAMES:
+        return _NAMES[t]
+    for prefix, (family, what) in _PREFIXES.items():
         if t.startswith(prefix):
-            try:
-                exponent = int(t[len(prefix):])
-            except ValueError as exc:
-                raise DomainError(f"bad exponent in sequence spec: {text!r}") from exc
-            # outside the try: the family's own DomainError is also a ValueError
-            return family(exponent)
-    if t.startswith("fiblike:"):
-        vals = _ints(t[8:], "seeds")
-        if len(vals) != 2:
-            raise DomainError(f"fiblike takes two seeds, got {text!r}")
-        return FibonacciLike(*vals)
-    if t.startswith("arith:"):
-        vals = _ints(t[6:], "parameters")
-        if len(vals) != 2:
-            raise DomainError(f"arith takes p,r, got {text!r}")
-        return Arithmetic(*vals)
-    if t.startswith("geo:"):
-        vals = _ints(t[4:], "parameters")
-        if len(vals) != 2:
-            raise DomainError(f"geo takes a,r, got {text!r}")
-        return ShiftedGeometric(*vals)
+            vals = _ints(t[len(prefix):], what, text)
+            if len(vals) != len(family._fields):
+                raise DomainError(f"{prefix} takes {','.join(family._fields)}, got {text!r}")
+            # outside _ints' try: the family's own DomainError is also a ValueError
+            return family(*vals)
     if t.startswith("explicit:"):
-        return Explicit(tuple(_ints(t[9:], "terms")))
+        return Explicit(tuple(_ints(t[9:], "terms", text)))
     if t.startswith("powrec:"):
         parts = dict()
         for piece in t[7:].split(";"):
-            if "=" not in piece:
-                raise DomainError(f"bad powrec field {piece!r} in {text!r}")
             key, _, body = piece.partition("=")
-            parts[key.strip()] = _ints(body, f"powrec {key}")
+            parts[key.strip()] = _ints(body, f"powrec field {key!r}", text)
         if set(parts) != {"c", "t", "init"}:
             raise DomainError(f"powrec needs c=, t= and init=, got {text!r}")
-        return PowerRecurrence(tuple(parts["c"]), tuple(parts["t"]), tuple(parts["init"]))
+        return PowerRecurrence(parts["c"], parts["t"], parts["init"])
     raise DomainError(f"unrecognized sequence spec: {text!r}")
 
 
 def format_spec(spec: SequenceSpec) -> str:
     """Canonical text form; parse_spec(format_spec(s)) == s."""
-    if isinstance(spec, FibonacciPower):
-        return "fib" if spec.power == 1 else f"fib^{spec.power}"
-    if isinstance(spec, FibonacciLike):
-        return f"fiblike:{spec.t1},{spec.t2}"
-    if isinstance(spec, Balancing):
-        return "bal"
-    if isinstance(spec, LucasBalancing):
-        return "lucasbal"
-    if isinstance(spec, Naturals):
-        return "nat"
-    if isinstance(spec, Odds):
-        return "odds"
-    if isinstance(spec, Arithmetic):
-        return f"arith:{spec.p},{spec.r}"
-    if isinstance(spec, KthPower):
-        return f"n^{spec.k}"
-    if isinstance(spec, ShiftedGeometric):
-        return f"geo:{spec.a},{spec.r}"
+    fields = [",".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in vars(spec).values()]
     if isinstance(spec, PowerRecurrence):
-        c = ",".join(map(str, spec.coeffs))
-        t = ",".join(map(str, spec.powers))
-        i = ",".join(map(str, spec.init))
-        return f"powrec:c={c};t={t};init={i}"
-    if isinstance(spec, FactorialPower):
-        return "factpow"
+        return "powrec:c={};t={};init={}".format(*fields)
     if isinstance(spec, Explicit):
-        return "explicit:" + ",".join(map(str, spec.terms))
+        return "explicit:" + fields[0]
+    for name, named in _NAMES.items():
+        if named == spec:
+            return name
+    for prefix, (family, _) in _PREFIXES.items():
+        if type(spec) is family:
+            return prefix + ",".join(fields)
     raise DomainError(f"unknown sequence spec {spec!r}")

@@ -1,13 +1,14 @@
 """Shared oracles, written independently of the package's fast paths: a
 brute-force enumeration and Sylvester's closed form for two-coin
-representability; the former multiply-mod split witness and the former
-cube-by-cube Fibonacci cube witness; a plain Fibonacci orbit walk for Pisano
-periods; the former table-walk residue periods and windowed row periods,
-which the exact one-pass row periods are checked against; and the former
-per-prime-power route to (n!)^(n!) mod m.  Also a deadline for
-calls that must stop quickly, so a regression fails the test instead of running
-away, and a call counter for complexity guards that count work instead of
-timing it."""
+representability; the inverse-parity rule for gamma; the former multiply-mod
+split witness and the former cube-by-cube Fibonacci cube witness; a plain
+Fibonacci orbit walk for Pisano periods; the former table-walk residue
+periods and windowed row periods, which the exact one-pass row periods are
+checked against; the former per-prime-power route to (n!)^(n!) mod m; and a
+step-by-step power recurrence walk, which the Lucas-doubling rows and the
+orbit jump are checked against.  Also a deadline for calls that must stop
+quickly, so a regression fails the test instead of running away, and a call
+counter for complexity guards that count work instead of timing it."""
 
 import contextlib
 import math
@@ -67,6 +68,16 @@ def oracle_split(a, b):
     raise AssertionError(f"neither R nor R - 1 is representable for ({a}, {b})")
 
 
+def inverse_parity_gamma(a, b):
+    """With b' odd (the roles of a' and b' swapped if not), gamma is 0 exactly
+    when b' = 1 or the inverse of a' mod b' is odd."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if b % 2 == 0:
+        a, b = b, a
+    return 0 if b == 1 or pow(a, -1, b) % 2 else 1
+
+
 def oracle_fib_cube_solution(m):
     """The cube witness for (F_{2m-1}^3, F_{2m}^3) summed one cube at a time:
     x alternates over F_1^3 .. F_{2m-1}^3 (newest term positive), y adds F_2^3 .. F_{2m-2}^3."""
@@ -106,6 +117,25 @@ def oracle_factpow_mod(n, m):
         r0 += m0 * ((r - r0) * pow(m0, -1, q) % q)
         m0 *= q
     return r0 % m0
+
+
+def oracle_powrec_residues(spec, start, count, m):
+    """a_n mod m for n = start .. start + count - 1 of a power recurrence, walked one step at a time.
+
+    Each state (the last s residues) is kept, and the walk stops at the last
+    index asked for or at the first repeated state; an index past that repeat
+    maps into the cycle it closed.
+    """
+    state = tuple(a % m for a in spec.init)
+    seen, states = {}, []
+    while len(states) < start + count - 1 and state not in seen:
+        seen[state] = len(states)
+        states.append(state)
+        new = sum(c * pow(state[-1 - i], t, m) for i, (c, t) in enumerate(zip(spec.coeffs, spec.powers)))
+        state = state[1:] + (new % m,)
+    mu = seen.get(state, 0)
+    lam = len(states) - mu
+    return [states[i if i < len(states) else mu + (i - mu) % lam][0] for i in range(start - 1, start + count - 1)]
 
 
 def coprime_pairs(limit):

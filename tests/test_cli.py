@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import pathlib
+import re
 import shlex
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deadline
+from conftest import deadline, oracle_powrec_residues
 from splitgamma import (
     BruteForceReport,
     SplitSolution,
@@ -20,8 +21,9 @@ from splitgamma import (
     gamma,
     gamma_row,
 )
+from splitgamma import sequences
 from splitgamma.cli import build_parser, main
-from splitgamma.sequences import FibonacciPower
+from splitgamma.sequences import FibonacciPower, parse_spec
 
 
 def run(capsys, *argv):
@@ -265,6 +267,35 @@ def test_zero_exponent_reports_the_constructor_error(capsys):
         assert (code, out, err) == (2, "", f"domain error: bad exponent in sequence spec: {spec!r}\n")
 
 
+def test_wrong_arity_specs_exit_2(capsys):
+    for spec in ("fib^1,2", "n^2,3", "fiblike:1,2,3", "geo:"):
+        code, out, err = run(capsys, "row", "--k", "3", "--seq", spec, "--count", "3")
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("domain error: ") and repr(spec) in err, spec
+
+
+def test_powrec_rows_at_huge_starts_answer_within_two_seconds(capsys):
+    # a Lucas row (fib spelled as a powrec), a nonlinear and an order-3 recurrence:
+    # each checked against the step-by-step walk at the index the cycle reduces it to
+    for text in ("c=1,1;t=1,1;init=1,1", "c=1,1;t=2,1;init=1,1", "c=1,1,1;t=1,1,1;init=1,1,1"):
+        spec = parse_spec("powrec:" + text)
+        with deadline(2):
+            code, out, err = run(capsys, "row", "--k", "7", "--seq", "powrec:" + text, "--start", str(10**30),
+                                 "--count", "5")
+        assert (code, err) == (0, ""), text
+        want = [gamma(7, r or 14) for r in oracle_powrec_residues(spec, 10**30, 5, 14)]
+        assert out == " ".join(map(str, want)) + "\n", text
+
+
+def test_walks_that_cannot_jump_exit_4_within_a_second(capsys):
+    # an exact-only powrec that stays at 1 forever: walking to 10**12 would never end
+    with deadline(1):
+        code, out, err = run(capsys, "row", "--k", "7", "--seq", "powrec:c=2,-1;t=1,1;init=1,1", "--start",
+                             str(10**12), "--count", "5")
+    assert (code, out) == (4, "")
+    assert err.startswith("resource cap: ") and "past 2000000" in err
+
+
 def test_powrec_with_nonpositive_term_exits_2(capsys):
     # a_3 = 1 - 2 * 1^2 = -1 in the first two; a_2 = 0 * 3^2 = 0 in the last.
     # Residues cannot show either, so rows and periods must not print bits.
@@ -387,3 +418,18 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert code == 0, (argv, err)
         if expect:
             assert out == expect + "\n", argv
+
+
+# a valid value for each placeholder the README's grammar table writes
+GRAMMAR_SAMPLE = {"I": "2", "T1": "3", "T2": "5", "P": "5", "R": "2", "K": "3", "A": "2", "..": "1,1",
+                  "v1,v2,...": "4,9"}
+
+
+def test_readme_grammar_table_is_the_grammar():
+    table = README.read_text().split("| text | family |", 1)[1].split("\n\n", 1)[0]
+    texts = [text for row in table.splitlines()[2:] for text in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    for text in texts:
+        parse_spec(re.sub(r"v1,v2,\.\.\.|\.\.|\b[A-Z]\d?\b", lambda m: GRAMMAR_SAMPLE[m.group()], text))
+    # every plain name and prefix of sequences' grammar table is in README's, and no other
+    heads = {re.match(r"[a-z]+[:^]?", text).group() for text in texts}
+    assert heads == {*sequences._NAMES, *sequences._PREFIXES, "powrec:", "explicit:"}

@@ -29,7 +29,7 @@ from splitgamma.sequences import (
     PowerRecurrence,
 )
 
-from conftest import coprime_pairs, oracle_representable, oracle_solutions, oracle_split
+from conftest import coprime_pairs, inverse_parity_gamma, oracle_representable, oracle_solutions, oracle_split
 
 
 # ---------------- arithmetic helpers ----------------
@@ -128,6 +128,16 @@ def test_gamma_matches_theta_parity_rule():
             g = rng.randrange(2, 10**40)
             a, b = a * g, b * g
         assert gamma(a, b) == theta_parity_gamma(a, b), (a, b)
+
+
+def test_gamma_is_the_parity_of_the_inverse():
+    # against Sylvester's closed form for R, not against gamma's own route
+    for a in range(1, 301):
+        for b in range(1, 301):
+            g = math.gcd(a, b)
+            ar, br = a // g, b // g
+            assert oracle_representable((ar - 1) * (br - 1) // 2, ar, br) == (inverse_parity_gamma(a, b) == 0)
+            assert gamma(a, b) == inverse_parity_gamma(a, b), (a, b)
 
 
 def test_halved_inverse_witness_matches_multiply_mod_route():

@@ -36,7 +36,7 @@ from splitgamma import (
     state_period_mod,
     term,
 )
-from splitgamma import periodicity
+from splitgamma import sequences
 from splitgamma.sequences import _factorize, fib_pair, parse_spec
 
 # k, T_k for the Fibonacci row, pi(2k)
@@ -241,7 +241,7 @@ def test_rows_hold_about_a_byte_per_bit():
 def test_orbit_walk_refuses_past_its_bound(monkeypatch):
     # pi(25) = 100 and pi(50) = 300: with the bound at 100 the first orbit is
     # walked, and the second is refused once the 128-state window closes
-    monkeypatch.setattr(periodicity, "ORBIT_MAX", 100)
+    monkeypatch.setattr(sequences, "ORBIT_MAX", 100)
     with deadline(0.5):
         assert state_period_mod(FibonacciPower(1), 25) == StatePeriod(0, 100)
         with pytest.raises(ResourceLimitError, match="longer than 100 states"):

@@ -1,7 +1,9 @@
 """Property tests: gamma and solve_split against Sylvester's closed form on
 pairs up to hundreds of digits, with and without a common factor, and with
 each reduced shape the split witness treats apart: b' even (the roles of a'
-and b' swap), a' even, a' = 1 and b' = 1."""
+and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
+inverse on the same pairs; and power recurrence residues at starts up to
+10**30 against the step-by-step walk, through Lucas rows and orbit jumps."""
 
 import math
 
@@ -10,9 +12,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from splitgamma import gamma, solve_split
+from splitgamma import PowerRecurrence, ResourceLimitError, gamma, solve_split
+from splitgamma import sequences
+from splitgamma.sequences import residues
 
-from conftest import oracle_representable
+from conftest import inverse_parity_gamma, oracle_powrec_residues, oracle_representable
 
 wide = st.integers(min_value=1, max_value=10**400)
 small = st.integers(min_value=1, max_value=10**4)
@@ -44,3 +48,34 @@ def test_witness_and_delta_agree_with_sylvester(pair):
     assert gamma(a, b) == sol.delta
     assert oracle_representable(rhs, ar, br) == (sol.delta == 0)
     assert oracle_representable(rhs - 1, ar, br) == (sol.delta == 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs)
+def test_gamma_is_the_parity_of_the_inverse_on_wide_pairs(pair):
+    assert gamma(*pair) == inverse_parity_gamma(*pair)
+
+
+powrecs = st.integers(min_value=1, max_value=3).flatmap(
+    lambda s: st.tuples(
+        st.lists(st.integers(0, 3), min_size=s, max_size=s).filter(any),
+        st.lists(st.integers(0, 3), min_size=s, max_size=s),
+        st.lists(st.integers(1, 5), min_size=s, max_size=s),
+    )
+).map(lambda t: PowerRecurrence(*t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(powrecs, st.integers(1, 30), st.one_of(st.integers(1, 300), st.integers(1, 10**30)))
+def test_powrec_residues_match_the_walk_at_any_start(spec, m, start):
+    # the bound lowered to 50 puts most starts past it: Lucas rows jump by
+    # doubling, the rest jump into their orbit's cycle, or are refused when
+    # that orbit does not close within the bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "ORBIT_MAX", 50)
+        try:
+            got = list(residues(spec, start, 4, m))
+        except ResourceLimitError:
+            assert sequences._linear(spec) is None and start > 50
+            return
+    assert got == oracle_powrec_residues(spec, start, 4, m)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -39,7 +40,14 @@ from splitgamma import (
 from splitgamma import sequences
 from splitgamma.sequences import residues
 
-from conftest import count_calls, deadline, oracle_factpow_mod, oracle_fib_cube_solution, oracle_solutions
+from conftest import (
+    count_calls,
+    deadline,
+    oracle_factpow_mod,
+    oracle_fib_cube_solution,
+    oracle_powrec_residues,
+    oracle_solutions,
+)
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
 
@@ -274,6 +282,98 @@ def test_powrec_positivity_guard():
             list(residues(spec, 1, 6, 6))
         with pytest.raises(DomainError):
             term_mod(spec, 3, 6)
+
+
+def _linear_powrecs():
+    # every order 1-2 powrec with powers 1, coefficients 0..3 not all zero and init 1..4
+    for order in (1, 2):
+        for coeffs in itertools.product(range(4), repeat=order):
+            if any(coeffs):
+                for init in itertools.product(range(1, 5), repeat=order):
+                    yield PowerRecurrence(coeffs, (1,) * order, init)
+
+
+def test_linear_powrecs_are_lucas_rows_matching_the_walk():
+    starts = (1, 2, 3, 4, 7, 31, 99, 199, 200)
+    for spec in _linear_powrecs():
+        assert sequences._linear(spec) is not None, spec
+        assert [t % 10**9 for t in iter_terms(spec, 1, 30)] == oracle_powrec_residues(spec, 1, 30, 10**9), spec
+        for m in range(1, 31):
+            walked = oracle_powrec_residues(spec, 1, 209, m)
+            for start in starts:
+                assert list(residues(spec, start, 9, m)) == walked[start - 1 : start + 8], (spec, m, start)
+    # n^K is the naturals' row with power K
+    assert sequences._linear(KthPower(4)) == sequences._linear(Naturals())[:4] + (4,)
+
+
+# recurrences that cannot jump by Lucas doubling: nonlinear, order 3, powers 0 and 2
+ORBIT_SPECS = tuple(parse_spec("powrec:" + t) for t in (
+    "c=1,1;t=1,2;init=1,1", "c=1,2;t=2,1;init=2,1", "c=3;t=2;init=2", "c=1;t=0;init=5",
+    "c=1,1,1;t=1,1,1;init=1,1,1", "c=0,0,1;t=1,1,1;init=1,2,3", "c=1,0,2;t=2,1,3;init=3,1,2",
+))
+
+
+def _state_orbit(spec, m):
+    # (mu, lam) of the powrec's residue states, each state kept until one repeats
+    state, seen = tuple(a % m for a in spec.init), {}
+    while state not in seen:
+        seen[state] = len(seen)
+        new = sum(c * pow(state[-1 - i], t, m) for i, (c, t) in enumerate(zip(spec.coeffs, spec.powers)))
+        state = state[1:] + (new % m,)
+    return seen[state], len(seen) - seen[state]
+
+
+def test_powrec_orbit_jump_matches_the_walk(monkeypatch):
+    # with the bound at 50, starts past it jump into the orbit's cycle; an orbit
+    # with mu < 50 and lam <= 50 is always found, a longer one may be refused
+    monkeypatch.setattr(sequences, "ORBIT_MAX", 50)
+    for spec in ORBIT_SPECS:
+        assert sequences._linear(spec) is None, spec
+        for m in range(1, 31):
+            mu, lam = _state_orbit(spec, m)
+            walked = oracle_powrec_residues(spec, 1, 260, m)
+            for start in (*range(1, 201, 7), 200, 10**30):
+                want = oracle_powrec_residues(spec, start, 5, m) if start > 200 else walked[start - 1 : start + 4]
+                try:
+                    got = list(residues(spec, start, 5, m))
+                except ResourceLimitError:
+                    assert start > 50 and (mu >= 50 or lam > 50), (spec, m, start)
+                    continue
+                assert got == want, (spec, m, start)
+
+
+def test_powrec_jumps_to_huge_starts_fast():
+    # a step-by-step walk would take 10**30 steps: c=1,1;t=1,1 and c=2,3;t=1,1 are
+    # Lucas rows, the nonlinear and order-3 recurrences jump into their orbit's cycle
+    for text in ("c=1,1;t=1,1;init=1,1", "c=1,1;t=2,1;init=1,1", "c=1,1,1;t=1,1,1;init=1,1,1",
+                 "c=2,3;t=1,1;init=4,1", "c=1,1;t=1,2;init=1,1"):
+        spec = parse_spec("powrec:" + text)
+        for m in (14, 97):
+            with deadline(2):
+                got = list(residues(spec, 10**30, 5, m))
+            assert got == oracle_powrec_residues(spec, 10**30, 5, m), (text, m)
+
+
+def test_walks_that_cannot_jump_are_refused_before_they_start(monkeypatch):
+    # an exact-only powrec stays at 1 forever, and (n!)^(n!) mod a prime past
+    # the start walks n! from 1: both exit 4 instead of walking ~1e12 steps
+    signed = parse_spec("powrec:c=2,-1;t=1,1;init=1,1")
+    with deadline(1):
+        with pytest.raises(ResourceLimitError, match="past 2000000"):
+            list(residues(signed, 10**12, 3, 14))
+        with pytest.raises(ResourceLimitError, match="past 2000000"):
+            term(parse_spec("powrec:c=0,0,1;t=1,1,1;init=1,2,3"), 10**12)
+        with pytest.raises(ResourceLimitError, match="past 2000000"):
+            list(residues(FactorialPower(), 10**12 + 38, 3, 10**12 + 39))
+    # past the pass's stop nothing is walked: zeros for m = 2 * 59
+    assert list(residues(FactorialPower(), 10**12, 2, 118)) == [0, 0]
+    # only the skipped prefix is bounded: a window starting at the bound answers
+    monkeypatch.setattr(sequences, "ORBIT_MAX", 1000)
+    assert list(residues(signed, 1000, 2, 14)) == [1, 1]
+    assert list(residues(FactorialPower(), 1000, 3, 1009)) == [oracle_factpow_mod(n, 1009) for n in (1000, 1001, 1002)]
+    for spec, m in ((signed, 14), (FactorialPower(), 1009)):
+        with pytest.raises(ResourceLimitError, match="past 1000"):
+            list(residues(spec, 1001, 3, m))
 
 
 def _reduced_index(sp, n):
@@ -527,6 +627,21 @@ def test_spec_text_round_trip():
         Explicit((4, 9, 25)),
     )
     for spec in specs:
+        assert parse_spec(format_spec(spec)) == spec
+
+
+# a valid field list for each prefix in the grammar table
+PREFIX_FIELDS = {"fib^": "3", "n^": "3", "fiblike:": "3,5", "arith:": "5,2", "geo:": "2,3"}
+
+
+def test_every_grammar_entry_round_trips():
+    for name, spec in sequences._NAMES.items():
+        assert parse_spec(name) == spec and format_spec(spec) == name
+    assert set(PREFIX_FIELDS) == set(sequences._PREFIXES)
+    for prefix, (family, _) in sequences._PREFIXES.items():
+        text = prefix + PREFIX_FIELDS[prefix]
+        spec = parse_spec(text)
+        assert type(spec) is family and format_spec(spec) == text
         assert parse_spec(format_spec(spec)) == spec
 
 
