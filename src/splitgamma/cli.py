@@ -7,7 +7,7 @@ string, so arbitrary precision survives any consumer, and leaves booleans and
 null native.  CSV prints booleans as 0/1, None as an empty cell and lists
 joined by ";"; its header is the payload's keys bar "command", unless the
 command is table-valued.  Text says yes/no for booleans and "none" for None.
-Exit codes: 0 ok, 1 usage, 2 domain error, 3 verification failure, 4 resource cap.
+Exit codes: 0 ok, 1 usage or i/o error, 2 domain error, 3 verification failure, 4 resource cap.
 
 Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
 a process compiles every module it imports, which costs more than most answers,
@@ -46,6 +46,7 @@ _ERRORS = {
     InconclusiveError: ("inconclusive", EXIT_VERIFY),
     InvariantViolation: ("verification failure", EXIT_VERIFY),
     ResourceLimitError: ("resource cap", EXIT_RESOURCE),
+    OSError: ("i/o error", EXIT_USAGE),  # an --out path that cannot be opened
 }
 
 
@@ -129,7 +130,7 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 def _bit_line(bits) -> str:
     # "0 1 1 ..." from the 0/1 bits: a byte per bit and per space, not a str object per bit
     line = bytearray(b" ") * (2 * len(bits) - 1)
-    line[::2] = bytes(bits).translate(_DIGITS)
+    line[::2] = bits.translate(_DIGITS)
     return line.decode("ascii")
 
 

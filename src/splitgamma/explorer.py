@@ -10,9 +10,12 @@ kernel.
 
 Pair scans shard by the first coordinate.  Every scan draws its shards from
 ``iter_scan``, in this process: a pair costs microseconds, so worker start-up
-and pickling would outweigh it.  ``run_scan`` streams the shards as CSV or
-JSON lines and resumes from a plain-text checkpoint holding the last
-completed shard id.
+and pickling would outweigh it.  ``run_scan`` renders each shard to bytes
+once (``_shard_bytes``), streams them as CSV or JSON lines and keeps a
+plain-text checkpoint holding the last completed shard id.  A resumed scan
+runs the same loop: it recomputes the checkpointed shards and compares their
+bytes with the file instead of parsing records back, so a file from other
+parameters is refused and the partial shard a crash left is cut off.
 """
 
 from __future__ import annotations
@@ -169,63 +172,23 @@ def record_to_csv_row(rec: ScanRecord) -> tuple[str, ...]:
     return tuple(["" if v is None else str(int(v)) for v in vars(rec).values()])
 
 
-def record_from_csv_row(row) -> ScanRecord:
-    a, b, r, s, rhs, integral, s0, s1, one = row
-    return ScanRecord(
-        int(a),
-        int(b),
-        int(r),
-        int(s),
-        None if rhs == "" else int(rhs),
-        integral == "1",
-        s0 == "1",
-        s1 == "1",
-        one == "1",
-    )
-
-
 def record_to_json(rec: ScanRecord) -> dict:
     return {key: v if v is None or isinstance(v, bool) else str(v) for key, v in vars(rec).items()}
 
 
-def record_from_json(obj: dict) -> ScanRecord:
-    return ScanRecord(
-        int(obj["a"]),
-        int(obj["b"]),
-        int(obj["r"]),
-        int(obj["s"]),
-        None if obj["rhs"] is None else int(obj["rhs"]),
-        bool(obj["integral"]),
-        bool(obj["solvable_i0"]),
-        bool(obj["solvable_i1"]),
-        bool(obj["exactly_one"]),
-    )
+def _shard_bytes(shard_id: int, records: list[ScanRecord], fmt: str) -> bytes:
+    # the bytes one shard adds to a scan file; the CSV header opens shard 1
+    if fmt == "csv":
+        lines = [",".join(record_to_csv_row(rec)) for rec in records]
+        if shard_id == 1:
+            lines.insert(0, ",".join(SCAN_CSV_HEADER))
+    else:
+        import json
+        lines = [json.dumps(record_to_json(rec)) for rec in records]
+    return "".join(line + "\n" for line in lines).encode()
 
 
 # ---------------- Resumable scans ----------------
-
-
-def _read_existing(out_path: Path, fmt: str) -> tuple[int, int]:
-    # (pairs, exactly_one hits) already on disk
-    import csv
-    import json
-    pairs = hits = 0
-    try:
-        with out_path.open(newline="") as fh:
-            if fmt == "csv":
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is not None and tuple(header) != SCAN_CSV_HEADER:
-                    raise ValueError("unexpected header")
-                recs = map(record_from_csv_row, reader)
-            else:
-                recs = (record_from_json(json.loads(line)) for line in fh if line.strip())
-            for rec in recs:
-                pairs += 1
-                hits += rec.exactly_one
-    except (ValueError, KeyError, TypeError, csv.Error) as exc:
-        raise DomainError(f"{out_path} does not hold {fmt} scan records: {exc}") from exc
-    return pairs, hits
 
 
 def run_scan(
@@ -241,11 +204,15 @@ def run_scan(
     """Stream all shards to out_path with checkpointing; returns a summary.
 
     The checkpoint sits next to the output file and holds the id of the last
-    shard fully written.  Output bytes do not depend on where a previous run
-    stopped.  jobs is accepted and ignored: every scan runs in this process.
+    shard fully written.  Fresh and resumed scans run one loop: each shard is
+    computed and rendered, and a shard the checkpoint covers is compared byte
+    for byte with the file instead of written, so a file from other
+    parameters, another format or a shorter write is refused (DomainError)
+    before any byte changes.  Bytes past the last checkpointed shard, left by
+    a crash, are cut off.  Output bytes and the summary do not depend on where
+    a previous run stopped.  jobs is accepted and ignored: every scan runs in
+    this process.
     """
-    import csv
-    import json
     from fractions import Fraction
     from pathlib import Path
     if fmt not in ("csv", "jsonl"):
@@ -253,28 +220,27 @@ def run_scan(
     out_path = Path(out_path)
     ckpt_path = out_path.with_name(out_path.name + ".checkpoint")
     done = 0
-    pairs = hits = 0
     if resume and ckpt_path.exists() and out_path.exists():
         text = ckpt_path.read_bytes().strip() or b"0"
         if not text.isdigit():  # bytes: ASCII digits only, so no sign
             raise DomainError(f"checkpoint {ckpt_path} does not hold a shard id")
         done = min(int(text), x_max)
-        pairs, hits = _read_existing(out_path, fmt)
-    shards = iter_scan(r, s, x_max, done + 1, cap)  # a bad x_max raises before the file is opened
-    with out_path.open("a" if done else "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n") if fmt == "csv" else None
-        if fmt == "csv" and not done:
-            writer.writerow(SCAN_CSV_HEADER)
+    shards = iter_scan(r, s, x_max, 1, cap)  # a bad x_max raises before the file is opened
+    pairs = hits = 0
+    with out_path.open("r+b" if done else "wb") as fh:
         for shard_id, records in shards:
-            for rec in records:
-                pairs += 1
-                hits += rec.exactly_one
-                if writer is not None:
-                    writer.writerow(record_to_csv_row(rec))
-                else:
-                    fh.write(json.dumps(record_to_json(rec)) + "\n")
-            fh.flush()
-            ckpt_path.write_text(f"{shard_id}\n")
+            pairs += len(records)
+            hits += sum(rec.exactly_one for rec in records)
+            data = _shard_bytes(shard_id, records, fmt)
+            if shard_id > done:
+                fh.write(data)
+                fh.flush()
+                ckpt_path.write_text(f"{shard_id}\n")
+            elif fh.read(len(data)) != data:
+                raise DomainError(f"{out_path} does not hold shards 1..{done} of this {fmt} scan "
+                                  f"(r={r}, s={s}, x_max={x_max})")
+            elif shard_id == done:
+                fh.truncate()  # drop whatever a crash left past the checkpointed shards
     return {
         "r": r,
         "s": s,

@@ -44,12 +44,12 @@ __all__ = [
 
 
 class BitRow(Record):
-    """gamma(k, a_n) for n = start .. start + len(bits) - 1."""
+    """gamma(k, a_n) for n = start .. start + len(bits) - 1, one byte a bit."""
 
     k: int
     spec: SequenceSpec
     start: int
-    bits: tuple[int, ...]
+    bits: bytes
 
 
 class PeriodReport(Record):
@@ -97,7 +97,7 @@ def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
     recurrences that may turn nonpositive and explicit lists reduce exact
     terms (see residues).
     """
-    return BitRow(k, spec, start, tuple(_row_bits(k, spec, start, count)))
+    return BitRow(k, spec, start, bytes(_row_bits(k, spec, start, count)))
 
 
 def pair_row(spec: SequenceSpec, start: int, count: int) -> tuple[int, ...]:

@@ -7,8 +7,9 @@ periods and windowed row periods, which the exact one-pass row periods are
 checked against; the former per-prime-power route to (n!)^(n!) mod m; and a
 step-by-step power recurrence walk, which the Lucas-doubling rows and the
 orbit jump are checked against.  Also a deadline for calls that must stop
-quickly, so a regression fails the test instead of running away, and a call
-counter for complexity guards that count work instead of timing it."""
+quickly, so a regression fails the test instead of running away, a call
+counter for complexity guards that count work instead of timing it, and the
+byte offsets where a scan file's shards end, read off its lines directly."""
 
 import contextlib
 import math
@@ -215,3 +216,18 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def shard_end(data, fmt, shard):
+    """Byte offset where shard `shard` of a scan file ends, read off each line's first coordinate."""
+    import json
+    end = 0
+    for i, line in enumerate(data.splitlines(keepends=True)):
+        if fmt == "csv":
+            a = 1 if i == 0 else int(line.split(b",")[0])  # the header opens shard 1
+        else:
+            a = int(json.loads(line)["a"])
+        if a > shard:
+            break
+        end += len(line)
+    return end

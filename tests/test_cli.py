@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deadline, oracle_powrec_residues
+from conftest import deadline, oracle_powrec_residues, shard_end
 from splitgamma import (
     BruteForceReport,
     SplitSolution,
@@ -258,6 +258,38 @@ def test_resume_from_a_garbled_checkpoint_or_the_other_format_exits_2(capsys, tm
         assert out_file.read_bytes() == before
 
 
+def test_resume_with_other_parameters_exits_2_and_changes_nothing(capsys, tmp_path):
+    # regression: this resume exited 0 with 91 (1, 1) and 102 (2, 3) rows, density=127/193
+    out_file = tmp_path / "m.csv"
+    ckpt = tmp_path / "m.csv.checkpoint"
+    assert run(capsys, "beiter-scan", "--xmax", "12", "--out", str(out_file))[0] == 0
+    before = out_file.read_bytes(), ckpt.read_bytes()
+    for extra in (("--xmax", "20", "--r", "2", "--s", "3"), ("--xmax", "12", "--format", "json")):
+        code, out, err = run(capsys, "beiter-scan", *extra, "--out", str(out_file), "--resume")
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("domain error: ") and "Traceback" not in err
+        assert (out_file.read_bytes(), ckpt.read_bytes()) == before
+
+
+def test_resume_with_a_checkpoint_past_a_truncated_file_exits_2(capsys, tmp_path):
+    out_file = tmp_path / "scan.csv"
+    ckpt = tmp_path / "scan.csv.checkpoint"
+    assert run(capsys, "beiter-scan", "--xmax", "12", "--out", str(out_file))[0] == 0
+    out_file.write_bytes(out_file.read_bytes()[: shard_end(out_file.read_bytes(), "csv", 9) - 3])
+    before = out_file.read_bytes(), ckpt.read_bytes()
+    code, out, err = run(capsys, "beiter-scan", "--xmax", "12", "--out", str(out_file), "--resume")
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: ")
+    assert (out_file.read_bytes(), ckpt.read_bytes()) == before
+
+
+def test_beiter_scan_to_an_unopenable_path_is_a_one_line_io_error(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, "beiter-scan", "--xmax", "5", "--out", str(target))
+        assert (code, out) == (1, ""), target
+        assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err, target
+
+
 def test_zero_exponent_reports_the_constructor_error(capsys):
     # the spec parses; the family refuses the exponent, and says why
     for spec, message in (("fib^0", "power must be >= 1, got 0"), ("n^0", "k must be >= 1, got 0")):
@@ -272,6 +304,12 @@ def test_wrong_arity_specs_exit_2(capsys):
         code, out, err = run(capsys, "row", "--k", "3", "--seq", spec, "--count", "3")
         assert (code, out) == (2, ""), spec
         assert err.startswith("domain error: ") and repr(spec) in err, spec
+
+
+def test_repeated_powrec_field_exits_2(capsys):
+    code, out, err = run(capsys, "row", "--k", "3", "--seq", "powrec:c=1;c=2;t=1;init=1", "--count", "2")
+    assert (code, out) == (2, "")
+    assert err == "domain error: powrec field 'c' given twice in 'powrec:c=1;c=2;t=1;init=1'\n"
 
 
 def test_powrec_rows_at_huge_starts_answer_within_two_seconds(capsys):

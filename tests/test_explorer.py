@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -5,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import shard_end
 from splitgamma import (
     DomainError,
     ResourceLimitError,
@@ -21,8 +24,6 @@ from splitgamma.explorer import (
     SCAN_CSV_HEADER,
     SCAN_METADATA,
     iter_scan,
-    record_from_csv_row,
-    record_from_json,
     record_to_csv_row,
     record_to_json,
 )
@@ -232,14 +233,28 @@ def test_scan_shard_covers_coprime_column():
     assert all(r.a == 3 for r in recs)
 
 
+def _fields(rec):
+    # a record's fields as the csv module and json read them back
+    return {key: None if v is None else str(int(v)) for key, v in vars(rec).items()}
+
+
+def _csv_fields(text):
+    return [{key: cell or None for key, cell in row.items()} for row in csv.DictReader(io.StringIO(text))]
+
+
+def _jsonl_fields(text):
+    return [{key: None if v is None else str(int(v)) for key, v in json.loads(line).items()}
+            for line in text.splitlines()]
+
+
 def test_record_round_trips():
     samples = [rs_solve(8, 13), rs_solve(4, 7, 1, 2), rs_solve(3, 5, 5, 1)]
     for rec in samples:
         row = record_to_csv_row(rec)
         assert len(row) == len(SCAN_CSV_HEADER)
-        assert record_from_csv_row(row) == rec
-        doc = record_to_json(rec)
-        assert record_from_json(json.loads(json.dumps(doc))) == rec
+        text = ",".join(SCAN_CSV_HEADER) + "\n" + ",".join(row) + "\n"
+        assert _csv_fields(text) == [_fields(rec)]
+        assert _jsonl_fields(json.dumps(record_to_json(rec))) == [_fields(rec)]
 
 
 def test_run_scan_all_formats_and_summary(tmp_path):
@@ -255,9 +270,11 @@ def test_run_scan_all_formats_and_summary(tmp_path):
 
     out_jsonl = tmp_path / "scan.jsonl"
     run_scan(2, 0, 14, out_jsonl, fmt="jsonl")
-    json_recs = [record_from_json(json.loads(line)) for line in out_jsonl.read_text().splitlines()]
-    csv_recs = [record_from_csv_row(line.split(",")) for line in lines[1:]]
-    assert json_recs == csv_recs
+    csv_recs = _csv_fields(out_csv.read_text())
+    assert _jsonl_fields(out_jsonl.read_text()) == csv_recs
+    want = [_fields(rec) for _, shard in iter_scan(2, 0, 14) for rec in shard]
+    assert csv_recs == want
+    assert sum(rec["exactly_one"] == "1" for rec in csv_recs) == summary["exactly_one"]
 
 
 def test_run_scan_shard_boundaries_do_not_matter(tmp_path):
@@ -321,6 +338,66 @@ def test_run_scan_resume_refuses_a_bad_checkpoint_or_record(tmp_path, written, r
     with pytest.raises(DomainError):
         run_scan(1, 1, 9, out, resumed, resume=True)
     assert (out.read_bytes(), ckpt.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "r, s, x_max, fmt",
+    [(2, 3, 20, "csv"), (2, 1, 12, "csv"), (1, 0, 12, "csv"), (1, 1, 13, "csv"), (1, 1, 8, "csv"),
+     (1, 1, 12, "jsonl")],
+    ids=["other-r-s-x_max", "other-r", "other-s", "larger-x_max", "smaller-x_max", "other-format"],
+)
+def test_run_scan_resume_refuses_other_parameters(tmp_path, r, s, x_max, fmt):
+    # regression: resuming a (1, 1, 12) scan as (2, 3, 20) appended 102 (2, 3)
+    # records to its 91 (1, 1) records and printed density=127/193
+    out = tmp_path / "m.out"
+    ckpt = tmp_path / "m.out.checkpoint"
+    run_scan(1, 1, 12, out)
+    before = out.read_bytes(), ckpt.read_bytes()
+    with pytest.raises(DomainError, match="does not hold shards 1..[0-9]+ of this"):
+        run_scan(r, s, x_max, out, fmt, resume=True)
+    assert (out.read_bytes(), ckpt.read_bytes()) == before
+
+
+def test_run_scan_resume_after_a_crash_before_the_checkpoint(tmp_path):
+    # regression: shard 12 flushed but the checkpoint still at 11 wrote shard 12 twice (95 records)
+    out = tmp_path / "scan.csv"
+    want = run_scan(1, 1, 12, out)
+    data = out.read_bytes()
+    (tmp_path / "scan.csv.checkpoint").write_text("11\n")
+    got = run_scan(1, 1, 12, out, resume=True)
+    assert out.read_bytes() == data
+    assert got == want and got["pairs"] == 91
+    assert (tmp_path / "scan.csv.checkpoint").read_text() == "12\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("tail", ["two-lines", "half-a-line"])
+def test_run_scan_resume_after_a_crash_mid_shard(tmp_path, fmt, tail):
+    # regression: checkpoint 7 plus two whole shard-8 lines resumed to 93 pairs,
+    # and checkpoint 7 plus half a line exited 2 on every later resume
+    fresh = tmp_path / "fresh.out"
+    want = run_scan(1, 1, 12, fresh, fmt)
+    data = fresh.read_bytes()
+    cut = shard_end(data, fmt, 7)
+    lines = data[cut:].splitlines(keepends=True)
+    extra = lines[0] + lines[1] if tail == "two-lines" else lines[0][: len(lines[0]) // 2]
+    out = tmp_path / "scan.out"
+    out.write_bytes(data[:cut] + extra)
+    (tmp_path / "scan.out.checkpoint").write_text("7\n")
+    for _ in range(2):
+        assert run_scan(1, 1, 12, out, fmt, resume=True) == want
+        assert out.read_bytes() == data
+
+
+def test_run_scan_resume_cuts_bytes_past_the_last_checkpointed_shard(tmp_path):
+    # rewriting the shards after the checkpoint covers a crash's partial shard;
+    # bytes past a finished scan are only removed by the cut
+    out = tmp_path / "scan.jsonl"
+    want = run_scan(1, 1, 12, out, "jsonl")
+    data = out.read_bytes()
+    out.write_bytes(data + data[-40:])
+    assert run_scan(1, 1, 12, out, "jsonl", resume=True) == want
+    assert out.read_bytes() == data
 
 
 def test_iter_scan_matches_shards_and_checks_before_yielding():

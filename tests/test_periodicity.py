@@ -235,7 +235,7 @@ def test_rows_hold_about_a_byte_per_bit():
     # a row shorter than 2k keeps an O(count) memo, however large k is
     row = []
     assert _traced_peak(lambda: row.append(gamma_row(10**30, FibonacciPower(1), 1, 200))) < 200_000
-    assert row[0].bits == tuple(gamma(10**30, fib(n)) for n in range(1, 201))
+    assert row[0].bits == bytes(gamma(10**30, fib(n)) for n in range(1, 201))
 
 
 def test_orbit_walk_refuses_past_its_bound(monkeypatch):

@@ -2,21 +2,25 @@
 pairs up to hundreds of digits, with and without a common factor, and with
 each reduced shape the split witness treats apart: b' even (the roles of a'
 and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
-inverse on the same pairs; and power recurrence residues at starts up to
-10**30 against the step-by-step walk, through Lucas rows and orbit jumps."""
+inverse on the same pairs; power recurrence residues at starts up to 10**30
+against the step-by-step walk, through Lucas rows and orbit jumps; and scans
+resumed after a crash at any byte of the shard past the checkpoint against
+the fresh scan."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from splitgamma import PowerRecurrence, ResourceLimitError, gamma, solve_split
+from splitgamma import PowerRecurrence, ResourceLimitError, gamma, run_scan, solve_split
 from splitgamma import sequences
 from splitgamma.sequences import residues
 
-from conftest import inverse_parity_gamma, oracle_powrec_residues, oracle_representable
+from conftest import inverse_parity_gamma, oracle_powrec_residues, oracle_representable, shard_end
 
 wide = st.integers(min_value=1, max_value=10**400)
 small = st.integers(min_value=1, max_value=10**4)
@@ -79,3 +83,20 @@ def test_powrec_residues_match_the_walk_at_any_start(spec, m, start):
             assert sequences._linear(spec) is None and start > 50
             return
     assert got == oracle_powrec_residues(spec, start, 4, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.integers(-2, 5), st.integers(-2, 5), st.sampled_from(["csv", "jsonl"]), st.data())
+def test_resume_after_a_crash_anywhere_gives_the_fresh_scan(x_max, r, s, fmt, data):
+    # the file holds shards 1..c and any prefix of shard c + 1 (the whole of it
+    # when the crash came between the flush and the checkpoint write)
+    c = data.draw(st.integers(0, x_max), label="checkpoint")
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh, out = Path(tmp, "fresh"), Path(tmp, "out")
+        want = run_scan(r, s, x_max, fresh, fmt)
+        whole = fresh.read_bytes()
+        kept = data.draw(st.integers(shard_end(whole, fmt, c), shard_end(whole, fmt, c + 1)), label="bytes kept")
+        out.write_bytes(whole[:kept])
+        Path(tmp, "out.checkpoint").write_text(f"{c}\n")
+        assert run_scan(r, s, x_max, out, fmt, resume=True) == want
+        assert out.read_bytes() == whole

@@ -649,3 +649,10 @@ def test_parse_spec_rejects_garbage():
     for text in ("", "fib^0", "fiblike:2,4", "arith:3", "n^", "geo:1", "what", "explicit:"):
         with pytest.raises(DomainError):
             parse_spec(text)
+
+
+def test_parse_spec_refuses_a_repeated_powrec_field():
+    # regression: the last c= won, so this ran as c=2 and exited 0
+    for text in ("powrec:c=1;c=2;t=1;init=1", "powrec:c=1;t=1;init=1;t=1", "powrec:c=1;t=1;init=1; init=2"):
+        with pytest.raises(DomainError, match="given twice"):
+            parse_spec(text)
