@@ -15,7 +15,8 @@ no product with it: with b' odd (swap the roles of a' and b' if not),
 b' = 1).  Then R's least witness x = R / a' mod b' is (a'^-1 - 1) / 2, a
 halving; otherwise R - 1's is (b' - 1 - a'^-1) / 2.  y is one exact division.
 ``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
-shifted right-hand sides of ``explorer.rs_solve`` and the test oracles.
+shifted right-hand sides of ``explorer.rs_solve``, the n-variable counts of
+``explorer.nvar_classify`` and the test oracles.
 ``brute_force_split`` and ``theta`` are kept as independent oracles for the
 tests and are not called on any fast path.
 
@@ -33,25 +34,6 @@ in order.
 from __future__ import annotations
 
 import math
-
-__all__ = [
-    "DomainError",
-    "ResourceLimitError",
-    "InvariantViolation",
-    "gcd",
-    "mod_inverse",
-    "theta",
-    "gamma",
-    "SplitInstance",
-    "SplitSolution",
-    "solve_split",
-    "BruteForceReport",
-    "brute_force_split",
-    "DEFAULT_BRUTE_CAP",
-    "DEFAULT_RHS_CAP",
-    "InconclusiveError",
-    "Record",
-]
 
 
 class DomainError(ValueError):

@@ -25,23 +25,6 @@ from .core import gamma, gcd, solve_split
 from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, _orbit, fib_pair
 from .sequences import iter_terms, residue_engine, residues
 
-__all__ = [
-    "BitRow",
-    "PeriodReport",
-    "StatePeriod",
-    "InconclusiveError",
-    "gamma_row",
-    "pair_row",
-    "detect_period",
-    "state_period_mod",
-    "pisano",
-    "row_period",
-    "gamma_shift_check",
-    "halfperiod_reflection",
-    "fibonacci_period_table",
-    "first_alternation_index",
-]
-
 
 class BitRow(Record):
     """gamma(k, a_n) for n = start .. start + len(bits) - 1, one byte a bit."""

@@ -1,6 +1,7 @@
 """Shared oracles, written independently of the package's fast paths: a
 brute-force enumeration and Sylvester's closed form for two-coin
-representability; the inverse-parity rule for gamma; the former multiply-mod
+representability; the saturating coin DP, which the n-variable counts are
+checked against; the inverse-parity rule for gamma; the former multiply-mod
 split witness and the former cube-by-cube Fibonacci cube witness; a plain
 Fibonacci orbit walk for Pisano periods; the former table-walk residue
 periods and windowed row periods, which the exact one-pass row periods are
@@ -67,6 +68,26 @@ def oracle_split(a, b):
         if w is not None:
             return (delta, *w)
     raise AssertionError(f"neither R nor R - 1 is representable for ({a}, {b})")
+
+
+def _count_table(coins: tuple[int, ...], target: int) -> bytearray:
+    # number of representations of each t <= target, saturated at 2
+    dp = bytearray(target + 1)
+    dp[0] = 1
+    for c in coins:
+        for t in range(c, target + 1):
+            w = dp[t - c]
+            if w:
+                v = dp[t] + w
+                dp[t] = v if v < 2 else 2
+    return dp
+
+
+def oracle_nvar_counts(coeffs):
+    """Counts of i + sum a_j x_j = prod(a_j - 1)/2 for i = 0..n-1, read off the coin DP."""
+    rhs = math.prod(c - 1 for c in coeffs) // 2
+    dp = _count_table(tuple(coeffs), rhs)
+    return tuple(int(dp[rhs - i]) if rhs >= i else 0 for i in range(len(coeffs)))
 
 
 def inverse_parity_gamma(a, b):

@@ -354,6 +354,10 @@ def test_resource_cap_exit_4(capsys):
     code, _, err = run(capsys, "nvar", "101", "103", "--cap", "100")
     assert code == 4
     assert "resource" in err
+    # the counts build no table, but --cap still bounds rhs (here 5.3e6 > 1e6)
+    code, _, err = run(capsys, "nvar", "211", "223", "227")
+    assert code == 4
+    assert "rhs 5268060 exceeds cap 1000000" in err
 
 
 def test_factoring_past_the_trial_bound_exits_4_within_a_second(capsys):

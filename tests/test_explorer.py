@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import shard_end
+from conftest import _count_table, count_calls, deadline, oracle_nvar_counts, shard_end
 from splitgamma import (
     DomainError,
     ResourceLimitError,
@@ -98,7 +99,7 @@ def test_nvar_cap():
 
 
 def test_nvar_two_variable_consistency():
-    """On coprime pairs the DP reproduces the exact solver's verdict."""
+    """On coprime pairs the counts reproduce the exact solver's verdict."""
     for a in range(1, 101):
         for b in range(1, 101):
             if math.gcd(a, b) != 1:
@@ -110,7 +111,7 @@ def test_nvar_two_variable_consistency():
             assert rep.counts[1 - g] == 0, (a, b)
 
 
-def test_nvar_dp_matches_nested_enumeration():
+def test_nvar_matches_nested_enumeration():
     rng = random.Random(20240817)
     done = 0
     while done < 25:
@@ -124,6 +125,60 @@ def test_nvar_dp_matches_nested_enumeration():
         rep = nvar_classify(coeffs)
         assert rep.counts == saturated_counts(coeffs, rhs_num // 2, n), coeffs
         done += 1
+
+
+# every sorted tuple of one to four coins from 1..12: 1s, repeats, common factors
+SMALL_COIN_TUPLES = [c for n in range(1, 5) for c in itertools.combinations_with_replacement(range(1, 13), n)]
+
+
+def test_count_matches_the_coin_dp_for_every_small_tuple():
+    for coins in SMALL_COIN_TUPLES:
+        dp = _count_table(coins, 200)
+        assert [explorer._count(coins, t) for t in range(201)] == list(dp), coins
+
+
+def test_count_makes_a_bounded_number_of_calls(monkeypatch):
+    # nvar_classify keeps each coin value at most twice; a third copy would
+    # cost (11, 12, 12, 12) 66 witness calls at t = 121 for a count of 1.
+    # Counting the recursive calls too catches a loop that tries every
+    # multiple of the largest coin: it needs 66 at (11, 11, 12, 12), t = 109.
+    witness = count_calls(monkeypatch, explorer, "_witness")
+    counts = count_calls(monkeypatch, explorer, "_count")
+    most_witness = most_counts = 0
+    for coins in (c for c in SMALL_COIN_TUPLES if all(c.count(x) <= 2 for x in c)):
+        for t in range(201):
+            w, c = len(witness), len(counts)
+            explorer._count(coins, t)
+            most_witness = max(most_witness, len(witness) - w)
+            most_counts = max(most_counts, len(counts) - c)
+    assert (most_witness, most_counts) == (24, 30)
+
+
+def test_nvar_counts_large_instances_without_a_table():
+    # the coin DP oracle takes about 2 s on this triple; rhs 5.3e6 is over the default cap
+    with deadline(1):
+        assert nvar_classify((211, 223, 227), cap=10**7).counts == (2, 2, 2)
+    # many coefficients: the pairwise flag is one lcm, and repeats past two are dropped before counting
+    for coeffs, pairwise in (((1,) * 20000, True), ((2,) * 5000 + (3, 5, 7, 11, 13), False)):
+        want = oracle_nvar_counts(coeffs)
+        with deadline(1):
+            rep = nvar_classify(coeffs)
+        assert rep.counts == want
+        assert rep.instance.pairwise_coprime == pairwise
+
+
+def test_exactly_one_does_not_extend_to_three_or_four_variables():
+    """The paper's pair result: exactly one of the two equations is solvable.
+    For n = 3 and 4 no pairwise-coprime tuple has exactly one solvable equation:
+    all count (2, ..., 2) but (2, 3, 5) and (2, 3, 7)."""
+    for n, top, size, odd in ((3, 60, 9245, {(2, 3, 5): (1, 1, 1), (2, 3, 7): (2, 1, 1)}), (4, 20, 461, {})):
+        seen = {}
+        for coeffs in itertools.combinations(range(2, top + 1), n):
+            if math.lcm(*coeffs) == math.prod(coeffs) and math.prod(c - 1 for c in coeffs) % 2 == 0:
+                seen[coeffs] = nvar_classify(coeffs)
+        assert len(seen) == size
+        assert {c: rep.counts for c, rep in seen.items() if rep.counts != (2,) * n} == odd
+        assert not any(rep.exactly_one for rep in seen.values())
 
 
 # ---------------- shifted right-hand sides ----------------
@@ -189,7 +244,7 @@ def test_rs_matches_coin_dp_for_every_small_shift():
         for b in range(1, 61):
             if math.gcd(a, b) != 1:
                 continue
-            dp = explorer._count_table((a, b), max((a - r) * (b - s) for r in shifts for s in shifts) // 2)
+            dp = _count_table((a, b), max((a - r) * (b - s) for r in shifts for s in shifts) // 2)
             for r in shifts:
                 for s in shifts:
                     rec = rs_solve(a, b, r, s)

@@ -2,10 +2,10 @@
 pairs up to hundreds of digits, with and without a common factor, and with
 each reduced shape the split witness treats apart: b' even (the roles of a'
 and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
-inverse on the same pairs; power recurrence residues at starts up to 10**30
-against the step-by-step walk, through Lucas rows and orbit jumps; and scans
-resumed after a crash at any byte of the shard past the checkpoint against
-the fresh scan."""
+inverse on the same pairs; n-variable counts against the coin DP; power
+recurrence residues at starts up to 10**30 against the step-by-step walk,
+through Lucas rows and orbit jumps; and scans resumed after a crash at any
+byte of the shard past the checkpoint against the fresh scan."""
 
 import math
 import tempfile
@@ -16,11 +16,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from splitgamma import PowerRecurrence, ResourceLimitError, gamma, run_scan, solve_split
+from splitgamma import PowerRecurrence, ResourceLimitError, gamma, nvar_classify, run_scan, solve_split
 from splitgamma import sequences
 from splitgamma.sequences import residues
 
-from conftest import inverse_parity_gamma, oracle_powrec_residues, oracle_representable, shard_end
+from conftest import inverse_parity_gamma, oracle_nvar_counts, oracle_powrec_residues, oracle_representable, shard_end
 
 wide = st.integers(min_value=1, max_value=10**400)
 small = st.integers(min_value=1, max_value=10**4)
@@ -67,6 +67,20 @@ powrecs = st.integers(min_value=1, max_value=3).flatmap(
         st.lists(st.integers(1, 5), min_size=s, max_size=s),
     )
 ).map(lambda t: PowerRecurrence(*t))
+
+
+# two to five coefficients, each at most 1 + 40000 ** (1/n), so rhs = prod(a_j - 1)/2 <= 20,000
+coeff_tuples = st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.integers(1, 1 + int(40000 ** (1 / n))), min_size=n, max_size=n).map(tuple)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_tuples)
+def test_nvar_counts_match_the_coin_dp(coeffs):
+    rep = nvar_classify(coeffs)
+    if rep.instance.rhs is not None:
+        assert rep.counts == oracle_nvar_counts(coeffs)
 
 
 @settings(max_examples=300, deadline=None)
