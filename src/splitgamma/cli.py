@@ -328,7 +328,6 @@ def _cmd_rs(args) -> int:
 
 
 def _cmd_beiter_scan(args) -> int:
-    from fractions import Fraction
     from .explorer import SCAN_CSV_HEADER, SCAN_METADATA, iter_scan, record_to_csv_row, record_to_json, run_scan
     if args.resume and not args.out:
         raise DomainError("--resume needs --out")
@@ -342,7 +341,8 @@ def _cmd_beiter_scan(args) -> int:
         pairs, hits = len(records), sum(rec.exactly_one for rec in records)
         table = (SCAN_CSV_HEADER, map(record_to_csv_row, records))
         json_only = {"metadata": dict(SCAN_METADATA), "records": map(record_to_json, records)}
-    dens = Fraction(hits, pairs)
+    g = math.gcd(hits, pairs)  # pairs >= 1: (1, 1) is always scanned
+    num, den = hits // g, pairs // g
     payload = {
         "command": "beiter-scan",
         "r": args.r,
@@ -350,10 +350,10 @@ def _cmd_beiter_scan(args) -> int:
         "x_max": args.xmax,
         "pairs": pairs,
         "exactly_one": hits,
-        "density_num": dens.numerator,
-        "density_den": dens.denominator,
+        "density_num": num,
+        "density_den": den,
     }
-    text = [f"pairs={pairs} exactly_one={hits} density={dens.numerator}/{dens.denominator}"]
+    text = [f"pairs={pairs} exactly_one={hits} density={num}/{den}"]
     if args.out:
         text.append(f"written={args.out}")
     _emit(args.format, payload, text, table, json_only)

@@ -12,11 +12,13 @@ is built; the saturating coin DP is the tests' oracle.
 Pair scans shard by the first coordinate.  Every scan draws its shards from
 ``iter_scan``, in this process: a pair costs microseconds, so worker start-up
 and pickling would outweigh it.  ``run_scan`` renders each shard to bytes
-once (``_shard_bytes``), streams them as CSV or JSON lines and keeps a
-plain-text checkpoint holding the last completed shard id.  A resumed scan
-runs the same loop: it recomputes the checkpointed shards and compares their
-bytes with the file instead of parsing records back, so a file from other
-parameters is refused and the partial shard a crash left is cut off.
+once (``_shard_bytes``; each JSON line from one format string), streams them
+as CSV or JSON lines and keeps a plain-text checkpoint holding the last
+completed shard id.  The checkpoint is one handle, opened when the first new
+shard is written and rewritten in place after each flushed shard.  A resumed
+scan runs the same loop: it recomputes the checkpointed shards and compares
+their bytes with the file instead of parsing records back, so a file from
+other parameters is refused and the partial shard a crash left is cut off.
 """
 
 from __future__ import annotations
@@ -202,16 +204,29 @@ def record_to_json(rec: ScanRecord) -> dict:
     return {key: v if v is None or isinstance(v, bool) else str(v) for key, v in vars(rec).items()}
 
 
+# json.dumps(record_to_json(rec)) for the ScanRecord fields in order; rhs is
+# pre-rendered as null or a quoted int, each bool as _JSON_BOOL[value]
+_JSONL_LINE = (
+    '{"a": "%d", "b": "%d", "r": "%d", "s": "%d", "rhs": %s, "integral": %s, '
+    '"solvable_i0": %s, "solvable_i1": %s, "exactly_one": %s}\n'
+)
+_JSON_BOOL = ("false", "true")
+
+
 def _shard_bytes(shard_id: int, records: list[ScanRecord], fmt: str) -> bytes:
     # the bytes one shard adds to a scan file; the CSV header opens shard 1
     if fmt == "csv":
-        lines = [",".join(record_to_csv_row(rec)) for rec in records]
+        lines = [",".join(record_to_csv_row(rec)) + "\n" for rec in records]
         if shard_id == 1:
-            lines.insert(0, ",".join(SCAN_CSV_HEADER))
+            lines.insert(0, ",".join(SCAN_CSV_HEADER) + "\n")
     else:
-        import json
-        lines = [json.dumps(record_to_json(rec)) for rec in records]
-    return "".join(line + "\n" for line in lines).encode()
+        t = _JSON_BOOL
+        lines = [
+            _JSONL_LINE % (rec.a, rec.b, rec.r, rec.s, "null" if rec.rhs is None else f'"{rec.rhs}"',
+                           t[rec.integral], t[rec.solvable_i0], t[rec.solvable_i1], t[rec.exactly_one])
+            for rec in records
+        ]
+    return "".join(lines).encode()
 
 
 # ---------------- Resumable scans ----------------
@@ -236,10 +251,13 @@ def run_scan(
     parameters, another format or a shorter write is refused (DomainError)
     before any byte changes.  Bytes past the last checkpointed shard, left by
     a crash, are cut off.  Output bytes and the summary do not depend on where
-    a previous run stopped.  jobs is accepted and ignored: every scan runs in
-    this process.
+    a previous run stopped.  The checkpoint is opened (and truncated) once,
+    when the first new shard is written, and after each shard's data is
+    flushed its id is rewritten at offset 0; ids only grow, so a kill leaves
+    it empty (a resume starts over) or holding one whole id.  A refused
+    resume, or a resume of a finished scan, never touches it.  jobs is
+    accepted and ignored: every scan runs in this process.
     """
-    from fractions import Fraction
     from pathlib import Path
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"scan format must be csv or jsonl, got {fmt!r}")
@@ -253,27 +271,34 @@ def run_scan(
         done = min(int(text), x_max)
     shards = iter_scan(r, s, x_max, 1, cap)  # a bad x_max raises before the file is opened
     pairs = hits = 0
-    with out_path.open("r+b" if done else "wb") as fh:
-        for shard_id, records in shards:
-            pairs += len(records)
-            hits += sum(rec.exactly_one for rec in records)
-            data = _shard_bytes(shard_id, records, fmt)
-            if shard_id > done:
-                fh.write(data)
-                fh.flush()
-                ckpt_path.write_text(f"{shard_id}\n")
-            elif fh.read(len(data)) != data:
-                raise DomainError(f"{out_path} does not hold shards 1..{done} of this {fmt} scan "
-                                  f"(r={r}, s={s}, x_max={x_max})")
-            elif shard_id == done:
-                fh.truncate()  # drop whatever a crash left past the checkpointed shards
+    ckpt = None
+    try:
+        with out_path.open("r+b" if done else "wb") as fh:
+            for shard_id, records in shards:
+                pairs += len(records)
+                hits += sum(rec.exactly_one for rec in records)
+                data = _shard_bytes(shard_id, records, fmt)
+                if shard_id > done:
+                    fh.write(data)
+                    fh.flush()
+                    if ckpt is None:
+                        ckpt = ckpt_path.open("wb", buffering=0)  # unbuffered: each write reaches the file
+                    ckpt.seek(0)
+                    ckpt.write(b"%d\n" % shard_id)
+                elif fh.read(len(data)) != data:
+                    raise DomainError(f"{out_path} does not hold shards 1..{done} of this {fmt} scan "
+                                      f"(r={r}, s={s}, x_max={x_max})")
+                elif shard_id == done:
+                    fh.truncate()  # drop whatever a crash left past the checkpointed shards
+    finally:
+        if ckpt is not None:
+            ckpt.close()
     return {
         "r": r,
         "s": s,
         "x_max": x_max,
         "pairs": pairs,
         "exactly_one": hits,
-        "density": Fraction(hits, pairs) if pairs else None,
         "last_shard": x_max,
         "metadata": dict(SCAN_METADATA),
     }

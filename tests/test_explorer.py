@@ -312,11 +312,23 @@ def test_record_round_trips():
         assert _jsonl_fields(json.dumps(record_to_json(rec))) == [_fields(rec)]
 
 
+def test_jsonl_template_matches_json_dumps():
+    seen = set()
+    for r, s in itertools.product((1, 2, 3), repeat=2):
+        for shard_id, records in iter_scan(r, s, 30):
+            want = "".join(json.dumps(record_to_json(rec)) + "\n" for rec in records)
+            assert explorer._shard_bytes(shard_id, records, "jsonl") == want.encode()
+            seen.update((key, v) for rec in records for key, v in vars(rec).items()
+                        if v is None or isinstance(v, bool))
+    # the scans hold rhs = None and both values of every bool
+    assert seen == {("rhs", None)} | {(key, v) for key in SCAN_CSV_HEADER[5:] for v in (False, True)}
+
+
 def test_run_scan_all_formats_and_summary(tmp_path):
     out_csv = tmp_path / "scan.csv"
     summary = run_scan(2, 0, 14, out_csv)
     assert summary["x_max"] == 14
-    assert summary["density"] == Fraction(summary["exactly_one"], summary["pairs"])
+    assert Fraction(summary["exactly_one"], summary["pairs"]) == beiter_density(2, 0, 14)
     assert summary["metadata"] == SCAN_METADATA
     lines = out_csv.read_text().splitlines()
     assert lines[0] == ",".join(SCAN_CSV_HEADER)
@@ -355,7 +367,7 @@ def test_run_scan_resume_from_checkpoint(tmp_path):
     assert prefix.read_bytes() == full.read_bytes()
     assert resumed["pairs"] == expect["pairs"]
     assert resumed["exactly_one"] == expect["exactly_one"]
-    assert resumed["density"] == expect["density"]
+    assert Fraction(resumed["exactly_one"], resumed["pairs"]) == Fraction(expect["exactly_one"], expect["pairs"])
 
 
 def test_run_scan_resume_on_complete_file_is_stable(tmp_path):
@@ -364,7 +376,7 @@ def test_run_scan_resume_on_complete_file_is_stable(tmp_path):
     before = out.read_bytes()
     second = run_scan(1, 1, 10, out, resume=True)
     assert out.read_bytes() == before
-    assert first["density"] == second["density"] == Fraction(1)
+    assert Fraction(first["exactly_one"], first["pairs"]) == Fraction(second["exactly_one"], second["pairs"]) == 1
 
 
 @pytest.mark.parametrize(
@@ -442,6 +454,42 @@ def test_run_scan_resume_after_a_crash_mid_shard(tmp_path, fmt, tail):
     for _ in range(2):
         assert run_scan(1, 1, 12, out, fmt, resume=True) == want
         assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_run_scan_killed_mid_shard_keeps_the_checkpoint_at_the_last_whole_shard(tmp_path, monkeypatch, fmt):
+    fresh = tmp_path / "fresh.out"
+    want = run_scan(1, 1, 12, fresh, fmt)
+    data = fresh.read_bytes()
+    real = explorer.rs_solve
+    out, ckpt = tmp_path / "scan.out", tmp_path / "scan.out.checkpoint"
+    at_death = []
+
+    def dies_in_shard_8(a, *args):
+        if a == 8:
+            # what a kill here would leave: no close or exit handler runs after it
+            at_death.append((out.read_bytes(), ckpt.read_bytes()))
+            raise RuntimeError("killed")
+        return real(a, *args)
+
+    monkeypatch.setattr(explorer, "rs_solve", dies_in_shard_8)
+    with pytest.raises(RuntimeError):
+        run_scan(1, 1, 12, out, fmt)
+    monkeypatch.undo()
+    assert at_death == [(data[: shard_end(data, fmt, 7)], b"7\n")]
+    assert (out.read_bytes(), ckpt.read_bytes()) == at_death[0]
+    assert run_scan(1, 1, 12, out, fmt, resume=True) == want
+    assert out.read_bytes() == data
+
+
+def test_run_scan_resume_from_a_padded_checkpoint_leaves_one_whole_id(tmp_path):
+    # ids are rewritten in place: the first write must drop the longer "0007\n"
+    out = tmp_path / "scan.csv"
+    want = run_scan(1, 1, 12, out)
+    ckpt = tmp_path / "scan.csv.checkpoint"
+    ckpt.write_text("0007\n")
+    assert run_scan(1, 1, 12, out, resume=True) == want
+    assert ckpt.read_bytes() == b"12\n"
 
 
 def test_run_scan_resume_cuts_bytes_past_the_last_checkpointed_shard(tmp_path):

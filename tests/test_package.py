@@ -110,9 +110,11 @@ def test_kernel_commands_load_only_cli_and_core(preloaded, argv):
         ["pisano", "10"],
         ["rs", "--a", "7", "--b", "10"],
         ["nvar", "3", "5", "7"],
+        ["beiter-scan", "--xmax", "5", "--out", "{tmp}/scan.csv"],
     ],
 )
-def test_text_commands_load_no_number_or_format_modules(preloaded, argv):
+def test_text_commands_load_no_number_or_format_modules(preloaded, argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     heavy = _imports(preloaded, "-m", "splitgamma.cli", *argv) & {"fractions", "decimal", "json", "csv"}
     assert not heavy, heavy
 
