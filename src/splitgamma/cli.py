@@ -328,7 +328,7 @@ def _cmd_rs(args) -> int:
 
 
 def _cmd_beiter_scan(args) -> int:
-    from .explorer import SCAN_CSV_HEADER, SCAN_METADATA, iter_scan, record_to_csv_row, record_to_json, run_scan
+    from .explorer import SCAN_CSV_HEADER, SCAN_METADATA, iter_scan, run_scan
     if args.resume and not args.out:
         raise DomainError("--resume needs --out")
     if args.out:
@@ -337,10 +337,10 @@ def _cmd_beiter_scan(args) -> int:
         pairs, hits, table = summary["pairs"], summary["exactly_one"], None
         json_only = {"out": args.out, "metadata": summary["metadata"]}
     else:
-        records = [rec for _, shard in iter_scan(args.r, args.s, args.xmax, 1, args.cap) for rec in shard]
-        pairs, hits = len(records), sum(rec.exactly_one for rec in records)
-        table = (SCAN_CSV_HEADER, map(record_to_csv_row, records))
-        json_only = {"metadata": dict(SCAN_METADATA), "records": map(record_to_json, records)}
+        records = [vars(rec) for _, shard in iter_scan(args.r, args.s, args.xmax, args.cap) for rec in shard]
+        pairs, hits = len(records), sum(rec["exactly_one"] for rec in records)
+        table = (SCAN_CSV_HEADER, (rec.values() for rec in records))
+        json_only = {"metadata": dict(SCAN_METADATA), "records": records}
     g = math.gcd(hits, pairs)  # pairs >= 1: (1, 1) is always scanned
     num, den = hits // g, pairs // g
     payload = {

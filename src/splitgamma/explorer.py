@@ -11,14 +11,17 @@ is built; the saturating coin DP is the tests' oracle.
 
 Pair scans shard by the first coordinate.  Every scan draws its shards from
 ``iter_scan``, in this process: a pair costs microseconds, so worker start-up
-and pickling would outweigh it.  ``run_scan`` renders each shard to bytes
-once (``_shard_bytes``; each JSON line from one format string), streams them
-as CSV or JSON lines and keeps a plain-text checkpoint holding the last
-completed shard id.  The checkpoint is one handle, opened when the first new
-shard is written and rewritten in place after each flushed shard.  A resumed
-scan runs the same loop: it recomputes the checkpointed shards and compares
-their bytes with the file instead of parsing records back, so a file from
-other parameters is refused and the partial shard a crash left is cut off.
+and pickling would outweigh it.  ``ScanRecord``'s fields are the scan schema.
+``run_scan`` renders each shard to bytes once (``_shard_bytes``: one table
+holds each file format's line template, and one comprehension fills it for
+CSV and JSON lines alike), streams them and keeps a plain-text checkpoint
+holding the last completed shard id; a scan printed to stdout goes through
+the CLI's ``_emit`` instead, by the rule every command prints with.  The
+checkpoint is one handle, opened when the first new shard is written and
+rewritten in place after each flushed shard.  A resumed scan runs the same
+loop: it recomputes the checkpointed shards and compares their bytes with
+the file instead of parsing records back, so a file from other parameters
+is refused and the partial shard a crash left is cut off.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import math
 from typing import Iterator
 
 from .core import DEFAULT_RHS_CAP, DomainError, Record, ResourceLimitError, _witness, mod_inverse
-
-SCAN_CSV_HEADER = ("a", "b", "r", "s", "rhs", "integral", "solvable_i0", "solvable_i1", "exactly_one")
 
 SCAN_METADATA = {
     "pair_order": "ordered pairs (a, b), both orientations counted",
@@ -66,7 +67,7 @@ class NVarReport(Record):
 
 
 class ScanRecord(Record):
-    """One pair-scan row; field set matches the CSV schema exactly."""
+    """One pair-scan row; its fields, in order, are the scan schema."""
 
     a: int
     b: int
@@ -77,6 +78,9 @@ class ScanRecord(Record):
     solvable_i0: bool
     solvable_i1: bool
     exactly_one: bool
+
+
+SCAN_CSV_HEADER = ScanRecord._fields
 
 
 def _count(coins: tuple[int, ...], t: int) -> int:
@@ -167,16 +171,14 @@ def scan_shard(a: int, r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -
     return [rs_solve(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
 
 
-def iter_scan(
-    r: int, s: int, x_max: int, start: int = 1, cap: int = DEFAULT_RHS_CAP
-) -> Iterator[tuple[int, list[ScanRecord]]]:
-    """(shard id, records) for the shards start..x_max, in shard order.
+def iter_scan(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Iterator[tuple[int, list[ScanRecord]]]:
+    """(shard id, records) for the shards 1..x_max, in shard order.
 
     Arguments are checked here, before anything is yielded.
     """
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
-    return ((a, scan_shard(a, r, s, x_max, cap)) for a in range(start, x_max + 1))
+    return ((a, scan_shard(a, r, s, x_max, cap)) for a in range(1, x_max + 1))
 
 
 def beiter_density(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Fraction:
@@ -196,37 +198,26 @@ def density_curve(r: int, s: int, x_values, cap: int = DEFAULT_RHS_CAP) -> list[
 # ---------------- Serialization ----------------
 
 
-def record_to_csv_row(rec: ScanRecord) -> tuple[str, ...]:
-    return tuple(["" if v is None else str(int(v)) for v in vars(rec).values()])
-
-
-def record_to_json(rec: ScanRecord) -> dict:
-    return {key: v if v is None or isinstance(v, bool) else str(v) for key, v in vars(rec).items()}
-
-
-# json.dumps(record_to_json(rec)) for the ScanRecord fields in order; rhs is
-# pre-rendered as null or a quoted int, each bool as _JSON_BOOL[value]
-_JSONL_LINE = (
-    '{"a": "%d", "b": "%d", "r": "%d", "s": "%d", "rhs": %s, "integral": %s, '
-    '"solvable_i0": %s, "solvable_i1": %s, "exactly_one": %s}\n'
-)
-_JSON_BOOL = ("false", "true")
+# per file format: the line template over ScanRecord's fields, rhs when None,
+# rhs when an int, and the words for (False, True)
+_SCAN_LINES = {
+    "csv": ("%d,%d,%d,%d,%s,%s,%s,%s,%s\n", "", "%d", ("0", "1")),
+    "jsonl": ('{"a": "%d", "b": "%d", "r": "%d", "s": "%d", "rhs": %s, "integral": %s, '
+              '"solvable_i0": %s, "solvable_i1": %s, "exactly_one": %s}\n', "null", '"%d"', ("false", "true")),
+}
 
 
 def _shard_bytes(shard_id: int, records: list[ScanRecord], fmt: str) -> bytes:
     # the bytes one shard adds to a scan file; the CSV header opens shard 1
-    if fmt == "csv":
-        lines = [",".join(record_to_csv_row(rec)) + "\n" for rec in records]
-        if shard_id == 1:
-            lines.insert(0, ",".join(SCAN_CSV_HEADER) + "\n")
-    else:
-        t = _JSON_BOOL
-        lines = [
-            _JSONL_LINE % (rec.a, rec.b, rec.r, rec.s, "null" if rec.rhs is None else f'"{rec.rhs}"',
-                           t[rec.integral], t[rec.solvable_i0], t[rec.solvable_i1], t[rec.exactly_one])
-            for rec in records
-        ]
-    return "".join(lines).encode()
+    line, null, num, word = _SCAN_LINES[fmt]
+    text = "".join([
+        line % (rec.a, rec.b, rec.r, rec.s, null if rec.rhs is None else num % rec.rhs,
+                word[rec.integral], word[rec.solvable_i0], word[rec.solvable_i1], word[rec.exactly_one])
+        for rec in records
+    ])
+    if fmt == "csv" and shard_id == 1:
+        text = ",".join(SCAN_CSV_HEADER) + "\n" + text
+    return text.encode()
 
 
 # ---------------- Resumable scans ----------------
@@ -269,7 +260,7 @@ def run_scan(
         if not text.isdigit():  # bytes: ASCII digits only, so no sign
             raise DomainError(f"checkpoint {ckpt_path} does not hold a shard id")
         done = min(int(text), x_max)
-    shards = iter_scan(r, s, x_max, 1, cap)  # a bad x_max raises before the file is opened
+    shards = iter_scan(r, s, x_max, cap)  # a bad x_max raises before the file is opened
     pairs = hits = 0
     ckpt = None
     try:
@@ -299,6 +290,5 @@ def run_scan(
         "x_max": x_max,
         "pairs": pairs,
         "exactly_one": hits,
-        "last_shard": x_max,
         "metadata": dict(SCAN_METADATA),
     }

@@ -398,6 +398,17 @@ def test_beiter_scan_bad_xmax_is_a_domain_error_with_and_without_out(capsys, tmp
     assert not (tmp_path / "scan.csv.checkpoint").exists()
 
 
+@pytest.mark.parametrize("r, s, xmax", [(1, 1, 12), (2, 0, 14), (3, 2, 9), (0, 0, 7)])
+def test_beiter_scan_csv_stdout_is_the_out_files_bytes(capsys, tmp_path, r, s, xmax):
+    # stdout goes through _emit, the file through the explorer's template: one encoding
+    argv = ("beiter-scan", "--r", str(r), "--s", str(s), "--xmax", str(xmax), "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "scan.csv"
+    assert run(capsys, *argv, "--out", str(target))[0] == 0
+    assert out.encode() == target.read_bytes()
+
+
 def test_beiter_scan_jobs_is_accepted_and_ignored(capsys, tmp_path):
     argv = ("beiter-scan", "--xmax", "12", "--format", "csv")
     tables = []

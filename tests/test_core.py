@@ -313,7 +313,7 @@ def test_records_construct_by_position_keyword_and_default():
 
 
 def test_vars_lists_fields_in_declaration_order():
-    # record_to_csv_row and record_to_json read vars() in this order
+    # the scan file templates and cli._emit read vars() in this order
     assert list(vars(SplitInstance(b=4, a=6))) == ["a", "b", "g", "a_red", "b_red", "rhs"]
     assert list(vars(PeriodReport(verified_repeats=4, certified=True, ones=2, zeros=1, period=3, preperiod=0))) == [
         "preperiod", "period", "zeros", "ones", "certified", "verified_repeats"

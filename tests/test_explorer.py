@@ -21,13 +21,8 @@ from splitgamma import (
     scan_shard,
 )
 from splitgamma import explorer
-from splitgamma.explorer import (
-    SCAN_CSV_HEADER,
-    SCAN_METADATA,
-    iter_scan,
-    record_to_csv_row,
-    record_to_json,
-)
+from splitgamma.cli import _csv_cell, _json_value
+from splitgamma.explorer import SCAN_CSV_HEADER, SCAN_METADATA, ScanRecord, iter_scan
 
 
 def saturated_counts(coeffs, rhs, n_eq):
@@ -302,26 +297,35 @@ def _jsonl_fields(text):
             for line in text.splitlines()]
 
 
-def test_record_round_trips():
-    samples = [rs_solve(8, 13), rs_solve(4, 7, 1, 2), rs_solve(3, 5, 5, 1)]
-    for rec in samples:
-        row = record_to_csv_row(rec)
-        assert len(row) == len(SCAN_CSV_HEADER)
-        text = ",".join(SCAN_CSV_HEADER) + "\n" + ",".join(row) + "\n"
-        assert _csv_fields(text) == [_fields(rec)]
-        assert _jsonl_fields(json.dumps(record_to_json(rec))) == [_fields(rec)]
+def _cli_lines(records, fmt):
+    # the CLI's own rule for a record: the oracle the file templates must match
+    if fmt == "jsonl":
+        return "".join(json.dumps(_json_value(vars(rec))) + "\n" for rec in records)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(map(_csv_cell, vars(rec).values()) for rec in records)
+    return buf.getvalue()
 
 
-def test_jsonl_template_matches_json_dumps():
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_scan_templates_match_the_cli_rule_and_round_trip(fmt):
+    assert SCAN_CSV_HEADER == ScanRecord._fields
+    header = ",".join(SCAN_CSV_HEADER) + "\n"
     seen = set()
-    for r, s in itertools.product((1, 2, 3), repeat=2):
+    for r, s in itertools.product(range(4), repeat=2):
         for shard_id, records in iter_scan(r, s, 30):
-            want = "".join(json.dumps(record_to_json(rec)) + "\n" for rec in records)
-            assert explorer._shard_bytes(shard_id, records, "jsonl") == want.encode()
+            got = explorer._shard_bytes(shard_id, records, fmt).decode()
+            assert got.startswith(header) == (fmt == "csv" and shard_id == 1)
+            body = got.removeprefix(header)
+            assert body == _cli_lines(records, fmt), (r, s, shard_id)
+            back = _csv_fields(header + body) if fmt == "csv" else _jsonl_fields(body)
+            assert back == [_fields(rec) for rec in records]
             seen.update((key, v) for rec in records for key, v in vars(rec).items()
                         if v is None or isinstance(v, bool))
-    # the scans hold rhs = None and both values of every bool
-    assert seen == {("rhs", None)} | {(key, v) for key in SCAN_CSV_HEADER[5:] for v in (False, True)}
+            seen.update(("rhs", "negative") for rec in records if rec.rhs is not None and rec.rhs < 0)
+    # the scans hold rhs = None, a negative rhs and both values of every bool
+    assert seen == {("rhs", None), ("rhs", "negative")} | {
+        (key, v) for key in SCAN_CSV_HEADER[5:] for v in (False, True)
+    }
 
 
 def test_run_scan_all_formats_and_summary(tmp_path):
@@ -505,7 +509,6 @@ def test_run_scan_resume_cuts_bytes_past_the_last_checkpointed_shard(tmp_path):
 
 def test_iter_scan_matches_shards_and_checks_before_yielding():
     assert list(iter_scan(2, 0, 6)) == [(a, scan_shard(a, 2, 0, 6)) for a in range(1, 7)]
-    assert list(iter_scan(2, 0, 6, start=5)) == [(a, scan_shard(a, 2, 0, 6)) for a in (5, 6)]
     # raised by the call itself, so a caller can validate before it opens anything
     with pytest.raises(DomainError):
         iter_scan(1, 1, 0)
