@@ -23,7 +23,6 @@ import sys
 from itertools import product
 
 from .core import (
-    DEFAULT_RHS_CAP,
     DomainError,
     InconclusiveError,
     InvariantViolation,
@@ -337,8 +336,10 @@ def _cmd_beiter_scan(args) -> int:
         pairs, hits, table = summary["pairs"], summary["exactly_one"], None
         json_only = {"out": args.out, "metadata": summary["metadata"]}
     else:
-        records = [vars(rec) for _, shard in iter_scan(args.r, args.s, args.xmax, args.cap) for rec in shard]
-        pairs, hits = len(records), sum(rec["exactly_one"] for rec in records)
+        records, pairs, hits = [], 0, 0
+        for _, shard in iter_scan(args.r, args.s, args.xmax, args.cap):
+            pairs, hits = pairs + len(shard), hits + sum(rec.exactly_one for rec in shard)
+            records += map(vars, shard) if args.format != "text" else ()  # text prints the summary only
         table = (SCAN_CSV_HEADER, (rec.values() for rec in records))
         json_only = {"metadata": dict(SCAN_METADATA), "records": records}
     g = math.gcd(hits, pairs)  # pairs >= 1: (1, 1) is always scanned
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the scan runs in one process")
 
     for name in ("nvar", "rs", "beiter-scan"):
-        sub.choices[name].add_argument("--cap", type=int, default=DEFAULT_RHS_CAP)
+        sub.choices[name].add_argument("--cap", type=int, default=math.inf)
     return parser
 
 

@@ -256,8 +256,6 @@ class BruteForceReport(Record):
 
 
 DEFAULT_BRUTE_CAP = 10_000_000
-# largest right-hand side the n-variable counts and the shifted two-coin questions accept by default
-DEFAULT_RHS_CAP = 1_000_000
 
 
 def brute_force_split(a: int, b: int, max_iterations: int = DEFAULT_BRUTE_CAP) -> BruteForceReport:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .core import DEFAULT_RHS_CAP, DomainError, Record, ResourceLimitError, _witness, mod_inverse
+from .core import DomainError, Record, ResourceLimitError, _witness, mod_inverse
 
 SCAN_METADATA = {
     "pair_order": "ordered pairs (a, b), both orientations counted",
@@ -81,17 +81,20 @@ class ScanRecord(Record):
 
 
 SCAN_CSV_HEADER = ScanRecord._fields
+COUNT_SPARE = 1000  # _count calls an equation may spend past the m - 1 that nvar_classify's bound proves
 
 
-def _count(coins: tuple[int, ...], t: int) -> int:
+def _count(coins: tuple[int, ...], t: int, budget: Iterator | None = None) -> int:
     """Representations of t by the sorted coins, saturated at 2.
 
-    Two coins are Popoviciu's count (Beck & Robins, Thm 1.5): from the
-    least-x witness (x, y) the others are (x + kb, y - ka), so t has
-    y // a + 1 of them.  More coins sum over the multiples k of the largest,
-    taking only k = t * c^-1 (mod h), h the gcd of the rest, since any other
-    k leaves a remainder the rest cannot pay.
+    Two coins are Popoviciu's count (Beck & Robins, Thm 1.5): from the least-x
+    witness (x, y) the others are (x + kb, y - ka), so t has y // a + 1 of
+    them.  More coins sum over the multiples k of the largest, taking only
+    k = t * c^-1 (mod h), h the gcd of the rest, since any other k leaves a
+    remainder the rest cannot pay.  Each call takes one item of budget, if any.
     """
+    if budget is not None and next(budget, None) is None:
+        raise ResourceLimitError("an n-variable count ran past its call budget")
     if t < 0:
         return 0
     g = math.gcd(*coins)
@@ -111,21 +114,20 @@ def _count(coins: tuple[int, ...], t: int) -> int:
     h = math.gcd(*rest)
     total = 0
     for k in range(t * pow(c, -1, h) % h if h > 1 else 0, t // c + 1, h):
-        total += _count(rest, t - k * c)
+        total += _count(rest, t - k * c, budget)
         if total >= 2:
             return 2
     return total
 
 
-def nvar_classify(coeffs, cap: int = DEFAULT_RHS_CAP) -> NVarReport:
+def nvar_classify(coeffs, cap: float = math.inf) -> NVarReport:
     """Count solutions of every shifted equation for one coefficient tuple.
 
-    The coefficients are sorted once, each value kept at most twice, and each
-    equation is one ``_count``.  Its loop over the multiples of the largest
-    coin runs at most t/(c*h) + 1 times per level, but on these right-hand
-    sides it saturates at once: every tuple with n = 2, 3, 4 and coefficients
-    up to 60, 40, 16 took at most 7 witness calls in all.  No table is built;
-    cap still bounds rhs.
+    The coefficients are sorted once, each value kept at most twice (m coins),
+    and each equation is one ``_count``; cap, when given, bounds rhs.  With
+    c' <= c the two largest coins, a count of t >= 2c'c takes the first
+    multiple at every level: at most m - 1 calls (proof: tests/test_explorer.py).
+    Other counts may spend COUNT_SPARE calls more; one that needs more exits 4.
     """
     inst = NVarInstance.from_coeffs(coeffs)
     n = len(inst.coeffs)
@@ -136,16 +138,16 @@ def nvar_classify(coeffs, cap: int = DEFAULT_RHS_CAP) -> NVarReport:
     # a third equal coin cannot change a count saturated at 2
     ordered = sorted(inst.coeffs)
     coins = tuple(c for i, c in enumerate(ordered) if i < 2 or c != ordered[i - 2])
-    counts = tuple(_count(coins, inst.rhs - i) for i in range(n))
+    counts = tuple(_count(coins, inst.rhs - i, iter(range(len(coins) - 1 + COUNT_SPARE))) for i in range(n))
     solvable = tuple(i for i, c in enumerate(counts) if c)
     return NVarReport(inst, counts, solvable, len(solvable) == 1)
 
 
-def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: int = DEFAULT_RHS_CAP) -> ScanRecord:
-    """Solvability of i + ax + by = (a-r)(b-s)/2 for i in {0, 1}.
+def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: float = math.inf) -> ScanRecord:
+    """Solvability of i + ax + by = (a-r)(b-s)/2 for i in {0, 1}; needs gcd(a, b) = 1.
 
-    A non-integral or negative right-hand side is reported as unsolvable,
-    not an error.  Needs gcd(a, b) = 1.
+    Two O(log) witness calls at any width; cap, when given, bounds rhs.  A
+    non-integral or negative right-hand side is unsolvable, not an error.
     """
     if a < 1 or b < 1:
         raise DomainError(f"need positive a, b, got ({a}, {b})")
@@ -166,12 +168,12 @@ def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: int = DEFAULT_RHS_CAP)
 # ---------------- Aggregates ----------------
 
 
-def scan_shard(a: int, r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> list[ScanRecord]:
+def scan_shard(a: int, r: int, s: int, x_max: int, cap: float = math.inf) -> list[ScanRecord]:
     """All records with first coordinate a and coprime second coordinate <= x_max."""
     return [rs_solve(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
 
 
-def iter_scan(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Iterator[tuple[int, list[ScanRecord]]]:
+def iter_scan(r: int, s: int, x_max: int, cap: float = math.inf) -> Iterator[tuple[int, list[ScanRecord]]]:
     """(shard id, records) for the shards 1..x_max, in shard order.
 
     Arguments are checked here, before anything is yielded.
@@ -181,18 +183,17 @@ def iter_scan(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Iterato
     return ((a, scan_shard(a, r, s, x_max, cap)) for a in range(1, x_max + 1))
 
 
-def beiter_density(r: int, s: int, x_max: int, cap: int = DEFAULT_RHS_CAP) -> Fraction:
+def beiter_density(r: int, s: int, x_max: int) -> Fraction:
     """Fraction of ordered coprime pairs in [1, x_max]^2 with exactly one solvable side."""
     from fractions import Fraction
     hits = total = 0
-    for _, records in iter_scan(r, s, x_max, cap=cap):
-        total += len(records)
-        hits += sum(rec.exactly_one for rec in records)
+    for _, records in iter_scan(r, s, x_max):
+        total, hits = total + len(records), hits + sum(rec.exactly_one for rec in records)
     return Fraction(hits, total)
 
 
-def density_curve(r: int, s: int, x_values, cap: int = DEFAULT_RHS_CAP) -> list[tuple[int, Fraction]]:
-    return [(x, beiter_density(r, s, x, cap)) for x in x_values]
+def density_curve(r: int, s: int, x_values) -> list[tuple[int, Fraction]]:
+    return [(x, beiter_density(r, s, x)) for x in x_values]
 
 
 # ---------------- Serialization ----------------
@@ -231,7 +232,7 @@ def run_scan(
     fmt: str = "csv",
     resume: bool = False,
     jobs: int = 1,
-    cap: int = DEFAULT_RHS_CAP,
+    cap: float = math.inf,
 ) -> dict:
     """Stream all shards to out_path with checkpointing; returns a summary.
 

@@ -211,18 +211,22 @@ def _closed_form_bit(a, b):
 # First n of the strict alternation of gamma(n^k, (n+1)^k), k = 1..5, n <= 50.
 KTH_POWER_STARTS = {1: 1, 2: 2, 3: 6, 4: 20, 5: 35}
 # (k, n) -> (x, y): the delta = 0 solutions at the two equal bits just before
-# the k = 4 and k = 5 rows start alternating.
+# the k = 4 and k = 5 rows start alternating, and at the two past n = 50 where
+# the k = 5 row breaks again.
 KTH_POWER_BREAKS = {
     (4, 19): (2040, 63498),
     (4, 20): (94857, 1960),
     (5, 34): (25501349, 657101),
     (5, 35): (853325, 25519725),
+    (5, 69): (834310574, 5620188),
+    (5, 70): (6404412, 834384075),
 }
 
 
 def test_criterion_12a_kth_power_rows_alternate():
     """Rows gamma(n^k, (n+1)^k) alternate through n = 50 from certified starts.
 
+    The alternation is not for good: the k = 5 row is 0 at n = 69 and 70.
     Every bit is checked against Sylvester's closed form.  Rows k <= 3, and
     k = 4 through n = 21, are also checked against brute-force enumeration;
     at k = 5 that takes seconds a pair, so the late k = 5 start rests on the
@@ -247,9 +251,10 @@ def test_criterion_12a_kth_power_rows_alternate():
         s = solve_split(a, b)
         assert (s.delta, s.x, s.y) == (0, *witness), (k, n)
         assert a * s.x + b * s.y + s.delta == (a - 1) * (b - 1) // 2, f"witness fails at k={k}, n={n}"
-        assert rows[k][n - 1] == 0, (k, n)
+        assert _closed_form_bit(a, b) == 0, (k, n)
     assert observed == KTH_POWER_STARTS, observed
-    print(f"criterion 12a: PASS: k-th power rows alternate through n = 50 from the certified starts {observed}")
+    print(f"criterion 12a: PASS: k-th power rows alternate for n <= 50 from the certified starts {observed}; "
+          "k = 5 breaks again at n = 69, 70")
 
 
 def test_criterion_12b_arithmetic_rows_alternate_immediately():

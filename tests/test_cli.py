@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import pathlib
@@ -354,8 +355,11 @@ def test_resource_cap_exit_4(capsys):
     code, _, err = run(capsys, "nvar", "101", "103", "--cap", "100")
     assert code == 4
     assert "resource" in err
-    # the counts build no table, but --cap still bounds rhs (here 5.3e6 > 1e6)
-    code, _, err = run(capsys, "nvar", "211", "223", "227")
+    # rhs 5.3e6 needs no cap by default, and an explicit --cap still bounds it
+    code, out, _ = run(capsys, "nvar", "211", "223", "227")
+    assert code == 0
+    assert " counts=2,2,2 " in out
+    code, _, err = run(capsys, "nvar", "211", "223", "227", "--cap", "1000000")
     assert code == 4
     assert "rhs 5268060 exceeds cap 1000000" in err
 
@@ -407,6 +411,21 @@ def test_beiter_scan_csv_stdout_is_the_out_files_bytes(capsys, tmp_path, r, s, x
     target = tmp_path / "scan.csv"
     assert run(capsys, *argv, "--out", str(target))[0] == 0
     assert out.encode() == target.read_bytes()
+
+
+def test_text_scan_keeps_no_records():
+    # text prints the summary only; 300 shards hold 54,795 pairs, and a dict per record would take megabytes
+    importlib.import_module("splitgamma.explorer")  # so the traced run measures the scan, not the import
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(["beiter-scan", "--xmax", "300"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue() == "pairs=54795 exactly_one=54795 density=1/1\n"
+    assert peak < 2_000_000, peak
 
 
 def test_beiter_scan_jobs_is_accepted_and_ignored(capsys, tmp_path):

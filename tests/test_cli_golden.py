@@ -108,10 +108,12 @@ def _other_argvs(f):
     for coeffs in (("3", "5"), ("3", "5", "7"), ("2", "4"), ("4", "6", "8"), ("5",), ("0", "5"), ("6", "10", "15")):
         out.append(["nvar", *coeffs, *f])
     out.append(["nvar", "101", "103", "--cap", "100", *f])
+    out.append(["nvar", "211", "223", "227", *f])  # rhs 5268060: no default cap
     for a, b, r, s in (("5", "7", "3", "3"), ("5", "7", "1", "1"), ("2", "5", "1", "2"), ("2", "5", "3", "1"),
                        ("4", "6", "1", "1"), ("0", "5", "1", "1"), ("1", "1", "1", "1")):
         out.append(["rs", "--a", a, "--b", b, "--r", r, "--s", s, *f])
     out.append(["rs", "--a", "997", "--b", "991", "--cap", "100", *f])
+    out.append(["rs", "--a", "2001", "--b", "2003", "--s", "3", *f])
     for r, s, x in (("1", "1", "12"), ("3", "3", "9"), ("2", "5", "7"), ("1", "1", "1")):
         scan = ["beiter-scan", "--r", r, "--s", s, "--xmax", x, *f]
         out.append(scan)
@@ -122,6 +124,9 @@ def _other_argvs(f):
     out.append(["beiter-scan", "--xmax", "0", "--out", "scan.out", *f])
     out.append(["beiter-scan", "--xmax", "30", "--cap", "10", *f])
     out.append(["beiter-scan", "--xmax", "30", "--cap", "10", "--out", "scan.out", *f])
+    wide_shift = ["beiter-scan", "--r", "-3000", "--s", "-3000", "--xmax", "5", *f]
+    out.append(wide_shift)
+    out.append([*wide_shift, "--out", "scan.out"])
     return out
 
 

@@ -21,7 +21,7 @@ from splitgamma import (
     scan_shard,
 )
 from splitgamma import explorer
-from splitgamma.cli import _csv_cell, _json_value
+from splitgamma.cli import _csv_cell, _json_value, main
 from splitgamma.explorer import SCAN_CSV_HEADER, SCAN_METADATA, ScanRecord, iter_scan
 
 
@@ -147,6 +147,72 @@ def test_count_makes_a_bounded_number_of_calls(monkeypatch):
             most_witness = max(most_witness, len(witness) - w)
             most_counts = max(most_counts, len(counts) - c)
     assert (most_witness, most_counts) == (24, 30)
+
+
+def test_wide_tuples_stay_within_the_proven_call_bound(monkeypatch):
+    """nvar_classify makes at most n(m - 1) <= n(n - 1) _count calls when
+    rhs - n + 1 >= 2c'c, c' <= c its two largest coefficients.
+
+    Lemma.  Let d_1 <= ... <= d_M (M >= 2) be coins with gcd g, and let g
+    divide t with g*t >= 2 d_{M-1} d_M.  Then _count(d, t) returns 2 after at
+    most M - 1 calls, taking only the first multiple of the largest coin at
+    every level.
+
+    Proof, by induction on M.  Dividing by g leaves coprime coins e_j and
+    s = t/g >= 2 e_{M-1} e_M.  If e_1 = 1, s >= e_2 returns 2 at once.  If
+    M = 2, the least-x witness (x, y) has x < e_2, so e_2 y = s - e_1 x >
+    e_1 e_2, y > e_1 and y // e_1 + 1 >= 2.  If M >= 3, let h be the gcd of
+    e_1..e_{M-1}; it is prime to e_M, so the first multiple k0 < h exists, and
+    it leaves u = s - k0 e_M, which h divides.  For h = 1, k0 = 0 and
+    u = s >= 2 e_{M-2} e_{M-1}.  For h >= 2, h <= e_{M-1} gives
+    u >= s - (h - 1) e_M >= (e_{M-1} + 1) e_M, so h u >= 2 e_{M-1} e_M >=
+    2 e_{M-2} e_{M-1}.  Either way the rest of the coins, with gcd h, meet the
+    lemma with M - 1 coins: their call returns 2 after at most M - 2 calls,
+    and the loop stops at its first multiple.
+
+    The largest two of nvar_classify's m coins are c' and c, and each
+    equation asks t = rhs - i with i < n.  A t the gcd does not divide costs
+    one call; any other has t >= rhs - n + 1 >= 2c'c and costs at most m - 1.
+    The hypothesis holds when c' >= 3 and the other coefficients' (a_j - 1)
+    multiply to P >= 9 + n/2: (a - 1)/a >= 2/3 gives rhs >= (2/9) P c'c >=
+    2c'c + n c'c/9, and c'c >= 9.  Random wide tuples meet it, and some reach
+    the bound: every coefficient distinct (m = n), every level a first
+    multiple.
+    """
+    rng = random.Random(16)
+    calls = count_calls(monkeypatch, explorer, "_count")
+    most = {}
+    while len(most) < 14 or sum(map(len, most.values())) < 14 * 150:
+        n = rng.randint(3, 16)
+        coeffs = [rng.randint(2, 10 ** rng.randint(1, 30)) for _ in range(n)]
+        if rng.random() < 0.3:  # a common factor in some of them
+            f = rng.randint(2, 1000)
+            coeffs = [f * c if j < n // 2 else c for j, c in enumerate(coeffs)]
+        rhs_num = math.prod(c - 1 for c in coeffs)
+        if rhs_num % 2:
+            continue
+        done = len(calls)
+        with deadline(1):
+            nvar_classify(coeffs)
+        *_, c1, c2 = sorted(coeffs)
+        if rhs_num // 2 - n + 1 >= 2 * c1 * c2:  # the hypothesis; a few n = 3 tuples with a tiny coefficient miss it
+            most.setdefault(n, []).append(len(calls) - done)
+    assert {n: max(seen) for n, seen in most.items()} == {n: n * (n - 1) for n in range(3, 17)}
+
+
+def test_a_count_past_its_call_budget_exits_4(monkeypatch, capsys):
+    # (3, 4, 4) misses the bound's hypothesis (rhs = 9 < 2*4*4); its count of
+    # rhs takes 4 calls, two past the chain of m - 1 = 2
+    monkeypatch.setattr(explorer, "COUNT_SPARE", 2)
+    assert nvar_classify((3, 4, 4)).counts == (1, 2, 2)
+    monkeypatch.setattr(explorer, "COUNT_SPARE", 1)
+    with pytest.raises(ResourceLimitError, match="call budget"):
+        nvar_classify((3, 4, 4))
+    assert main(["nvar", "3", "4", "4"]) == 4
+    assert capsys.readouterr().err == "resource cap: an n-variable count ran past its call budget\n"
+    # with no spare calls, a tuple that meets the hypothesis still answers
+    monkeypatch.setattr(explorer, "COUNT_SPARE", 0)
+    assert nvar_classify((211, 223, 227)).counts == (2, 2, 2)
 
 
 def test_nvar_counts_large_instances_without_a_table():

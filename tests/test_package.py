@@ -62,10 +62,9 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_moved_names_are_one_object():
-    from splitgamma import core, explorer, periodicity
+    from splitgamma import core, periodicity
 
     assert periodicity.InconclusiveError is core.InconclusiveError
-    assert explorer.DEFAULT_RHS_CAP is core.DEFAULT_RHS_CAP
 
 
 # ---------------- start-up budget ----------------

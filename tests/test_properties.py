@@ -2,10 +2,12 @@
 pairs up to hundreds of digits, with and without a common factor, and with
 each reduced shape the split witness treats apart: b' even (the roles of a'
 and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
-inverse on the same pairs; n-variable counts against the coin DP; power
-recurrence residues at starts up to 10**30 against the step-by-step walk,
-through Lucas rows and orbit jumps; and scans resumed after a crash at any
-byte of the shard past the checkpoint against the fresh scan."""
+inverse on the same pairs; rs_solve against the closed form on the same
+shapes made coprime, with shifts r, s in -5..5; n-variable counts against
+the coin DP; power recurrence residues at starts up to 10**30 against the
+step-by-step walk, through Lucas rows and orbit jumps; and scans resumed
+after a crash at any byte of the shard past the checkpoint against the fresh
+scan."""
 
 import math
 import tempfile
@@ -16,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from splitgamma import PowerRecurrence, ResourceLimitError, gamma, nvar_classify, run_scan, solve_split
+from splitgamma import PowerRecurrence, ResourceLimitError, gamma, nvar_classify, rs_solve, run_scan, solve_split
 from splitgamma import sequences
 from splitgamma.sequences import residues
 
@@ -58,6 +60,22 @@ def test_witness_and_delta_agree_with_sylvester(pair):
 @given(pairs)
 def test_gamma_is_the_parity_of_the_inverse_on_wide_pairs(pair):
     assert gamma(*pair) == inverse_parity_gamma(*pair)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes, st.integers(-5, 5), st.integers(-5, 5))
+def test_shifted_sides_agree_with_sylvester_on_wide_pairs(shape, r, s):
+    g = math.gcd(*shape)
+    a, b = shape[0] // g, shape[1] // g
+    rec = rs_solve(a, b, r, s)
+    num = (a - r) * (b - s)
+    assert rec.integral == (num % 2 == 0)
+    if rec.integral:
+        assert rec.rhs == num // 2
+        assert rec.solvable_i0 == oracle_representable(num // 2, a, b)
+        assert rec.solvable_i1 == oracle_representable(num // 2 - 1, a, b)
+    else:
+        assert not rec.solvable_i0 and not rec.solvable_i1
 
 
 powrecs = st.integers(min_value=1, max_value=3).flatmap(
