@@ -9,11 +9,14 @@ R = (a' - 1)(b' - 1)/2.  Exactly one of
 is solvable in nonnegative integers x, y, and the solution is unique: R and
 R - 1 sum to the Frobenius number a'b' - a' - b', so by Sylvester's symmetry
 exactly one of them is a sum of a's and b's.  ``gamma`` and ``solve_split``
-both read the pair off ``_split``, which needs one modular inverse per pair and
-no product with it: with b' odd (swap the roles of a' and b' if not),
-2R = 1 - a' (mod b'), and gamma is 0 exactly when a'^-1 mod b' is odd (or
-b' = 1).  Then R's least witness x = R / a' mod b' is (a'^-1 - 1) / 2, a
-halving; otherwise R - 1's is (b' - 1 - a'^-1) / 2.  y is one exact division.
+both read the pair off ``_split``, which needs one modular inverse per pair:
+with b' odd (swap the roles of a' and b' if not), 2R = 1 - a' (mod b'), and
+gamma is 0 exactly when a'^-1 mod b' is odd (or b' = 1).  Then R's least
+witness x = R / a' mod b' is (a'^-1 - 1) / 2, a halving; otherwise R - 1's is
+(b' - 1 - a'^-1) / 2.  The inverse taken is that of 2a', doubled back:
+consecutive Fibonacci-type terms are Euclid's worst case (Lame), every
+partial quotient 1, and 2a' moves them near 4, a third of the division
+steps.  y is one exact division, and one product checks the witness.
 ``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
 shifted right-hand sides of ``explorer.rs_solve``, the n-variable counts of
 ``explorer.nvar_classify`` and the test oracles.
@@ -174,13 +177,16 @@ def _split(a: int, b: int) -> tuple[int, int, int]:
     swap = not b & 1  # a' and b' are coprime, so at most one is even; halving needs b' odd
     if swap:
         a, b = b, a
-    inv = mod_inverse(a, b) if b > 1 else 1
+    # a^-1 = 2 (2a)^-1 (mod b), and Euclid on (b, 2a) is cheaper for Fibonacci-type pairs:
+    # 2F_n = F_{n-2} (mod F_{n+1}) and F_{n+1} = 4F_{n-2} + F_{n-5}, so its quotients are 4, not 1
+    inv = 2 * mod_inverse(2 * a % b, b) % b if b > 1 else 1
     # 2R = 1 - a and 2(R - 1) = -1 - a (mod b), so R's least witness is (inv - 1) / 2 and
     # R - 1's is (b - 1 - inv) / 2; with a * inv = kb + 1 the first leaves R - a x =
     # (a - 1 - k) b / 2 >= 0 when inv is odd, the second (k - 1) b / 2 >= 0 when it is even
     delta = 1 - (inv & 1)
     x = (b - 1 - inv if delta else inv - 1) >> 1
-    y, rem = divmod((a - 1) * (b - 1) // 2 - delta - a * x, b)
+    # (a - 1)(b - 1) - 2ax = a(b - 1 - 2x) - b + 1, so one product checks the witness
+    y, rem = divmod((a * (b - 1 - 2 * x) - b + 1) // 2 - delta, b)
     if rem or y < 0:
         pair = (b, a) if swap else (a, b)
         raise InvariantViolation(f"no witness for R - {delta} of {pair}")

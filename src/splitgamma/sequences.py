@@ -503,6 +503,12 @@ def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fra
     is exact and may be negative or half-integral, which callers validate.
     """
     from fractions import Fraction
+    phi2, psi2 = _phi_psi_doubled(u, v, n, r, variant)
+    return Fraction(phi2, 2), Fraction(psi2, 2)
+
+
+def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int, int]:
+    # (2 phi, 2 psi): phi_psi's numerators, integers, so callers that only test them need no Fraction
     if variant not in (0, 1):
         raise DomainError(f"variant must be 0 or 1, got {variant}")
     if u == 0:
@@ -518,9 +524,7 @@ def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fra
         raise DomainError(f"(v*r {'-' if s > 0 else '+'} 1)/u is not an integer for u={u}, v={v}, r={r}")
     f2, f1 = fib_pair(n - 2)  # (F_{n-2}, F_{n-1})
     f0 = f2 + f1  # F_n
-    phi = Fraction((u - r) * f1 + (num_phi // u) * f0 - 1, 2)
-    psi = Fraction(r * f2 + (num_psi // u) * f1 - 1, 2)
-    return phi, psi
+    return (u - r) * f1 + (num_phi // u) * f0 - 1, r * f2 + (num_psi // u) * f1 - 1
 
 
 def fiblike_pair(u: int, v: int, n: int) -> tuple[int, int]:
@@ -542,10 +546,11 @@ def closed_form_mod6_4(u: int, v: int, n: int) -> SplitSolution:
         raise DomainError(f"need n = 4 mod 6 and n >= 4, got {n}")
     sel = oddr(u, v)
     variant = 1 if sel.sign > 0 else 0
-    phi, psi = phi_psi(u, v, n, sel.r, variant)
-    if phi.denominator != 1 or psi.denominator != 1:
+    phi2, psi2 = _phi_psi_doubled(u, v, n, sel.r, variant)
+    if phi2 & 1 or psi2 & 1:
+        phi, psi = phi_psi(u, v, n, sel.r, variant)
         raise InvariantViolation(f"half-integral witness for ({u}, {v}, {n}): {phi}, {psi}")
-    x, y = int(phi), int(psi)
+    x, y = phi2 >> 1, psi2 >> 1
     if x < 0 or y < 0:
         raise InvariantViolation(f"negative witness for ({u}, {v}, {n}): ({x}, {y})")
     tn, tn1 = fiblike_pair(u, v, n)

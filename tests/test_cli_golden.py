@@ -3,10 +3,17 @@
 Each argv below runs ``cli.main`` in-process, in a fresh temporary working
 directory; its exit code, the sha256 of its stdout and, when the run leaves
 files behind (``beiter-scan --out``), the sha256 of each file must match the
-values recorded in ``golden_cli.json``.  To record the file afresh, run this
-module as a script from the repository root:
+values recorded in ``golden_cli.json``.
+
+Run as a script from the repository root, the module checks the record
+without pytest, so any interpreter can replay the contract; it exits 1 and
+lists the first mismatches when an argv's run differs or is not recorded:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+``--record`` writes the file afresh instead, overwriting every entry:
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py --record
 """
 
 import contextlib
@@ -15,6 +22,7 @@ import io
 import json
 import os
 import pathlib
+import sys
 import tempfile
 
 from splitgamma.cli import build_parser, main
@@ -173,7 +181,28 @@ def test_golden_record_covers_every_command_in_every_format():
         assert {a[0] for a in argvs if fmt in a} == set(sub.choices), fmt
 
 
+def _main(args):
+    argvs = {" ".join(a): a for a in golden_argvs()}
+    if args == ["--record"]:
+        record = {key: run_argv(a) for key, a in argvs.items()}
+        lines = [f"{json.dumps(key)}: {json.dumps(record[key])}" for key in sorted(record)]
+        GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        return 0
+    if args:
+        print("usage: test_cli_golden.py [--record]", file=sys.stderr)
+        return 2
+    golden = json.loads(GOLDEN.read_text())
+    bad = [f"not in the argv list: {key}" for key in sorted(golden.keys() - argvs.keys())]
+    for key, argv in argvs.items():
+        if key not in golden:
+            bad.append(f"not recorded: {key}")
+        elif run_argv(argv) != golden[key]:
+            bad.append(f"differs: {key}")
+    for line in bad[:10]:
+        print(line)
+    print(f"{len(argvs)} golden argvs, {len(bad)} mismatched")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
-    record = {" ".join(a): run_argv(a) for a in golden_argvs()}
-    lines = [f"{json.dumps(key)}: {json.dumps(record[key])}" for key in sorted(record)]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    sys.exit(_main(sys.argv[1:]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,6 +28,10 @@ from splitgamma.sequences import (
     KthPower,
     LucasBalancing,
     PowerRecurrence,
+    fib,
+    iter_terms,
+    parse_spec,
+    term,
 )
 
 from conftest import coprime_pairs, inverse_parity_gamma, oracle_representable, oracle_solutions, oracle_split
@@ -140,11 +145,53 @@ def test_gamma_is_the_parity_of_the_inverse():
             assert gamma(a, b) == inverse_parity_gamma(a, b), (a, b)
 
 
+# consecutive terms with every partial quotient 1 or near it: Euclid's worst case for a'^-1
+WORST_CASE_SPECS = (
+    "fib",
+    "fiblike:1,3",  # Lucas
+    "fiblike:7,3",
+    "powrec:c=2,1;t=1,1;init=1,2",  # Pell
+    "bal",
+    "lucasbal",
+    "fib^2",
+    "fib^3",
+)
+
+
+def _index_ladder(spec, max_bits=3100):
+    # indices whose terms run from about 10 bits up to max_bits, about 1.4x wider each rung
+    n = 2
+    while term(spec, n).bit_length() < 10:
+        n += 1
+    while term(spec, n).bit_length() <= max_bits:
+        yield n
+        n = max(n + 1, n * 7 // 5)
+
+
 def test_halved_inverse_witness_matches_multiply_mod_route():
     # every pair up to 150, common factors, even a', even b', a' = 1 and b' = 1 among them
     for a in range(1, 151):
         for b in range(1, 151):
             assert _split(a, b) == oracle_split(a, b), (a, b)
+    # the worst-case families from 10 to about 3,000 bits, both orders, three index residues each
+    for text in WORST_CASE_SPECS:
+        spec = parse_spec(text)
+        for n in _index_ladder(spec):
+            for a, b in itertools.pairwise(iter_terms(spec, n, 4)):
+                assert _split(a, b) == oracle_split(a, b), (text, n)
+                assert _split(b, a) == oracle_split(b, a), (text, n)
+    for n in (15, 16, 17, 100, 101, 1000, 1001, 4400, 4401):
+        a, b = fib(n), fib(n + 2)
+        assert _split(a, b) == oracle_split(a, b), n
+
+
+def test_doubling_moves_fibonacci_pairs_off_unit_quotients():
+    # 2F_n = F_{n-2} (mod F_{n+1}) and F_{n+1} = 4F_{n-2} + F_{n-5}: the identities behind _split's 2a'
+    f = [fib(i) for i in range(5002)]
+    for n in range(2, 5001):
+        assert 2 * f[n] % f[n + 1] == f[n - 2] % f[n + 1], n
+        if n >= 5:
+            assert f[n + 1] == 4 * f[n - 2] + f[n - 5], n
 
 
 def test_split_raises_when_neither_rhs_lifts(monkeypatch):

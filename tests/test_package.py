@@ -110,6 +110,7 @@ def test_kernel_commands_load_only_cli_and_core(preloaded, argv):
         ["rs", "--a", "7", "--b", "10"],
         ["nvar", "3", "5", "7"],
         ["beiter-scan", "--xmax", "5", "--out", "{tmp}/scan.csv"],
+        ["verify", "--family", "mod6-4", "--range", "1:3"],
     ],
 )
 def test_text_commands_load_no_number_or_format_modules(preloaded, argv, tmp_path):
