@@ -5,11 +5,10 @@ periodic whenever the residues a_n mod 2k are, because adding a multiple of
 2k to the second argument never changes gamma.  So for every family with a
 residue engine in ``sequences`` the exact row period is read off one cycle of
 residues and certified: ``state_period_mod`` finds the residue preperiod mu
-and period lam by Brent's cycle finding (``sequences._orbit``: two states
-held, O(mu + lam) steps per prime factor of lam, exit 4 past
-``sequences.ORBIT_MAX``), and ``row_period`` classifies the mu + lam terms
-of that cycle once.  ``pisano`` needs no walk at all: Wall's divisor test costs
-O(log m) Fibonacci doublings per candidate.  Explicit lists, power
+and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for linear
+families with c_2 a unit mod m (``pisano`` is the Fibonacci case), else by
+Brent's cycle finding (``sequences._orbit``).  ``row_period`` classifies the
+mu + lam terms of that cycle once.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
 period on a finite window (``detect_period``, O(window^2)) and certify it
 against the residue period where there is one.
@@ -20,10 +19,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .core import DomainError, InconclusiveError, InvariantViolation, Record
+from . import sequences
+from .core import DomainError, InconclusiveError, InvariantViolation, Record, ResourceLimitError
 from .core import gamma, gcd, solve_split
-from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, _orbit, fib_pair
-from .sequences import iter_terms, residue_engine, residues
+from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, _linear, _linear_pair
+from .sequences import _orbit, iter_terms, residue_engine, residues
 
 
 class BitRow(Record):
@@ -102,21 +102,16 @@ def detect_period(bits: Sequence[int], min_repeats: int = 3) -> PeriodReport | N
     n = len(bits)
     best: tuple[int, int] | None = None
     for period in range(1, n // min_repeats + 1):
-        if bits[period:] == bits[:-period]:
-            s = 0
-        else:
-            s = 0
+        s = 0
+        if bits[period:] != bits[:-period]:
             for i in range(n - period - 1, -1, -1):
                 if bits[i] != bits[i + period]:
                     s = i + 1
                     break
-        if n - s >= min_repeats * period:
-            if s == 0:
-                # nothing can beat a zero preperiod at the smallest period so far
-                best = (s, period)
+        if n - s >= min_repeats * period and (best is None or (s, period) < best):
+            best = (s, period)
+            if s == 0:  # nothing can beat a zero preperiod at the smallest period so far
                 break
-            if best is None or (s, period) < best:
-                best = (s, period)
     if best is None:
         return None
     s, period = best
@@ -128,14 +123,15 @@ def detect_period(bits: Sequence[int], min_repeats: int = 3) -> PeriodReport | N
 # ---------------- Residue-state periods ----------------
 
 
-def _least_period(n: int, is_period: Callable[[int], bool]) -> int:
+def _least_period(n: int, factors: list[tuple[int, int]], is_period: Callable[[int], bool]) -> int:
     """Least d dividing n with is_period(d), given that is_period(n) holds.
 
     Valid when the d | n passing the test are exactly the multiples of the
-    answer (rotations fixing a cyclic word, multiples of a Pisano period):
-    each prime factor is divided out while the quotient still passes.
+    answer (rotations fixing a cyclic word, multiples of a state period):
+    each p of a pair (p, e) in factors, which cover n's primes, is divided
+    out while the quotient still passes.
     """
-    for r, _ in _factorize(n):
+    for r, _ in factors:
         while n % r == 0 and is_period(n // r):
             n //= r
     return n
@@ -152,42 +148,53 @@ def _shift_agrees(engine, start: int, shift: int, count: int) -> bool:
     return True
 
 
+def _unit_period(lin: tuple[int, ...], m: int) -> int:
+    """Period of the states (a_n, a_{n+1}) mod m of a _linear family with c_2 a unit mod m.
+
+    The states have no tail.  An invertible 2 x 2 matrix mod p has order
+    dividing p - 1, p^2 - 1 or p(p - 1), times p^(e-1) mod p^e (Wall 1960;
+    Renault, Math. Mag. 86, 2013), so the period mod p^e || m is the least
+    divisor of p^e (p^2 - 1) taking state 1 to itself, one O(log m) doubling
+    a candidate, and lam is the lcm of these.
+    """
+    lam = 1
+    for p, e in _factorize(m):
+        q, first = p**e, _linear_pair(lin, 1, p**e)
+        factors = [(p, e)] + _factorize(p - 1) + _factorize(p + 1)
+        lam = math.lcm(lam, _least_period(q * (p * p - 1), factors, lambda n: _linear_pair(lin, 1 + n, q) == first))
+    return lam
+
+
 def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     """Exact preperiod and period of the residue sequence (a_n mod m).
 
-    Brent's cycle finding (sequences._orbit) gives the period lam and
-    preperiod mu of the recurrence state while holding two states; the output
-    residues then get their least period among the divisors of lam by walking
-    two engine cursors, so memory stays O(1) in the orbit length.  Time is
-    O(mu + lam) steps times the number of prime factors of lam, and
-    sequences.ORBIT_MAX bounds the walk.  The output preperiod is mu: every
-    engine state is either its last outputs (power 1 linear families, power
-    recurrences) or on a pure cycle (fib^I, n^K).
+    _linear families with c_2 a unit mod m have mu = 0 and lam from
+    _unit_period; the rest, and m past trial division, take Brent's cycle
+    finding (sequences._orbit, O(mu + lam) steps, two states).  Both refuse
+    the same lam, past sequences.ORBIT_MAX.  At power 1 the output period is
+    lam; fib^I and n^K take the least divisor of lam two cursors agree on.
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
     engine = residue_engine(spec, m)
-    mu, lam = _orbit(engine[0], engine[1], m)
-    return StatePeriod(mu, _least_period(lam, lambda d: _shift_agrees(engine, 1 + mu, d, lam - d)))
+    lin = _linear(spec)
+    try:
+        lam = _unit_period(lin, m) if lin and math.gcd(lin[3], m) == 1 else None
+    except ResourceLimitError:  # m needs a trial divisor past sequences.FACTOR_TRIAL_MAX
+        lam = None
+    mu, lam = _orbit(engine[0], engine[1], m) if lam is None else (0, lam)
+    if lam > 1 << sequences.ORBIT_MAX.bit_length():  # past the window where _orbit stops
+        raise ResourceLimitError(f"the residue orbit mod {m} is longer than {sequences.ORBIT_MAX} states")
+    if lin and lin[4] > 1:
+        lam = _least_period(lam, _factorize(lam), lambda d: _shift_agrees(engine, 1 + mu, d, lam - d))
+    return StatePeriod(mu, lam)
 
 
 def pisano(m: int) -> int:
-    """Period of the Fibonacci numbers modulo m, from the factorization of m.
-
-    Wall (Amer. Math. Monthly 1960): pi(m) = lcm of pi(p^e) over p^e || m,
-    and pi(p^e) divides p^(e-1) * c with c = 3 (p = 2), 20 (p = 5), p - 1
-    (p = +-1 mod 5) or 2(p + 1) (p = +-2 mod 5).  n is a multiple of pi(q)
-    exactly when (F_n, F_{n+1}) = (0, 1) mod q, an O(log n) doubling, so the
-    least such divisor is found without walking the orbit.
-    """
+    """Period of the Fibonacci numbers modulo m: _unit_period, c_2 = 1 being a unit mod every m."""
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    period = 1
-    for p, e in _factorize(m):
-        q = p**e
-        c = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-        period = math.lcm(period, _least_period(p ** (e - 1) * c, lambda n: fib_pair(n, q) == (0, 1 % q)))
-    return period
+    return _unit_period(_linear(FibonacciPower()), m)
 
 
 # ---------------- Row periods with certification ----------------
@@ -213,7 +220,7 @@ def _row_period(
         mu, lam = sp.preperiod, sp.period
         bits = _row_bits(k, spec, 1, mu + lam)
         cycle = memoryview(bits)[mu:]  # views: a period test copies no bits
-        period = _least_period(lam, lambda d: cycle[d:] == cycle[:-d])
+        period = _least_period(lam, _factorize(lam), lambda d: cycle[d:] == cycle[:-d])
         pre = mu
         while pre and bits[pre - 1] == bits[pre - 1 + period]:
             pre -= 1
@@ -292,11 +299,7 @@ def fibonacci_period_table(kmax: int) -> list[tuple[int, int, int]]:
     """Rows (k, row period against Fibonacci, Fibonacci period mod 2k)."""
     if kmax < 1:
         raise DomainError(f"need kmax >= 1, got {kmax}")
-    rows = []
-    for k in range(1, kmax + 1):
-        rep = row_period(k, FibonacciPower(1))
-        rows.append((k, rep.period, pisano(2 * k)))
-    return rows
+    return [(k, row_period(k, FibonacciPower(1)).period, pisano(2 * k)) for k in range(1, kmax + 1)]
 
 
 def first_alternation_index(bits: Sequence[int]) -> int:

@@ -35,11 +35,11 @@ from .core import (
 
 FACTPOW_FULL_TERM_MAX = 6
 MAX_TERM_BITS = 1_000_000
-# Brent's walk (_orbit) finds every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX
-# in at most about 4 * ORBIT_MAX steps and refuses longer ones (exit 4); a step costs
-# ~0.2 us for the _linear families and ~2-2.5 us for other power recurrences
-# (CPython 3.11, 2-core Xeon), so a refused powrec orbit takes ~10 s.  A walk from
-# n = 1 that cannot jump refuses a start past it
+# Brent's walk (_orbit) finds every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX and
+# refuses longer ones (exit 4) after ~4 * ORBIT_MAX steps, ~10 s for a powrec (~2-2.5 us
+# a step, CPython 3.11, 2-core Xeon).  Linear families with c_2 a unit mod m find lam with
+# no walk and refuse the same lam, past 1 << ORBIT_MAX.bit_length(), at once.  A walk
+# from n = 1 that cannot jump refuses a start past it
 ORBIT_MAX = 2_000_000
 # trial division stops here, so every m <= 10**12 factors, in at most ~5e5 divisions
 FACTOR_TRIAL_MAX = 1_000_000

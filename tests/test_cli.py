@@ -375,9 +375,10 @@ def test_factoring_past_the_trial_bound_exits_4_within_a_second(capsys):
 
 
 def test_period_with_an_orbit_past_the_walk_bound_exits_4(capsys):
-    # the Fibonacci residues mod 2 * 10**9 cycle after ~3e9 states; the walk
-    # stops after ~4e6 of them instead of running for an hour
-    with deadline(30.0):
+    # the Fibonacci residues mod 2 * 10**9 cycle after ~3e9 states; the
+    # companion-matrix order finds that length without walking and refuses it
+    # at once, with the message of the walk that stopped after ~4e6 states
+    with deadline(1.0):
         code, out, err = run(capsys, "period", "--k", str(10**9), "--seq", "fib")
     assert (code, out) == (4, "")
     assert err == "resource cap: the residue orbit mod 2000000000 is longer than 2000000 states\n"

@@ -216,7 +216,7 @@ def test_a_count_past_its_call_budget_exits_4(monkeypatch, capsys):
 
 
 def test_nvar_counts_large_instances_without_a_table():
-    # the coin DP oracle takes about 2 s on this triple; rhs 5.3e6 is over the default cap
+    # the coin DP oracle takes about 2 s on this triple, whose rhs is about 5.3e6
     with deadline(1):
         assert nvar_classify((211, 223, 227), cap=10**7).counts == (2, 2, 2)
     # many coefficients: the pairwise flag is one lcm, and repeats past two are dropped before counting

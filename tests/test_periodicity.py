@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -54,10 +55,13 @@ TABLE1 = [
 ]
 
 
-# every family with a residue engine whose rows are read from residues
+# every family with a residue engine whose rows are read from residues; geo:1,4
+# (c_2 = -4) and the order-1 powrec (c_2 = 0) put linear families on both sides
+# of the gcd(c_2, m) = 1 test that picks state_period_mod's route
 ENGINE_SPECS = tuple(parse_spec(t) for t in (
     "fib", "fib^2", "fib^3", "fiblike:3,5", "bal", "lucasbal", "nat", "odds", "arith:5,2", "n^3",
-    "geo:2,3", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=1,1;t=1,2;init=1,1", "powrec:c=1,2;t=2,1;init=2,1",
+    "geo:2,3", "geo:1,4", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=1,1;t=1,2;init=1,1",
+    "powrec:c=1,2;t=2,1;init=2,1", "powrec:c=3;t=1;init=2",
 ))
 
 
@@ -248,6 +252,50 @@ def test_orbit_walk_refuses_past_its_bound(monkeypatch):
             state_period_mod(FibonacciPower(1), 50)
         with pytest.raises(ResourceLimitError):
             row_period(25, FibonacciPower(1))
+
+
+def test_unit_route_refuses_exactly_the_orbits_the_walk_refuses(monkeypatch):
+    # with the bound at 100 the walk's last window holds 128 states: n mod 128
+    # answers and n mod 129 is refused, and for every m the route that needs no
+    # walk answers or refuses exactly as Brent's walk over the same states does
+    monkeypatch.setattr(sequences, "ORBIT_MAX", 100)
+    assert state_period_mod(Naturals(), 128) == StatePeriod(0, 128)
+    with pytest.raises(ResourceLimitError, match="^the residue orbit mod 129 is longer than 100 states$"):
+        state_period_mod(Naturals(), 129)
+    for spec in (FibonacciPower(1), Naturals(), Balancing(), FibonacciLike(3, 5)):
+        for m in range(1, 400):
+            state_at, step, _ = sequences.residue_engine(spec, m)
+            try:
+                want = StatePeriod(*sequences._orbit(state_at, step, m))
+            except ResourceLimitError as e:
+                with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(e))}$"):
+                    state_period_mod(spec, m)
+            else:
+                assert state_period_mod(spec, m) == want, (spec, m)
+
+
+def test_unit_linear_periods_take_no_walk(monkeypatch):
+    # Brent's walk would step ~1.5e6 states mod 10**6 and ~1e8 mod 10007 * 10009
+    # (the bound is lifted for the latter); the matrix-order route takes O(log m)
+    # doublings per candidate, and its lam is checked from the states alone
+    monkeypatch.setattr(sequences, "ORBIT_MAX", 10**12)
+    for text in ("fib", "bal", "lucasbal", "fiblike:3,5", "nat"):
+        spec = parse_spec(text)
+        for m in (10**6, 10007 * 10009):
+            with deadline(0.5):
+                sp = state_period_mod(spec, m)
+            state_at = sequences.residue_engine(spec, m)[0]
+            assert sp.preperiod == 0 and state_at(1 + sp.period) == state_at(1), (text, m)
+            assert all(state_at(1 + sp.period // r) != state_at(1) for r, _ in _factorize(sp.period)), (text, m)
+
+
+def test_unit_moduli_past_trial_division_still_walk():
+    # 2 F_83 needs a trial divisor near 3e8, so its factors are out of reach, but
+    # its orbit is short: Brent's walk answers where the matrix-order route cannot
+    m = 2 * fib(83)
+    assert state_period_mod(FibonacciPower(1), m) == StatePeriod(0, oracle_pisano(m))
+    with pytest.raises(ResourceLimitError, match="trial divisors above"):
+        pisano(m)
 
 
 def test_pisano_orbit_has_no_tail():
