@@ -244,19 +244,19 @@ def _mod6_4_ok(u: int, v: int) -> bool:
 
 
 def _verify_items(family: str, lo: int, hi: int):
-    from .sequences import fib_cube_solution, fib_identity_solution, fib_pair, fib_square_solution
+    from .sequences import FibonacciPower, fib_cube_solution, fib_identity_solution, fib_square_solution, iter_terms
     lo = max(lo, _VERIFY_DEFAULT_RANGE[family][0])
     if family == "fib":
         for n in range(lo, hi + 1):
             if n % 6 in (0, 4):
-                yield f"n={n}", fib_identity_solution(n) == solve_split(*fib_pair(n))
+                yield f"n={n}", solve_split(*iter_terms(FibonacciPower(1), n, 2)) == fib_identity_solution(n)
     elif family == "fib2":
         for n in range(lo, hi + 1):
             if n % 6 in (0, 2, 3, 5):
-                yield f"n={n}", fib_square_solution(n) == solve_split(*(f**2 for f in fib_pair(n)))
+                yield f"n={n}", solve_split(*iter_terms(FibonacciPower(2), n, 2)) == fib_square_solution(n)
     elif family == "fib3":
         for m in range(lo, hi + 1):
-            yield f"m={m}", fib_cube_solution(m) == solve_split(*(f**3 for f in fib_pair(2 * m - 1)))
+            yield f"m={m}", solve_split(*iter_terms(FibonacciPower(3), 2 * m - 1, 2)) == fib_cube_solution(m)
     else:
         ok = _fiblike_ok if family == "fiblike" else _mod6_4_ok
         for u, v in product(range(lo, hi + 1), repeat=2):

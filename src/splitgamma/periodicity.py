@@ -296,10 +296,11 @@ def halfperiod_reflection(k: int) -> bool:
 
 
 def fibonacci_period_table(kmax: int) -> list[tuple[int, int, int]]:
-    """Rows (k, row period against Fibonacci, Fibonacci period mod 2k)."""
+    """Rows (k, row period against Fibonacci, Fibonacci period mod 2k), the last read off the row's residue period."""
     if kmax < 1:
         raise DomainError(f"need kmax >= 1, got {kmax}")
-    return [(k, row_period(k, FibonacciPower(1)).period, pisano(2 * k)) for k in range(1, kmax + 1)]
+    rows = (_row_period(k, FibonacciPower(1), None, 3) for k in range(1, kmax + 1))
+    return [(k, rep.period, sp.period) for k, (rep, sp) in enumerate(rows, 1)]
 
 
 def first_alternation_index(bits: Sequence[int]) -> int:

@@ -2,15 +2,15 @@
 
 All sequences are 1-indexed.  How each family recurs is written down once,
 here: ``_linear`` tabulates the order-2 linear families (the eight named ones,
-n^K, and power recurrences of order <= 2 with powers 1), which jump to any
-index by Lucas doubling; ``residue_engine`` steps every family with a finite
-residue state and jumps the other power recurrences into their orbit's cycle
-(``_orbit``, Brent's cycle finding).  Exact terms (``iter_terms``, ``term``)
-and residues (``residues``, ``term_mod``) are both read off that one
-description; the modular route matters because several families (factorial
-powers, squared-lag recurrences) outgrow memory long before the classifier
-runs out of questions to ask about them.  The text grammar is one table, read
-by both ``parse_spec`` and ``format_spec``.
+n^K, and power recurrences of order <= 2 with powers 1), whose terms, exact or
+mod m, all come from one Lucas doubling, ``_linear_pair``; ``residue_engine``
+steps every family with a finite residue state and jumps the other power
+recurrences into their orbit's cycle (``_orbit``, Brent's cycle finding).
+Exact terms (``iter_terms``, ``term``) and residues (``residues``,
+``term_mod``) are both read off that one description; an exact term past
+MAX_TERM_BITS is refused, and the modular route answers where factorial powers
+and squared-lag recurrences outgrow memory.  The text grammar is one table,
+read by both ``parse_spec`` and ``format_spec``.
 
 Also here: closed-form witnesses for consecutive Fibonacci pairs, squared and
 cubed Fibonacci pairs, and general coprime-seeded Fibonacci-like pairs at
@@ -45,35 +45,36 @@ ORBIT_MAX = 2_000_000
 FACTOR_TRIAL_MAX = 1_000_000
 
 
-# ---------------- Lucas doubling ----------------
+# ---------------- Order-2 terms by doubling ----------------
 
 
-def _lucas_pair(n: int, p: int, q: int, mod: int | None = None) -> tuple[int, int]:
-    # (U_n, U_{n+1}) for U_0 = 0, U_1 = 1, U_{j+1} = p U_j - q U_{j-1}, by doubling:
-    # U_2j = U_j (2 U_{j+1} - p U_j) and U_2j+1 = U_{j+1}^2 - q U_j^2 (Lucas 1878)
-    u, w = 0, 1
-    for bit in bin(n)[2:]:
-        c = u * (2 * w - p * u)
-        d = w * w - q * (u * u)
-        if bit == "1":
-            u, w = d, p * d - q * c
-        else:
-            u, w = c, d
-        if mod is not None:
-            u %= mod
-            w %= mod
-    return u, w
+def _too_big(n: int) -> ResourceLimitError:
+    return ResourceLimitError(f"term at n={n} exceeds {MAX_TERM_BITS} bits; use term_mod instead")
 
 
 def _linear_pair(lin: tuple[int, ...], n: int, mod: int | None = None) -> tuple[int, int]:
-    # (a_n, a_{n+1}) for n >= 1 of a_j = c1 a_{j-1} + c2 a_{j-2}, where U has p = c1,
-    # q = -c2: a_n = a1 (U_n - c1 U_{n-1}) + a2 U_{n-1} and a_{n+1} = a1 c2 U_{n-1} + a2 U_n
+    # (a_n, a_{n+1}), n >= 1, of a_j = c1 a_{j-1} + c2 a_{j-2} from (U_{n-1}, U_n) of U_0 = 0, U_1 = 1 and the
+    # same recurrence, by doubling (Lucas 1878): U_2j = U_j (2 U_{j+1} - c1 U_j), U_2j+1 = U_{j+1}^2 + c2 U_j^2.
+    # At full width no operand past 2 MAX_TERM_BITS is squared, and a_n past MAX_TERM_BITS is refused
     a1, a2, c1, c2 = lin[:4]
-    u0, u1 = _lucas_pair(n - 1, c1, -c2, mod)
-    x = a1 * (u1 - c1 * u0) + a2 * u0
-    y = a1 * c2 * u0 + a2 * u1
+    u, w = 0, 1
+    for bit in bin(n - 1)[2:]:
+        if mod is not None:
+            u, w = u % mod, w % mod
+        elif max(u.bit_length(), w.bit_length()) > 2 * MAX_TERM_BITS:
+            raise _too_big(n)
+        c = u * (2 * w - c1 * u)
+        d = w * w + c2 * (u * u)
+        if bit == "1":
+            u, w = d, c1 * d + c2 * c
+        else:
+            u, w = c, d
+    x = a1 * (w - c1 * u) + a2 * u
+    y = a1 * c2 * u + a2 * w
     if mod is not None:
         return x % mod, y % mod
+    if x.bit_length() > MAX_TERM_BITS:
+        raise _too_big(n)
     return x, y
 
 
@@ -83,7 +84,10 @@ def fib_pair(n: int, mod: int | None = None) -> tuple[int, int]:
         raise DomainError(f"need n >= 0, got {n}")
     if mod is not None and mod < 1:
         raise DomainError(f"need mod >= 1, got {mod}")
-    return _lucas_pair(n, 1, -1, mod)
+    try:  # the seeds F_0, F_1 are a_1, a_2: F_n is a_{n+1}
+        return _linear_pair((0, 1, 1, 1), n + 1, mod)
+    except ResourceLimitError:
+        raise _too_big(n) from None
 
 
 def fib(n: int) -> int:
@@ -347,8 +351,10 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
     if lin is not None:
         c1, c2, power = lin[2:]
         x, y = _linear_pair(lin, start)
-        for _ in range(count):
-            yield x**power
+        for n in range(start, end):
+            if (x.bit_length() - 1) * power >= MAX_TERM_BITS or (t := x**power).bit_length() > MAX_TERM_BITS:
+                raise _too_big(n)
+            yield t
             x, y = y, c1 * y + c2 * x
     elif isinstance(spec, PowerRecurrence):
         if start > ORBIT_MAX:
@@ -362,9 +368,7 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
                 if t < 1:
                     raise DomainError(f"power recurrence produced a nonpositive term at n={n}")
                 if t.bit_length() > MAX_TERM_BITS:
-                    raise ResourceLimitError(
-                        f"term at n={n} exceeds {MAX_TERM_BITS} bits; use term_mod instead"
-                    )
+                    raise _too_big(n)
                 window = window[1:] + (t,)
             if n >= start:
                 yield t
@@ -522,9 +526,8 @@ def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int,
     num_psi = v * r - s
     if num_psi % u:
         raise DomainError(f"(v*r {'-' if s > 0 else '+'} 1)/u is not an integer for u={u}, v={v}, r={r}")
-    f2, f1 = fib_pair(n - 2)  # (F_{n-2}, F_{n-1})
-    f0 = f2 + f1  # F_n
-    return (u - r) * f1 + (num_phi // u) * f0 - 1, r * f2 + (num_psi // u) * f1 - 1
+    f2, f1 = fib_pair(n - 2)  # (F_{n-2}, F_{n-1}), and F_n = f2 + f1
+    return (u - r) * f1 + (num_phi // u) * (f2 + f1) - 1, r * f2 + (num_psi // u) * f1 - 1
 
 
 def fiblike_pair(u: int, v: int, n: int) -> tuple[int, int]:
@@ -566,18 +569,13 @@ def fib_identity_solution(n: int) -> SplitSolution:
     """Witness for the pair (F_n, F_{n+1}) when n mod 6 is 0 or 4."""
     if n < 6 or n % 6 not in (0, 4):
         raise DomainError(f"need n >= 6 with n mod 6 in {{0, 4}}, got {n}")
-    if n % 6 == 0:
-        x, rem = divmod(fib(n - 1) - 1, 2)
-        delta = 0
-        y = x
-    else:
-        x, rem = divmod(fib(n) - 1, 2)
-        y, rem2 = divmod(fib(n - 2) - 1, 2)
-        rem |= rem2
-        delta = 1
-    if rem:
+    f2, f1 = fib_pair(n - 2)  # (F_{n-2}, F_{n-1})
+    # n = 0 mod 6: x = y = (F_{n-1} - 1)/2; n = 4 mod 6: delta = 1, x = (F_n - 1)/2, y = (F_{n-2} - 1)/2
+    delta = int(n % 6 == 4)
+    x, y = (f2 + f1 - 1, f2 - 1) if delta else (f1 - 1, f1 - 1)
+    if (x | y) & 1:
         raise InvariantViolation(f"parity failure at n={n}")
-    return SplitSolution(delta, x, y)
+    return SplitSolution(delta, x >> 1, y >> 1)
 
 
 def fib_square_solution(n: int) -> SplitSolution:

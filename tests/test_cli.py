@@ -335,6 +335,17 @@ def test_walks_that_cannot_jump_exit_4_within_a_second(capsys):
     assert err.startswith("resource cap: ") and "past 2000000" in err
 
 
+def test_verify_past_the_term_bit_cap_exits_4_within_two_seconds(capsys):
+    # F_(10**12) has ~6.9e11 bits: the doubling refuses it instead of squaring for minutes
+    # (fib^2 at n = 10**6 + 1 and fib^3 at m = 10**9 too: the powered terms are refused before Euclid runs)
+    for family, r in (("fib", "1000000000000:1000000000000"), ("fib2", "1000001:1000001"),
+                      ("fib3", "1000000000:1000000000")):
+        with deadline(2):
+            code, out, err = run(capsys, "verify", "--family", family, "--range", r)
+        assert (code, out) == (4, ""), family
+        assert err.startswith("resource cap: term at n=") and "exceeds 1000000 bits" in err, family
+
+
 def test_powrec_with_nonpositive_term_exits_2(capsys):
     # a_3 = 1 - 2 * 1^2 = -1 in the first two; a_2 = 0 * 3^2 = 0 in the last.
     # Residues cannot show either, so rows and periods must not print bits.

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import deadline, oracle_pisano, oracle_row_period, oracle_state_period
+from conftest import count_calls, deadline, oracle_pisano, oracle_row_period, oracle_state_period
 from splitgamma import (
     Arithmetic,
     Balancing,
@@ -37,7 +37,7 @@ from splitgamma import (
     state_period_mod,
     term,
 )
-from splitgamma import sequences
+from splitgamma import periodicity, sequences
 from splitgamma.sequences import _factorize, fib_pair, parse_spec
 
 # k, T_k for the Fibonacci row, pi(2k)
@@ -125,6 +125,18 @@ def test_pair_row_values():
     bits = pair_row(Naturals(), 1, 10)
     assert bits == tuple(gamma(n, n + 1) for n in range(1, 11))
     assert bits == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+
+
+def test_pair_row_refuses_terms_past_the_bit_cap():
+    # linear, powered linear and powrec terms: the first term is already too wide, or
+    # (the squaring powrec a_n = 2^(2^(n-1))) the walk reaches one
+    for spec in (parse_spec("fiblike:7,3"), FibonacciPower(3), parse_spec("powrec:c=1,1;t=1,1;init=1,1")):
+        with deadline(2):
+            with pytest.raises(ResourceLimitError, match="^term at n=1000000000000 exceeds 1000000 bits"):
+                pair_row(spec, 10**12, 6)
+    with deadline(2):
+        with pytest.raises(ResourceLimitError, match="^term at n=21 exceeds 1000000 bits"):
+            pair_row(parse_spec("powrec:c=1;t=2;init=2"), 1, 60)
 
 
 # ---------------- period detection ----------------
@@ -309,6 +321,14 @@ def test_pisano_orbit_has_no_tail():
 
 def test_fibonacci_period_table():
     assert fibonacci_period_table(10) == TABLE1
+
+
+def test_fibonacci_period_table_reads_pisano_off_the_row_period(monkeypatch):
+    # the residue period of Fibonacci mod 2k that certifies the row is pi(2k) itself
+    want = [(k, row_period(k, FibonacciPower(1)).period, pisano(2 * k)) for k in range(1, 201)]
+    calls = count_calls(monkeypatch, periodicity, "pisano")
+    assert fibonacci_period_table(200) == want
+    assert calls == []
 
 
 def test_row_period_certifies_fibonacci_rows():

@@ -61,10 +61,14 @@ def test_fib_small_values():
 
 
 def test_fib_pair_consistency():
-    for n in range(0, 40):
-        a, b = fib_pair(n)
-        assert a == fib(n)
-        assert b == fib(n + 1)
+    # against a plain additive walk: fib and fib_pair share the one doubling
+    for m in (None, 1, 2, 10, 97):
+        a, b = 0, 1
+        for n in range(501):
+            assert fib_pair(n, m) == ((a, b) if m is None else (a % m, b % m)), (n, m)
+            a, b = b, a + b
+    assert fib_pair(0) == (0, 1)
+    assert fib_pair(0, 1) == (0, 0)
 
 
 def test_fib_pair_modular():
@@ -270,6 +274,33 @@ def test_powrec_growth_guard():
     # modular path stays cheap where full terms are impossible:
     # a_n = 2^(2^(n-1)) cycles 2, 4, 2, 4, ... mod 7
     assert term_mod(doubling_bits, 40, 7) == 4
+
+
+def test_exact_linear_terms_past_the_bit_cap_are_refused_fast():
+    # the doubling stops before its operands outgrow 2 * MAX_TERM_BITS, and a
+    # power is refused from its base's bit length before it is built
+    for call, args in ((term, (FibonacciPower(1), 10**12)), (fib_pair, (10**12,)), (fib_cube_solution, (10**9,)),
+                       (term, (KthPower(10**12), 2)), (term, (FibonacciPower(10**7), 5)),
+                       (fiblike_pair, (3, 7, 10**12)), (term, (parse_spec("powrec:c=0,3;t=1,1;init=1,1"), 10**12))):
+        with deadline(2):
+            with pytest.raises(ResourceLimitError, match="exceeds 1000000 bits"):
+                call(*args)
+    # F_16 = 987 < 2**10 < F_17 = 1597: at power 10**5 the base's bit length refuses
+    # F_17's power unbuilt; at 99,999 it is built (1,064,108 bits) and then refused
+    for power in (10**5, 99_999):
+        assert len(list(iter_terms(FibonacciPower(power), 1, 16))) == 16
+        with deadline(2):
+            with pytest.raises(ResourceLimitError, match="^term at n=17 exceeds"):
+                list(iter_terms(FibonacciPower(power), 1, 20))
+
+
+def test_exact_term_bit_cap_boundary():
+    # F_n has about 0.694 n bits: 1,440,000 is the last thousand under 10**6 bits
+    assert term(FibonacciPower(1), 1_440_000).bit_length() == 999_708
+    assert fib_pair(1_440_000)[0].bit_length() == 999_708
+    for call in (lambda n: term(FibonacciPower(1), n), fib_pair, lambda n: fiblike_pair(1, 1, n)):
+        with pytest.raises(ResourceLimitError, match="^term at n=1441000 exceeds 1000000 bits"):
+            call(1_441_000)
 
 
 def test_powrec_positivity_guard():
