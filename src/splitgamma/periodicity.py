@@ -5,9 +5,9 @@ periodic whenever the residues a_n mod 2k are, because adding a multiple of
 2k to the second argument never changes gamma.  So for every family with a
 residue engine in ``sequences`` the exact row period is read off one cycle of
 residues and certified: ``state_period_mod`` finds the residue preperiod mu
-and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for linear
-families with c_2 a unit mod m (``pisano`` is the Fibonacci case), else by
-Brent's cycle finding (``sequences._orbit``).  ``row_period`` classifies the
+and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for every
+order-2 linear family (``pisano`` is the Fibonacci case), else by Brent's
+cycle finding (``sequences._orbit``).  ``row_period`` classifies the
 mu + lam terms of that cycle once.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
 period on a finite window (``detect_period``, O(window^2)) and certify it
@@ -148,41 +148,48 @@ def _shift_agrees(engine, start: int, shift: int, count: int) -> bool:
     return True
 
 
-def _unit_period(lin: tuple[int, ...], m: int) -> int:
-    """Period of the states (a_n, a_{n+1}) mod m of a _linear family with c_2 a unit mod m.
+def _linear_period(lin: tuple[int, ...], m: int) -> tuple[int, int]:
+    """(mu, lam) of the states (a_n, a_{n+1}) mod m of a _linear family, with no walk.
 
-    The states have no tail.  An invertible 2 x 2 matrix mod p has order
-    dividing p - 1, p^2 - 1 or p(p - 1), times p^(e-1) mod p^e (Wall 1960;
-    Renault, Math. Mag. 86, 2013), so the period mod p^e || m is the least
-    divisor of p^e (p^2 - 1) taking state 1 to itself, one O(log m) doubling
-    a candidate, and lam is the lcm of these.
+    Mod p^e || m the companion matrix is invertible on its image from power 2e
+    on (Fitting): on all states if p does not divide c_2, on 0 if p divides c_1
+    and c_2, else on the unit root's line.  So from n0 = 2 bits(m) > 2e the
+    state period divides p^e (p^2 - 1) (Wall 1960; Renault, Math. Mag. 86,
+    2013): the least divisor fixing state n0, one O(log m) doubling a try.  lam
+    is their lcm, mu < n0, and a bound or tail that fails means a wrong factoring.
     """
-    lam = 1
+    n0, lam = 2 * m.bit_length(), 1
     for p, e in _factorize(m):
-        q, first = p**e, _linear_pair(lin, 1, p**e)
-        factors = [(p, e)] + _factorize(p - 1) + _factorize(p + 1)
-        lam = math.lcm(lam, _least_period(q * (p * p - 1), factors, lambda n: _linear_pair(lin, 1 + n, q) == first))
-    return lam
+        q, bound = p**e, p**e * (p * p - 1)
+        first = _linear_pair(lin, n0, q)
+        if _linear_pair(lin, n0 + bound, q) != first:
+            raise InvariantViolation(f"the state period mod {q} does not divide {bound}")
+        primes = [(p, e)] + _factorize(p - 1) + _factorize(p + 1)
+        lam = math.lcm(lam, _least_period(bound, primes, lambda n: _linear_pair(lin, n0 + n, q) == first))
+    mu = next((n for n in range(n0) if _linear_pair(lin, 1 + n, m) == _linear_pair(lin, 1 + n + lam, m)), None)
+    if mu is None:
+        raise InvariantViolation(f"no state of the first {n0} mod {m} recurs {lam} later")
+    return mu, lam
 
 
 def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     """Exact preperiod and period of the residue sequence (a_n mod m).
 
-    _linear families with c_2 a unit mod m have mu = 0 and lam from
-    _unit_period; the rest, and m past trial division, take Brent's cycle
-    finding (sequences._orbit, O(mu + lam) steps, two states).  Both refuse
-    the same lam, past sequences.ORBIT_MAX.  At power 1 the output period is
-    lam; fib^I and n^K take the least divisor of lam two cursors agree on.
+    _linear families take _linear_period; the other power recurrences, and m
+    past trial division, take Brent's cycle finding (sequences._orbit,
+    O(mu + lam) steps, two states).  Both refuse the same lam, past
+    sequences.ORBIT_MAX.  At power 1 the output period is lam; fib^I and n^K
+    take the least divisor of lam two cursors agree on.
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
     engine = residue_engine(spec, m)
     lin = _linear(spec)
     try:
-        lam = _unit_period(lin, m) if lin and math.gcd(lin[3], m) == 1 else None
+        found = _linear_period(lin, m) if lin else None
     except ResourceLimitError:  # m needs a trial divisor past sequences.FACTOR_TRIAL_MAX
-        lam = None
-    mu, lam = _orbit(engine[0], engine[1], m) if lam is None else (0, lam)
+        found = None
+    mu, lam = found or _orbit(engine[0], engine[1], m)
     if lam > 1 << sequences.ORBIT_MAX.bit_length():  # past the window where _orbit stops
         raise ResourceLimitError(f"the residue orbit mod {m} is longer than {sequences.ORBIT_MAX} states")
     if lin and lin[4] > 1:
@@ -191,10 +198,10 @@ def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
 
 
 def pisano(m: int) -> int:
-    """Period of the Fibonacci numbers modulo m: _unit_period, c_2 = 1 being a unit mod every m."""
+    """Period of the Fibonacci numbers modulo m, by _linear_period; they have no tail."""
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    return _unit_period(_linear(FibonacciPower()), m)
+    return _linear_period(_linear(FibonacciPower()), m)[1]
 
 
 # ---------------- Row periods with certification ----------------

@@ -37,8 +37,8 @@ FACTPOW_FULL_TERM_MAX = 6
 MAX_TERM_BITS = 1_000_000
 # Brent's walk (_orbit) finds every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX and
 # refuses longer ones (exit 4) after ~4 * ORBIT_MAX steps, ~10 s for a powrec (~2-2.5 us
-# a step, CPython 3.11, 2-core Xeon).  Linear families with c_2 a unit mod m find lam with
-# no walk and refuse the same lam, past 1 << ORBIT_MAX.bit_length(), at once.  A walk
+# a step, CPython 3.11, 2-core Xeon).  Linear families find (mu, lam) with no walk when m
+# factors, and refuse the same lam, past 1 << ORBIT_MAX.bit_length(), at once.  A walk
 # from n = 1 that cannot jump refuses a start past it
 ORBIT_MAX = 2_000_000
 # trial division stops here, so every m <= 10**12 factors, in at most ~5e5 divisions
@@ -55,10 +55,11 @@ def _too_big(n: int) -> ResourceLimitError:
 def _linear_pair(lin: tuple[int, ...], n: int, mod: int | None = None) -> tuple[int, int]:
     # (a_n, a_{n+1}), n >= 1, of a_j = c1 a_{j-1} + c2 a_{j-2} from (U_{n-1}, U_n) of U_0 = 0, U_1 = 1 and the
     # same recurrence, by doubling (Lucas 1878): U_2j = U_j (2 U_{j+1} - c1 U_j), U_2j+1 = U_{j+1}^2 + c2 U_j^2.
-    # At full width no operand past 2 MAX_TERM_BITS is squared, and a_n past MAX_TERM_BITS is refused
+    # At full width no operand past 2 MAX_TERM_BITS is squared, and a_n past MAX_TERM_BITS is refused.
+    # c1 = 2, c2 = -1 (nat, odds, arith, n^K) has U_j = j and needs no doubling
     a1, a2, c1, c2 = lin[:4]
-    u, w = 0, 1
-    for bit in bin(n - 1)[2:]:
+    u, w, bits = (n - 1, n, "") if (c1, c2) == (2, -1) else (0, 1, bin(n - 1)[2:])
+    for bit in bits:
         if mod is not None:
             u, w = u % mod, w % mod
         elif max(u.bit_length(), w.bit_length()) > 2 * MAX_TERM_BITS:

@@ -43,6 +43,8 @@ SPECS = (
     "n^3",
     "geo:2,3",
     "powrec:c=1,1;t=1,1;init=1,2",
+    "powrec:c=1,2;t=1,1;init=1,1",
+    "powrec:c=3;t=1;init=2",
     "powrec:c=2,-1;t=1,1;init=1,2",
     "powrec:c=1,-2;t=1,1;init=1,1",
     "powrec:c=1,1;t=1,2;init=1,1",

@@ -15,6 +15,7 @@ from splitgamma import (
     FibonacciLike,
     FibonacciPower,
     InconclusiveError,
+    InvariantViolation,
     KthPower,
     LucasBalancing,
     Naturals,
@@ -56,12 +57,13 @@ TABLE1 = [
 
 
 # every family with a residue engine whose rows are read from residues; geo:1,4
-# (c_2 = -4) and the order-1 powrec (c_2 = 0) put linear families on both sides
-# of the gcd(c_2, m) = 1 test that picks state_period_mod's route
+# (c_2 = -4), the order-1 powrec (c_2 = 0) and the linear powrecs with c_2 = 2
+# give linear families whose states mod m have a tail (here at p = 2)
 ENGINE_SPECS = tuple(parse_spec(t) for t in (
     "fib", "fib^2", "fib^3", "fiblike:3,5", "bal", "lucasbal", "nat", "odds", "arith:5,2", "n^3",
     "geo:2,3", "geo:1,4", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=1,1;t=1,2;init=1,1",
-    "powrec:c=1,2;t=2,1;init=2,1", "powrec:c=3;t=1;init=2",
+    "powrec:c=1,2;t=2,1;init=2,1", "powrec:c=3;t=1;init=2", "powrec:c=1,2;t=1,1;init=1,1",
+    "powrec:c=2,2;t=1,1;init=1,3",
 ))
 
 
@@ -269,12 +271,14 @@ def test_orbit_walk_refuses_past_its_bound(monkeypatch):
 def test_unit_route_refuses_exactly_the_orbits_the_walk_refuses(monkeypatch):
     # with the bound at 100 the walk's last window holds 128 states: n mod 128
     # answers and n mod 129 is refused, and for every m the route that needs no
-    # walk answers or refuses exactly as Brent's walk over the same states does
+    # walk answers or refuses exactly as Brent's walk over the same states does,
+    # with c_2 a unit mod m or not (geo:1,2 and geo:3,6 have tails)
     monkeypatch.setattr(sequences, "ORBIT_MAX", 100)
     assert state_period_mod(Naturals(), 128) == StatePeriod(0, 128)
     with pytest.raises(ResourceLimitError, match="^the residue orbit mod 129 is longer than 100 states$"):
         state_period_mod(Naturals(), 129)
-    for spec in (FibonacciPower(1), Naturals(), Balancing(), FibonacciLike(3, 5)):
+    for spec in (FibonacciPower(1), Naturals(), Balancing(), FibonacciLike(3, 5), ShiftedGeometric(1, 2),
+                 ShiftedGeometric(3, 6), PowerRecurrence((1, 2), (1, 1), (1, 1)), PowerRecurrence((3,), (1,), (2,))):
         for m in range(1, 400):
             state_at, step, _ = sequences.residue_engine(spec, m)
             try:
@@ -299,6 +303,31 @@ def test_unit_linear_periods_take_no_walk(monkeypatch):
             state_at = sequences.residue_engine(spec, m)[0]
             assert sp.preperiod == 0 and state_at(1 + sp.period) == state_at(1), (text, m)
             assert all(state_at(1 + sp.period // r) != state_at(1) for r, _ in _factorize(sp.period)), (text, m)
+
+
+def test_non_unit_linear_periods_take_no_walk(monkeypatch):
+    # c_2 shares the prime 2 or 3 with m: Brent's walk took 0.2-1 s over these
+    # ~1e6-state orbits, the divisor test takes a few doublings past the tail
+    walks = count_calls(monkeypatch, periodicity, "_orbit")
+    p = 1000003
+    for text, m, want in (("powrec:c=1,2;t=1,1;init=1,1", 2 * p, (0, 1000002)), ("geo:1,2", 2 * p, (1, 1000002)),
+                          ("powrec:c=3;t=1;init=2", 2 * p, (0, 333334)), ("geo:3,6", 6 * p, (1, 500001))):
+        with deadline(0.1):
+            assert state_period_mod(parse_spec(text), m) == StatePeriod(*want), text
+    assert walks == []
+
+
+def test_linear_period_refuses_a_wrong_factorization(monkeypatch):
+    # 49 factored as 7: the bound mod 7 holds, but no state mod 49 recurs pi(7) = 16 later
+    monkeypatch.setattr(periodicity, "_factorize", lambda m: [(7, 1)] if m == 49 else _factorize(m))
+    assert pisano(7) == 16
+    for run in (lambda: pisano(49), lambda: state_period_mod(FibonacciPower(1), 49)):
+        with pytest.raises(InvariantViolation, match="mod 49"):
+            run()
+    # 6 taken for a prime fails the bound itself: pi(6) = 24 does not divide 6 (6^2 - 1) = 210
+    monkeypatch.setattr(periodicity, "_factorize", lambda m: [(6, 1)] if m == 6 else _factorize(m))
+    with pytest.raises(InvariantViolation, match="^the state period mod 6 does not divide 210$"):
+        pisano(6)
 
 
 def test_unit_moduli_past_trial_division_still_walk():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,22 @@ def test_exact_linear_terms_past_the_bit_cap_are_refused_fast():
                 list(iter_terms(FibonacciPower(power), 1, 20))
 
 
+def test_polynomial_terms_at_a_wide_index_take_no_doubling():
+    # c_1 = 2, c_2 = -1 has U_j = j: a term at an 8,001-digit index is a few
+    # products, where doubling took ~26,600 steps on index-wide operands
+    n = 10**8000
+    with deadline(0.1):
+        assert term(Naturals(), n) == n
+        assert term(Arithmetic(7, 3), n) == 7 * n - 3
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the refusal names its index, as the CLI does with no digit limit
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds 1000000 bits"):
+            term(Naturals(), 2**sequences.MAX_TERM_BITS)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_exact_term_bit_cap_boundary():
     # F_n has about 0.694 n bits: 1,440,000 is the last thousand under 10**6 bits
     assert term(FibonacciPower(1), 1_440_000).bit_length() == 999_708
@@ -422,6 +439,7 @@ def test_large_index_agrees_with_residue_cycle():
         Naturals(),
         Odds(),
         Arithmetic(7, 3),
+        KthPower(3),
         KthPower(5),
         ShiftedGeometric(2, 3),
         ShiftedGeometric(1, 4),
@@ -430,7 +448,8 @@ def test_large_index_agrees_with_residue_cycle():
         for m in (14, 97, 1000):
             sp = state_period_mod(spec, m)
             walked = [t % m for t in iter_terms(spec, 1, sp.preperiod + sp.period)]
-            for n in (10**6, 10**30, 10**30 + 1, 3**200):
+            wide = (10**8000, 10**8000 + 1) if spec in (Naturals(), KthPower(3)) else ()  # U_j = j: no doubling
+            for n in (10**6, 10**30, 10**30 + 1, 3**200, *wide):
                 assert term_mod(spec, n, m) == walked[_reduced_index(sp, n) - 1], (spec, m, n)
 
 
