@@ -1,12 +1,13 @@
 """Command line front end.
 
 Every command honors --format text|csv|json.  A handler builds one ordered
-payload of native values plus its text lines, and ``_emit`` converts only for
-the requested format, by one rule.  JSON prints every number as a decimal
-string, so arbitrary precision survives any consumer, and leaves booleans and
-null native.  CSV prints booleans as 0/1, None as an empty cell and lists
-joined by ";"; its header is the payload's keys bar "command", unless the
-command is table-valued.  Text says yes/no for booleans and "none" for None.
+payload of native values plus its text lines, and ``_emit`` converts, and
+consumes generators, only for the requested format, by one rule.  JSON prints
+every number as a decimal string, so arbitrary precision survives any consumer,
+and leaves booleans and null native.  CSV prints booleans as 0/1, None as an
+empty cell and lists joined by ";"; its header is the payload's keys bar
+"command", unless the command is table-valued.  Text says yes/no for booleans
+and "none" for None.
 Exit codes: 0 ok, 1 usage or i/o error, 2 domain error, 3 verification failure, 4 resource cap.
 
 Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import product
+from itertools import chain, product
 
 from .core import (
     DomainError,
@@ -198,7 +199,7 @@ def _cmd_density(args) -> int:
         "p_den": p.denominator,
         "terms": trace.terms,
         "bits": trace.bits,
-        "ratios": [{"num": r.numerator, "den": r.denominator} for r in trace.ratios],
+        "ratios": ({"num": r.numerator, "den": r.denominator} for r in trace.ratios),
         "crossings": trace.crossings,
         "command": "density",
         "growth_bounds_ok": bounds,
@@ -210,10 +211,9 @@ def _cmd_density(args) -> int:
         f"crossings={len(trace.crossings)}" + (f" last={trace.crossings[-1]}" if trace.crossings else ""),
         f"growth_bounds={_word(bounds)}",
     ]
-    # the seed row n = 0 has no bit or ratio
-    rows = [(0, trace.terms[0], None, None, None)]
-    rows += [(n, t, bit, r.numerator, r.denominator) for n, (t, bit, r) in
-             enumerate(zip(trace.terms[1:], trace.bits, trace.ratios), 1)]
+    rows = chain([(0, trace.terms[0], None, None, None)],  # the seed row n = 0 has no bit or ratio
+                 ((n, t, bit, r.numerator, r.denominator) for n, (t, bit, r) in
+                  enumerate(zip(trace.terms[1:], trace.bits, trace.ratios), 1)))
     _emit(args.format, payload, text, (("n", "a_n", "gamma_bit", "ratio_num", "ratio_den"), rows))
     return EXIT_OK
 
@@ -239,8 +239,11 @@ def _fiblike_ok(u: int, v: int) -> bool:
 
 
 def _mod6_4_ok(u: int, v: int) -> bool:
-    from .sequences import closed_form_mod6_4, fiblike_pair
-    return all(closed_form_mod6_4(u, v, n) == solve_split(*fiblike_pair(u, v, n)) for n in (4, 10, 16, 22))
+    from .sequences import closed_form_mod6_4
+    t = [u, v]  # t_1, t_2, ... by additions
+    while len(t) < 23:
+        t.append(t[-1] + t[-2])
+    return all(closed_form_mod6_4(u, v, n) == solve_split(t[n - 1], t[n]) for n in (4, 10, 16, 22))
 
 
 def _verify_items(family: str, lo: int, hi: int):
@@ -279,13 +282,12 @@ def _cmd_verify(args) -> int:
         "command": "verify",
         "family": args.family,
         "range": f"{lo}:{hi}",
-        "items": [{"item": label, "ok": ok} for label, ok in items],
+        "items": ({"item": label, "ok": ok} for label, ok in items),
         "checked": len(items),
         "failed": failed,
     }
-    text = [("ok " if ok else "FAIL ") + label for label, ok in items]
-    text.append(f"checked={len(items)} failed={failed}")
-    table = (("family", "item", "ok"), [(args.family, label, ok) for label, ok in items])
+    text = [("ok " if ok else "FAIL ") + label for label, ok in items] + [f"checked={len(items)} failed={failed}"]
+    table = (("family", "item", "ok"), ((args.family, label, ok) for label, ok in items))
     _emit(args.format, payload, text, table)
     return EXIT_VERIFY if failed else EXIT_OK
 

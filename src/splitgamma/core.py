@@ -13,9 +13,8 @@ both read the pair off ``_split``, which needs one modular inverse per pair:
 with b' odd (swap the roles of a' and b' if not), 2R = 1 - a' (mod b'), and
 gamma is 0 exactly when a'^-1 mod b' is odd (or b' = 1).  Then R's least
 witness x = R / a' mod b' is (a'^-1 - 1) / 2, a halving; otherwise R - 1's is
-(b' - 1 - a'^-1) / 2.  The inverse taken is that of 2a', doubled back:
-consecutive Fibonacci-type terms are Euclid's worst case (Lame), every
-partial quotient 1, and 2a' moves them near 4, a third of the division
+(b' - 1 - a'^-1) / 2.  Fibonacci-type pairs are Euclid's worst case (Lame),
+every partial quotient 1; ``mod_inverse`` takes them to 1/25 to 1/80 of its
 steps.  y is one exact division, and one product checks the witness.
 ``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
 shifted right-hand sides of ``explorer.rs_solve``, the n-variable counts of
@@ -134,12 +133,34 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+INVERSE_WINDOW = 128  # moduli wider than this many bits are preconditioned; 128 beat 64 (CHANGES.md has the numbers)
+
+
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m in [1, m-1]."""
+    """Inverse of a modulo m in [1, m-1].
+
+    Past INVERSE_WINDOW bits it is c (c a)^-1, c the last convergent denominator of a/m's leading bits below
+    2**(INVERSE_WINDOW // 2) prime to c a mod m: q a - p m = +-r, r < m / q', so Euclid's first quotient is near
+    q', and Fibonacci-type pairs repeat that jump at every level (d'Ocagne: F_{k+1} F_n = (-1)^k F_{n-k} mod F_{n+1}).
+    """
     if m < 2:
         raise DomainError(f"modulus must be >= 2, got {m}")
     try:
-        return pow(a, -1, m)
+        shift = m.bit_length() - INVERSE_WINDOW
+        if shift <= 0:
+            return pow(a, -1, m)
+        x, y = m >> shift, a % m >> shift
+        q0, q1, qs, top = 0, 1, [1], 1 << INVERSE_WINDOW // 2  # qs: y/x's convergent denominators below top
+        while y:
+            t, r = divmod(x, y)
+            q0, q1 = q1, t * q1 + q0
+            if q1 >= top:
+                break
+            qs.append(q1)
+            x, y = y, r
+        for c in reversed(qs):  # gcd(c, c a mod m) = 1 makes c a unit mod m; q_0 = 1 always passes
+            if math.gcd(c, ca := c * a % m) == 1:
+                return c * pow(ca, -1, m) % m
     except ValueError:
         raise DomainError(f"{a % m} is not invertible modulo {m} (gcd = {math.gcd(a, m)})") from None
 
@@ -177,9 +198,7 @@ def _split(a: int, b: int) -> tuple[int, int, int]:
     swap = not b & 1  # a' and b' are coprime, so at most one is even; halving needs b' odd
     if swap:
         a, b = b, a
-    # a^-1 = 2 (2a)^-1 (mod b), and Euclid on (b, 2a) is cheaper for Fibonacci-type pairs:
-    # 2F_n = F_{n-2} (mod F_{n+1}) and F_{n+1} = 4F_{n-2} + F_{n-5}, so its quotients are 4, not 1
-    inv = 2 * mod_inverse(2 * a % b, b) % b if b > 1 else 1
+    inv = mod_inverse(a, b) if b > 1 else 1
     # 2R = 1 - a and 2(R - 1) = -1 - a (mod b), so R's least witness is (inv - 1) / 2 and
     # R - 1's is (b - 1 - inv) / 2; with a * inv = kb + 1 the first leaves R - a x =
     # (a - 1 - k) b / 2 >= 0 when inv is odd, the second (k - 1) b / 2 >= 0 when it is even

@@ -49,7 +49,11 @@ FACTOR_TRIAL_MAX = 1_000_000
 
 
 def _too_big(n: int) -> ResourceLimitError:
-    return ResourceLimitError(f"term at n={n} exceeds {MAX_TERM_BITS} bits; use term_mod instead")
+    try:
+        at = f"n={n}"
+    except ValueError:  # past the interpreter's int->str digit limit: name the index by its width
+        at = f"an index of {n.bit_length()} bits"
+    return ResourceLimitError(f"term at {at} exceeds {MAX_TERM_BITS} bits; use term_mod instead")
 
 
 def _linear_pair(lin: tuple[int, ...], n: int, mod: int | None = None) -> tuple[int, int]:
@@ -508,12 +512,12 @@ def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fra
     is exact and may be negative or half-integral, which callers validate.
     """
     from fractions import Fraction
-    phi2, psi2 = _phi_psi_doubled(u, v, n, r, variant)
+    phi2, psi2, _, _ = _phi_psi_doubled(u, v, n, r, variant)
     return Fraction(phi2, 2), Fraction(psi2, 2)
 
 
-def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int, int]:
-    # (2 phi, 2 psi): phi_psi's numerators, integers, so callers that only test them need no Fraction
+def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int, int, int, int]:
+    # (2 phi, 2 psi, F_{n-2}, F_{n-1}): phi_psi's numerators as integers, and the Fibonacci pair they come from
     if variant not in (0, 1):
         raise DomainError(f"variant must be 0 or 1, got {variant}")
     if u == 0:
@@ -528,7 +532,7 @@ def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int,
     if num_psi % u:
         raise DomainError(f"(v*r {'-' if s > 0 else '+'} 1)/u is not an integer for u={u}, v={v}, r={r}")
     f2, f1 = fib_pair(n - 2)  # (F_{n-2}, F_{n-1}), and F_n = f2 + f1
-    return (u - r) * f1 + (num_phi // u) * (f2 + f1) - 1, r * f2 + (num_psi // u) * f1 - 1
+    return (u - r) * f1 + (num_phi // u) * (f2 + f1) - 1, r * f2 + (num_psi // u) * f1 - 1, f2, f1
 
 
 def fiblike_pair(u: int, v: int, n: int) -> tuple[int, int]:
@@ -550,14 +554,14 @@ def closed_form_mod6_4(u: int, v: int, n: int) -> SplitSolution:
         raise DomainError(f"need n = 4 mod 6 and n >= 4, got {n}")
     sel = oddr(u, v)
     variant = 1 if sel.sign > 0 else 0
-    phi2, psi2 = _phi_psi_doubled(u, v, n, sel.r, variant)
+    phi2, psi2, f2, f1 = _phi_psi_doubled(u, v, n, sel.r, variant)
     if phi2 & 1 or psi2 & 1:
         phi, psi = phi_psi(u, v, n, sel.r, variant)
         raise InvariantViolation(f"half-integral witness for ({u}, {v}, {n}): {phi}, {psi}")
     x, y = phi2 >> 1, psi2 >> 1
     if x < 0 or y < 0:
         raise InvariantViolation(f"negative witness for ({u}, {v}, {n}): ({x}, {y})")
-    tn, tn1 = fiblike_pair(u, v, n)
+    tn, tn1 = u * f2 + v * f1, u * f1 + v * (f2 + f1)  # t_n = u F_{n-2} + v F_{n-1}
     inst = SplitInstance(tn, tn1)
     if inst.g != 1:
         raise InvariantViolation(f"pair ({tn}, {tn1}) not coprime for seeds ({u}, {v})")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deadline, oracle_powrec_residues, shard_end
+from conftest import count_calls, deadline, oracle_powrec_residues, shard_end
 from splitgamma import (
     BruteForceReport,
     SplitSolution,
@@ -178,6 +178,16 @@ def test_verify_families(capsys):
         code, out, _ = run(capsys, "verify", "--family", family)
         assert code == 0, family
         assert "failed=0" in out, family
+
+
+def test_verify_mod6_4_walks_its_pairs_by_additions(monkeypatch):
+    from splitgamma.cli import _mod6_4_ok
+    doublings = count_calls(monkeypatch, sequences, "_linear_pair")
+    assert _mod6_4_ok(3, 5)
+    assert len(doublings) == 4  # one fib_pair(n - 2) per closed form, n = 4, 10, 16, 22
+    forms = []  # a mismatch at n = 4 ends the check
+    monkeypatch.setattr(sequences, "closed_form_mod6_4", lambda u, v, n: forms.append(n))
+    assert not _mod6_4_ok(3, 5) and forms == [4]
 
 
 def test_nvar_text(capsys):

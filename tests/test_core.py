@@ -17,6 +17,7 @@ from splitgamma import (
     solve_split,
     theta,
 )
+from splitgamma import core
 from splitgamma.core import DEFAULT_BRUTE_CAP, InvariantViolation, Record, _split
 from splitgamma.explorer import rs_solve
 from splitgamma.periodicity import PeriodReport
@@ -29,12 +30,14 @@ from splitgamma.sequences import (
     LucasBalancing,
     PowerRecurrence,
     fib,
+    fib_identity_solution,
+    fib_pair,
     iter_terms,
     parse_spec,
     term,
 )
 
-from conftest import coprime_pairs, inverse_parity_gamma, oracle_representable, oracle_solutions, oracle_split
+from conftest import coprime_pairs, deadline, inverse_parity_gamma, oracle_representable, oracle_solutions, oracle_split
 
 
 # ---------------- arithmetic helpers ----------------
@@ -61,6 +64,89 @@ def test_mod_inverse_range_and_product():
             inv = mod_inverse(a, m)
             assert 1 <= inv < m
             assert (a * inv) % m == 1
+    # past INVERSE_WINDOW bits the inverse is preconditioned: seeded random and structured moduli up to 3,000 bits
+    rng = random.Random(2026)
+    widths = (129, 130, 200, 511, 1000, 2048, 3000)
+    moduli = [rng.getrandbits(bits) | 1 << bits - 1 for bits in widths for _ in range(4)]
+    moduli += [2**k + d for k in (129, 700, 3000) for d in (-1, 0, 1)] + [3**300, 6 * 5**400 * 7**300]
+    moduli += [fib(n) for n in (187, 188, 1000, 4322)] + [fib(1000) * fib(1001), 6 * fib(4001)]
+    for m in moduli:
+        half = m // 2
+        for a in (1, 2, 3, m - 1, half, half + 1, 2 * m // 3, fib(4000) % m, 0, 6 * rng.randrange(m), rng.randrange(m),
+                  rng.randrange(m), -rng.randrange(m), m + rng.randrange(m), rng.randrange(m) - 7 * m):
+            if math.gcd(a, m) == 1:
+                inv = mod_inverse(a, m)
+                assert 1 <= inv < m and inv == pow(a, -1, m), (a, m)
+            else:
+                with pytest.raises(DomainError) as info:
+                    mod_inverse(a, m)
+                assert str(info.value) == f"{a % m} is not invertible modulo {m} (gcd = {math.gcd(a, m)})"
+
+
+def _record_pow(monkeypatch):
+    # the bases core hands to pow, in order: core finds pow among its globals before the builtins
+    bases = []
+
+    def recorded(base, exp, mod):
+        bases.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(core, "pow", recorded, raising=False)
+    return bases
+
+
+def _euclid_steps(m, r):
+    steps = 0
+    while r:
+        m, r, steps = r, m % r, steps + 1
+    return steps
+
+
+def test_mod_inverse_walks_back_past_convergents_sharing_a_factor(monkeypatch):
+    # F_n/F_{n+1}'s convergent denominators are F_k, the last below 2**64 F_93, and gcd(F_k, F_{n+1}) = F_gcd(k, n+1):
+    # 31 | n + 1 makes F_93 share F_31 with the modulus, 7 | n + 1 makes F_91 share F_7, 13 | n + 1 F_91 F_13.
+    # An even k = 2j shares F_j or L_j with F_k F_n mod F_{n+1} = F_{n+1} - F_{n+1-k}, so the walk passes it too
+    bases = _record_pow(monkeypatch)
+    f = [fib(k) for k in range(94)]
+    for n1, k in ((217, 89), (806, 89), (3224, 89), (1457, 91), (620, 91), (1426, 91), (2728, 91)):
+        a, m = fib(n1 - 1), fib(n1)
+        bases.clear()
+        inv = mod_inverse(a, m)
+        assert inv == pow(a, -1, m) and len(bases) == 1, n1
+        assert math.gcd(f[93], m) > 1 and bases[0] * inv % m == f[k], n1
+        assert 20 * _euclid_steps(m, bases[0]) < _euclid_steps(m, a), n1
+    # a/m near 1/2 leaves the convergents 1 and 2, and an even m walks back to c = 1
+    a, m = 2**199 + 1, 2**200
+    bases.clear()
+    assert mod_inverse(a, m) == pow(a, -1, m) and bases == [a]
+
+
+def test_mod_inverse_steps_on_worst_case_pairs_near_3000_bits(monkeypatch):
+    # Euclid's remainder steps on (m, c a mod m) for INVERSE_WINDOW = 128, against plain Euclid on (m, a), at
+    # the first index past 3,000 bits, the modulus odd as _split takes it: about 1/45 to 1/80 of the steps
+    assert core.INVERSE_WINDOW == 128
+    bases = _record_pow(monkeypatch)
+    for text, n, steps, plain in (
+        ("fib", 4322, 55, 4320),
+        ("fiblike:1,3", 4320, 52, 4320),  # Lucas
+        ("powrec:c=2,1;t=1,1;init=1,2", 2360, 51, 2360),  # Pell
+        ("bal", 1181, 48, 2360),
+    ):
+        a, m = iter_terms(parse_spec(text), n, 2)
+        if not m & 1:
+            a, m = m, a
+        bases.clear()
+        assert mod_inverse(a, m) == pow(a, -1, m)
+        assert m.bit_length() >= 3000, text
+        assert (_euclid_steps(m, bases[0]), _euclid_steps(m, a % m)) == (steps, plain), text
+
+
+def test_solve_split_takes_a_wide_fibonacci_pair_in_a_blink():
+    # 69,424-bit terms: Euclid on the plain pair takes ~100,000 steps, the preconditioned one ~1,600
+    a, b = fib_pair(10**5)
+    expected = fib_identity_solution(10**5)
+    with deadline(0.25):
+        assert solve_split(a, b) == expected
 
 
 def test_mod_inverse_rejects_non_coprime():
@@ -185,13 +271,19 @@ def test_halved_inverse_witness_matches_multiply_mod_route():
         assert _split(a, b) == oracle_split(a, b), n
 
 
-def test_doubling_moves_fibonacci_pairs_off_unit_quotients():
-    # 2F_n = F_{n-2} (mod F_{n+1}) and F_{n+1} = 4F_{n-2} + F_{n-5}: the identities behind _split's 2a'
+def test_convergents_move_fibonacci_pairs_off_unit_quotients():
+    # d'Ocagne: F_{k+1} F_n = (-1)^k F_{n-k} (mod F_{n+1}), and F_{n+1} = L_{k+1} F_{n-k} + (-1)^k F_{n-2k-1}, so
+    # c = F_{k+1} gives Euclid on (F_{n+1}, c F_n mod F_{n+1}) a quotient near L_{k+1} at every level; k = 2 (c = 2,
+    # L_3 = 4) was the doubled inverse mod_inverse's convergents replace
     f = [fib(i) for i in range(5002)]
-    for n in range(2, 5001):
-        assert 2 * f[n] % f[n + 1] == f[n - 2] % f[n + 1], n
-        if n >= 5:
-            assert f[n + 1] == 4 * f[n - 2] + f[n - 5], n
+    lucas = [f[j - 1] + f[j + 1] for j in range(1, 93)]
+    lucas.insert(0, 2)
+    for k in range(1, 91):
+        sign = (-1) ** k
+        for n in range(k + 1, 5001):
+            assert f[k + 1] * f[n] % f[n + 1] == sign * f[n - k] % f[n + 1], (k, n)
+            if n > 2 * k:
+                assert f[n + 1] == lucas[k + 1] * f[n - k] + sign * f[n - 2 * k - 1], (k, n)
 
 
 def test_split_raises_when_neither_rhs_lifts(monkeypatch):

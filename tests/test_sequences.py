@@ -311,6 +311,17 @@ def test_polynomial_terms_at_a_wide_index_take_no_doubling():
         sys.set_int_max_str_digits(old)
 
 
+def test_refusal_at_an_index_too_wide_to_print_is_still_a_resource_limit():
+    # under the interpreter's default int->str digit limit the refusal names the index by its width
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ResourceLimitError, match="^term at an index of 1000001 bits exceeds 1000000 bits"):
+            term(Naturals(), 2**sequences.MAX_TERM_BITS)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_exact_term_bit_cap_boundary():
     # F_n has about 0.694 n bits: 1,440,000 is the last thousand under 10**6 bits
     assert term(FibonacciPower(1), 1_440_000).bit_length() == 999_708
