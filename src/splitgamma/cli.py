@@ -28,6 +28,7 @@ from .core import (
     InconclusiveError,
     InvariantViolation,
     ResourceLimitError,
+    _split,
     brute_force_split,
     gamma,
     solve_split,
@@ -238,12 +239,17 @@ def _fiblike_ok(u: int, v: int) -> bool:
     return True
 
 
+# (n, F_{n-2}, F_{n-1}) at the four indices n = 4 mod 6 that each mod6-4 seed pair checks
+_MOD6_4_FIBS = ((4, 1, 2), (10, 21, 34), (16, 377, 610), (22, 6765, 10946))
+
+
 def _mod6_4_ok(u: int, v: int) -> bool:
-    from .sequences import closed_form_mod6_4
+    from .sequences import _mod6_4_witnesses
     t = [u, v]  # t_1, t_2, ... by additions
     while len(t) < 23:
         t.append(t[-1] + t[-2])
-    return all(closed_form_mod6_4(u, v, n) == solve_split(t[n - 1], t[n]) for n in (4, 10, 16, 22))
+    witnesses = _mod6_4_witnesses(u, v, _MOD6_4_FIBS)  # one oddr; stops at the first mismatch
+    return all(w == _split(t[n - 1], t[n]) for (n, _, _), w in zip(_MOD6_4_FIBS, witnesses))
 
 
 def _verify_items(family: str, lo: int, hi: int):

@@ -8,7 +8,8 @@ residues and certified: ``state_period_mod`` finds the residue preperiod mu
 and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for every
 order-2 linear family (``pisano`` is the Fibonacci case), else by Brent's
 cycle finding (``sequences._orbit``).  ``row_period`` classifies the
-mu + lam terms of that cycle once.  Explicit lists, power
+mu + lam terms of that cycle once, and ``gamma_row`` repeats one state
+period's bits along a long order-2 linear row.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
 period on a finite window (``detect_period``, O(window^2)) and certify it
 against the residue period where there is one.
@@ -76,10 +77,26 @@ def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
 
     Every family is read through its residues mod 2k, which is exact because
     gamma(k, b) only depends on b mod 2k, so the classifier runs at most once
-    per residue: min(count, 2k) calls, with O(min(count, 2k)) memo.  Power
-    recurrences that may turn nonpositive and explicit lists reduce exact
-    terms (see residues).
+    per residue: min(count, 2k) calls, with O(min(count, 2k)) memo.  An
+    order-2 linear family whose row is at least 2k long steps its residues only
+    through one state period lam past max(start, 1 + mu), (mu, lam) from
+    _linear_period, and repeats those lam bits to the end; the other families
+    step all count residues.  Power recurrences that may turn nonpositive and
+    explicit lists reduce exact terms (see residues).
     """
+    lin = _linear(spec)
+    if lin is not None and k >= 1 and start >= 1 and 2 * k <= count:  # bad arguments fail in _row_bits
+        try:
+            mu, lam = _linear_period(lin, 2 * k)
+        except ResourceLimitError:  # 2k needs a trial divisor past sequences.FACTOR_TRIAL_MAX: step
+            pass
+        else:
+            head = max(start, 1 + mu) - start + lam  # the bits from head on repeat those lam earlier
+            if head < count:
+                bits = _row_bits(k, spec, start, head)
+                cycle = bits[head - lam :]
+                bits += cycle * ((count - head) // lam) + cycle[: (count - head) % lam]
+                return BitRow(k, spec, start, bytes(bits))
     return BitRow(k, spec, start, bytes(_row_bits(k, spec, start, count)))
 
 

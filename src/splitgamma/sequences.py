@@ -14,21 +14,21 @@ read by both ``parse_spec`` and ``format_spec``.
 
 Also here: closed-form witnesses for consecutive Fibonacci pairs, squared and
 cubed Fibonacci pairs, and general coprime-seeded Fibonacci-like pairs at
-indices n with n mod 6 = 4.
+indices n with n mod 6 = 4, where one ``oddr`` serves every index of a seed
+pair (``_mod6_4_witnesses``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
     DomainError,
     InvariantViolation,
     Record,
     ResourceLimitError,
-    SplitInstance,
     SplitSolution,
     mod_inverse,
 )
@@ -512,18 +512,19 @@ def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fra
     is exact and may be negative or half-integral, which callers validate.
     """
     from fractions import Fraction
-    phi2, psi2, _, _ = _phi_psi_doubled(u, v, n, r, variant)
+    doubled = _phi_psi_doubled(u, v, r, variant)
+    if n < 2 or n % 2:
+        raise DomainError(f"n must be even and >= 2, got {n}")
+    phi2, psi2 = doubled(*fib_pair(n - 2))
     return Fraction(phi2, 2), Fraction(psi2, 2)
 
 
-def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int, int, int, int]:
-    # (2 phi, 2 psi, F_{n-2}, F_{n-1}): phi_psi's numerators as integers, and the Fibonacci pair they come from
+def _phi_psi_doubled(u: int, v: int, r: int, variant: int) -> Callable[[int, int], tuple[int, int]]:
+    # (F_{n-2}, F_{n-1}) -> (2 phi, 2 psi), phi_psi's numerators as integers; the inner fractions are checked here, once
     if variant not in (0, 1):
         raise DomainError(f"variant must be 0 or 1, got {variant}")
     if u == 0:
         raise DomainError("u must be nonzero")
-    if n < 2 or n % 2:
-        raise DomainError(f"n must be even and >= 2, got {n}")
     s = 1 if variant == 1 else -1
     num_phi = (u - r) * v + s
     if num_phi % u:
@@ -531,8 +532,8 @@ def _phi_psi_doubled(u: int, v: int, n: int, r: int, variant: int) -> tuple[int,
     num_psi = v * r - s
     if num_psi % u:
         raise DomainError(f"(v*r {'-' if s > 0 else '+'} 1)/u is not an integer for u={u}, v={v}, r={r}")
-    f2, f1 = fib_pair(n - 2)  # (F_{n-2}, F_{n-1}), and F_n = f2 + f1
-    return (u - r) * f1 + (num_phi // u) * (f2 + f1) - 1, r * f2 + (num_psi // u) * f1 - 1, f2, f1
+    p, q = num_phi // u, num_psi // u
+    return lambda f2, f1: ((u - r) * f1 + p * (f2 + f1) - 1, r * f2 + q * f1 - 1)  # F_n = f2 + f1
 
 
 def fiblike_pair(u: int, v: int, n: int) -> tuple[int, int]:
@@ -546,28 +547,38 @@ def closed_form_mod6_4(u: int, v: int, n: int) -> SplitSolution:
     """Solve the pair (t_n, t_{n+1}) in closed form when n mod 6 = 4.
 
     The sign attached to the odd multiplier from ``oddr`` picks the variant;
-    the resulting witness is validated against the instance before returning.
+    the resulting witness is validated against the pair before returning.
+    This is the one-index call of the route that ``verify --family mod6-4``
+    takes at four indices per seed pair with one ``oddr``.
     """
     if u < 1 or v < 1 or math.gcd(u, v) != 1:
         raise DomainError(f"seeds must be positive and coprime, got ({u}, {v})")
     if n < 4 or n % 6 != 4:
         raise DomainError(f"need n = 4 mod 6 and n >= 4, got {n}")
+    return SplitSolution(*next(_mod6_4_witnesses(u, v, ((n, *fib_pair(n - 2)),))))
+
+
+def _mod6_4_witnesses(u: int, v: int, fibs: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    # (delta, x, y) of (t_n, t_{n+1}) for each (n, F_{n-2}, F_{n-1}) in fibs, n = 4 mod 6 and coprime
+    # seeds: one oddr and the inner fractions once, then O(1) small-integer operations and checks an index
     sel = oddr(u, v)
     variant = 1 if sel.sign > 0 else 0
-    phi2, psi2, f2, f1 = _phi_psi_doubled(u, v, n, sel.r, variant)
-    if phi2 & 1 or psi2 & 1:
-        phi, psi = phi_psi(u, v, n, sel.r, variant)
-        raise InvariantViolation(f"half-integral witness for ({u}, {v}, {n}): {phi}, {psi}")
-    x, y = phi2 >> 1, psi2 >> 1
-    if x < 0 or y < 0:
-        raise InvariantViolation(f"negative witness for ({u}, {v}, {n}): ({x}, {y})")
-    tn, tn1 = u * f2 + v * f1, u * f1 + v * (f2 + f1)  # t_n = u F_{n-2} + v F_{n-1}
-    inst = SplitInstance(tn, tn1)
-    if inst.g != 1:
-        raise InvariantViolation(f"pair ({tn}, {tn1}) not coprime for seeds ({u}, {v})")
-    if variant + tn * x + tn1 * y != inst.rhs:
-        raise InvariantViolation(f"witness fails the equation for ({u}, {v}, {n})")
-    return SplitSolution(variant, x, y)
+    doubled = _phi_psi_doubled(u, v, sel.r, variant)
+    for n, f2, f1 in fibs:
+        phi2, psi2 = doubled(f2, f1)
+        if phi2 & 1 or psi2 & 1:
+            from fractions import Fraction
+            phi, psi = Fraction(phi2, 2), Fraction(psi2, 2)
+            raise InvariantViolation(f"half-integral witness for ({u}, {v}, {n}): {phi}, {psi}")
+        x, y = phi2 >> 1, psi2 >> 1
+        if x < 0 or y < 0:
+            raise InvariantViolation(f"negative witness for ({u}, {v}, {n}): ({x}, {y})")
+        tn, tn1 = u * f2 + v * f1, u * f1 + v * (f2 + f1)  # t_n = u F_{n-2} + v F_{n-1}
+        if math.gcd(tn, tn1) != 1:
+            raise InvariantViolation(f"pair ({tn}, {tn1}) not coprime for seeds ({u}, {v})")
+        if variant + tn * x + tn1 * y != (tn - 1) * (tn1 - 1) >> 1:
+            raise InvariantViolation(f"witness fails the equation for ({u}, {v}, {n})")
+        yield variant, x, y
 
 
 def fib_identity_solution(n: int) -> SplitSolution:

@@ -3,22 +3,35 @@ brute-force enumeration and Sylvester's closed form for two-coin
 representability; the saturating coin DP, which the n-variable counts are
 checked against; the inverse-parity rule for gamma; the former multiply-mod
 split witness and the former cube-by-cube Fibonacci cube witness; a plain
-Fibonacci orbit walk for Pisano periods; the former table-walk residue
-periods and windowed row periods, which the exact one-pass row periods are
-checked against; the former per-prime-power route to (n!)^(n!) mod m; and a
-step-by-step power recurrence walk, which the Lucas-doubling rows and the
-orbit jump are checked against.  Also a deadline for calls that must stop
+Fibonacci orbit walk for Pisano periods; rows by stepping every residue,
+which the tiled linear rows are checked against; the former table-walk
+residue periods and windowed row periods, which the exact one-pass row
+periods are checked against; the former per-prime-power route to
+(n!)^(n!) mod m; and a step-by-step power recurrence walk, which the
+Lucas-doubling rows and the orbit jump are checked against.  Also a deadline for calls that must stop
 quickly, so a regression fails the test instead of running away, a call
 counter for complexity guards that count work instead of timing it, and the
-byte offsets where a scan file's shards end, read off its lines directly."""
+byte offsets where a scan file's shards end, read off its lines directly.
+ENGINE_SPECS lists one spec of every residue-engine family the row and period
+tests sweep."""
 
 import contextlib
 import math
 import signal
 
-from splitgamma.core import SplitSolution, _witness
-from splitgamma.periodicity import PeriodReport, StatePeriod, detect_period, gamma_row
-from splitgamma.sequences import _factorize, residue_engine
+from splitgamma.core import SplitSolution, _witness, gamma
+from splitgamma.periodicity import PeriodReport, StatePeriod, detect_period
+from splitgamma.sequences import _factorize, parse_spec, residue_engine, residues
+
+# every family with a residue engine whose rows are read from residues; geo:1,4
+# (c_2 = -4), the order-1 powrec (c_2 = 0) and the linear powrecs with c_2 = 2
+# give linear families whose states mod m have a tail (here at p = 2)
+ENGINE_SPECS = tuple(parse_spec(t) for t in (
+    "fib", "fib^2", "fib^3", "fiblike:3,5", "bal", "lucasbal", "nat", "odds", "arith:5,2", "n^3",
+    "geo:2,3", "geo:1,4", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=1,1;t=1,2;init=1,1",
+    "powrec:c=1,2;t=2,1;init=2,1", "powrec:c=3;t=1;init=2", "powrec:c=1,2;t=1,1;init=1,1",
+    "powrec:c=2,2;t=1,1;init=1,3",
+))
 
 
 def oracle_solutions(a, b):
@@ -196,10 +209,15 @@ def oracle_state_period(spec, m):
     return StatePeriod(pre, period)
 
 
+def oracle_row_bits(k, spec, start, count):
+    """gamma_row's bits by stepping every residue mod 2k and classifying each one."""
+    return bytes(gamma(k, r or 2 * k) for r in residues(spec, start, count, 2 * k))
+
+
 def oracle_row_period(k, spec):
-    """The windowed row period: detect_period on max(4 pi, 200) + mu bits, then certify."""
+    """The windowed row period: detect_period on max(4 pi, 200) + mu stepped bits, then certify."""
     sp = oracle_state_period(spec, 2 * k)
-    bits = gamma_row(k, spec, 1, max(4 * sp.period, 200) + sp.preperiod).bits
+    bits = oracle_row_bits(k, spec, 1, max(4 * sp.period, 200) + sp.preperiod)
     rep = detect_period(bits)
     base = max(rep.preperiod, sp.preperiod)
     certified = (

@@ -181,13 +181,27 @@ def test_verify_families(capsys):
 
 
 def test_verify_mod6_4_walks_its_pairs_by_additions(monkeypatch):
-    from splitgamma.cli import _mod6_4_ok
+    from splitgamma import cli
+    from splitgamma.cli import _MOD6_4_FIBS, _mod6_4_ok
+    # the constants are (n, F_{n-2}, F_{n-1}) at the four indices n = 4 mod 6
+    assert _MOD6_4_FIBS == tuple((n, *sequences.fib_pair(n - 2)) for n in (4, 10, 16, 22))
+    inverses = count_calls(monkeypatch, sequences, "oddr")
     doublings = count_calls(monkeypatch, sequences, "_linear_pair")
     assert _mod6_4_ok(3, 5)
-    assert len(doublings) == 4  # one fib_pair(n - 2) per closed form, n = 4, 10, 16, 22
-    forms = []  # a mismatch at n = 4 ends the check
-    monkeypatch.setattr(sequences, "closed_form_mod6_4", lambda u, v, n: forms.append(n))
-    assert not _mod6_4_ok(3, 5) and forms == [4]
+    assert (len(inverses), len(doublings)) == (1, 0)  # t is walked by additions, the F's are constants
+    items = list(cli._verify_items("mod6-4", 20, 79))
+    assert len(items) == 2182 and all(ok for _, ok in items)
+    assert (len(inverses), len(doublings)) == (1 + 2182, 0)
+    seen = []  # a mismatch at n = 4 ends the check
+
+    def wrong(u, v, fibs):
+        for n, _, _ in fibs:
+            seen.append(n)
+            yield None
+
+    monkeypatch.setattr(sequences, "_mod6_4_witnesses", wrong)
+    splits = count_calls(monkeypatch, cli, "_split")
+    assert not _mod6_4_ok(3, 5) and seen == [4] and len(splits) == 1
 
 
 def test_nvar_text(capsys):

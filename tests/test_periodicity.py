@@ -5,7 +5,15 @@ import tracemalloc
 
 import pytest
 
-from conftest import count_calls, deadline, oracle_pisano, oracle_row_period, oracle_state_period
+from conftest import (
+    ENGINE_SPECS,
+    count_calls,
+    deadline,
+    oracle_pisano,
+    oracle_row_bits,
+    oracle_row_period,
+    oracle_state_period,
+)
 from splitgamma import (
     Arithmetic,
     Balancing,
@@ -56,17 +64,6 @@ TABLE1 = [
 ]
 
 
-# every family with a residue engine whose rows are read from residues; geo:1,4
-# (c_2 = -4), the order-1 powrec (c_2 = 0) and the linear powrecs with c_2 = 2
-# give linear families whose states mod m have a tail (here at p = 2)
-ENGINE_SPECS = tuple(parse_spec(t) for t in (
-    "fib", "fib^2", "fib^3", "fiblike:3,5", "bal", "lucasbal", "nat", "odds", "arith:5,2", "n^3",
-    "geo:2,3", "geo:1,4", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=1,1;t=1,2;init=1,1",
-    "powrec:c=1,2;t=2,1;init=2,1", "powrec:c=3;t=1;init=2", "powrec:c=1,2;t=1,1;init=1,1",
-    "powrec:c=2,2;t=1,1;init=1,3",
-))
-
-
 # ---------------- rows ----------------
 
 
@@ -100,6 +97,21 @@ def test_gamma_row_matches_direct_gamma():
                 assert row.k == k and row.start == start
                 for j, bit in enumerate(row.bits):
                     assert bit == gamma(k, term(spec, start + j)), (spec, k, start, j)
+
+
+def test_linear_rows_tile_one_state_period():
+    # past one state period, a long linear row repeats bits instead of stepping residues: 10**7 bits of n^6
+    # mod 66 step in about 8 s, and tiled from the period (mu, lam) = (0, 66) in a few tens of ms
+    spec, k, start, count = KthPower(6), 33, 10**5, 10**7
+    with deadline(1):
+        row = gamma_row(k, spec, start, count)
+    assert len(row.bits) == count
+    for at in (0, 5_000_000, count - 300):
+        assert row.bits[at : at + 300] == oracle_row_bits(k, spec, start + at, 300), at
+    # a tail (geo:1,4 mod 2k = 8) and a start inside it, a period longer than the row, and a row shorter than 2k
+    for spec, k, start, count in ((parse_spec("geo:1,4"), 4, 1, 50), (FibonacciPower(1), 500, 7, 1000),
+                                  (FibonacciPower(1), 500, 7, 999), (Naturals(), 9, 3, 18)):
+        assert gamma_row(k, spec, start, count).bits == oracle_row_bits(k, spec, start, count), (spec, k)
 
 
 def test_gamma_row_residue_path_matches_exact_terms():

@@ -4,10 +4,10 @@ each reduced shape the split witness treats apart: b' even (the roles of a'
 and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
 inverse on the same pairs; rs_solve against the closed form on the same
 shapes made coprime, with shifts r, s in -5..5; n-variable counts against
-the coin DP; power recurrence residues at starts up to 10**30 against the
-step-by-step walk, through Lucas rows and orbit jumps; and scans resumed
-after a crash at any byte of the shard past the checkpoint against the fresh
-scan."""
+the coin DP; tiled linear rows against stepped rows; power recurrence
+residues at starts up to 10**30 against the step-by-step walk, through Lucas
+rows and orbit jumps; and scans resumed after a crash at any byte of the
+shard past the checkpoint against the fresh scan."""
 
 import math
 import tempfile
@@ -18,11 +18,28 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from splitgamma import PowerRecurrence, ResourceLimitError, gamma, nvar_classify, rs_solve, run_scan, solve_split
+from splitgamma import (
+    PowerRecurrence,
+    ResourceLimitError,
+    gamma,
+    gamma_row,
+    nvar_classify,
+    rs_solve,
+    run_scan,
+    solve_split,
+)
 from splitgamma import sequences
 from splitgamma.sequences import residues
 
-from conftest import inverse_parity_gamma, oracle_nvar_counts, oracle_powrec_residues, oracle_representable, shard_end
+from conftest import (
+    ENGINE_SPECS,
+    inverse_parity_gamma,
+    oracle_nvar_counts,
+    oracle_powrec_residues,
+    oracle_representable,
+    oracle_row_bits,
+    shard_end,
+)
 
 wide = st.integers(min_value=1, max_value=10**400)
 small = st.integers(min_value=1, max_value=10**4)
@@ -99,6 +116,17 @@ def test_nvar_counts_match_the_coin_dp(coeffs):
     rep = nvar_classify(coeffs)
     if rep.instance.rhs is not None:
         assert rep.counts == oracle_nvar_counts(coeffs)
+
+
+LINEAR_SPECS = [spec for spec in ENGINE_SPECS if sequences._linear(spec) is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LINEAR_SPECS), st.integers(1, 200), st.one_of(st.integers(1, 60), st.integers(1, 10**6)),
+       st.integers(0, 5000))
+def test_tiled_linear_rows_match_the_stepped_rows(spec, k, start, count):
+    # starts inside and past the states' tail, periods shorter and longer than the row, rows shorter than 2k
+    assert gamma_row(k, spec, start, count).bits == oracle_row_bits(k, spec, start, count)
 
 
 @settings(max_examples=300, deadline=None)

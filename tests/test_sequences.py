@@ -14,6 +14,7 @@ from splitgamma import (
     FactorialPower,
     FibonacciLike,
     FibonacciPower,
+    InvariantViolation,
     KthPower,
     LucasBalancing,
     Naturals,
@@ -21,6 +22,7 @@ from splitgamma import (
     PowerRecurrence,
     ResourceLimitError,
     ShiftedGeometric,
+    SplitSolution,
     closed_form_mod6_4,
     fib,
     fib_cube_solution,
@@ -596,6 +598,62 @@ def test_closed_form_mod6_4_domain():
         closed_form_mod6_4(2, 4, 10)
     with pytest.raises(DomainError):
         closed_form_mod6_4(1, 1, 12)
+
+
+def test_mod6_4_witnesses_match_the_closed_form_at_every_index():
+    # the route verify --family mod6-4 takes, at ten indices at once, against the one-index closed form and the solver
+    ns = range(4, 59, 6)
+    fibs = tuple((n, *fib_pair(n - 2)) for n in ns)
+    for u in range(1, 61):
+        for v in range(1, 61):
+            if math.gcd(u, v) == 1:
+                got = [SplitSolution(*w) for w in sequences._mod6_4_witnesses(u, v, fibs)]
+                assert got == [closed_form_mod6_4(u, v, n) for n in ns], (u, v)
+                if u + v < 20:
+                    assert got == [solve_split(*fiblike_pair(u, v, n)) for n in ns], (u, v)
+
+
+def _fib_off_by(d2, d1):
+    real = sequences.fib_pair
+
+    def fib_pair(n, mod=None):
+        f2, f1 = real(n, mod)
+        return f2 + d2, f1 + d1
+
+    return fib_pair
+
+
+def _oddr_off_by(dr, flip):
+    real = sequences.oddr
+
+    def oddr(u, v):
+        sel = real(u, v)
+        return sequences.OddrResult(sel.r + dr, -sel.sign if flip else sel.sign)
+
+    return oddr
+
+
+# with wrong Fibonacci numbers or a wrong odd multiplier patched in, each check of the closed form fails,
+# with the message it has always printed
+@pytest.mark.parametrize(
+    "name, patch, args, error, message",
+    [
+        ("fib_pair", _fib_off_by(-3, -3), (3, 5, 10), InvariantViolation, "half-integral witness for (3, 5, 10): 104, 79/2"),
+        ("fib_pair", _fib_off_by(1, 0), (1, 1, 10), InvariantViolation, "half-integral witness for (1, 1, 10): 55/2, 21/2"),
+        ("fib_pair", _fib_off_by(-2, -3), (2, 3, 4), InvariantViolation, "negative witness for (2, 3, 4): (-2, -2)"),
+        ("fib_pair", _fib_off_by(0, 2), (3, 5, 10), InvariantViolation, "pair (243, 393) not coprime for seeds (3, 5)"),
+        ("fib_pair", _fib_off_by(-2, -2), (3, 5, 10), InvariantViolation, "witness fails the equation for (3, 5, 10)"),
+        ("oddr", _oddr_off_by(0, True), (3, 5, 10), DomainError, "((u-r)*v + 1)/u is not an integer for u=3, v=5, r=1"),
+        ("oddr", _oddr_off_by(2, False), (5, 7, 4), DomainError, "((u-r)*v + 1)/u is not an integer for u=5, v=7, r=5"),
+        ("oddr", _oddr_off_by(0, True), (7, 4, 16), DomainError, "((u-r)*v + 1)/u is not an integer for u=7, v=4, r=5"),
+    ],
+    ids=["half-integral", "both-half-integral", "negative", "not-coprime", "equation", "sign", "r", "sign-even-u"],
+)
+def test_closed_form_mod6_4_failures_keep_their_messages(monkeypatch, name, patch, args, error, message):
+    monkeypatch.setattr(sequences, name, patch)
+    with pytest.raises(error) as err:
+        closed_form_mod6_4(*args)
+    assert str(err.value) == message
 
 
 def test_fib_identity_solution():
