@@ -48,6 +48,7 @@ _ERRORS = {
     InvariantViolation: ("verification failure", EXIT_VERIFY),
     ResourceLimitError: ("resource cap", EXIT_RESOURCE),
     OSError: ("i/o error", EXIT_USAGE),  # an --out path that cannot be opened
+    MemoryError: ("resource cap", EXIT_RESOURCE),  # raised with no message; main names it
 }
 
 
@@ -453,7 +454,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except tuple(_ERRORS) as exc:
         label, code = next(v for kind, v in _ERRORS.items() if isinstance(exc, kind))
-        print(f"{label}: {exc}", file=sys.stderr)
+        print(f"{label}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return code
     finally:
         if old_limit is not None:

@@ -11,7 +11,7 @@ cycle finding (``sequences._orbit``).  ``row_period`` classifies the
 mu + lam terms of that cycle once, and ``gamma_row`` repeats one state
 period's bits along a long order-2 linear row.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
-period on a finite window (``detect_period``, O(window^2)) and certify it
+period on a finite window (``detect_period``, O(window)) and certify it
 against the residue period where there is one.
 """
 
@@ -94,7 +94,7 @@ def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
             head = max(start, 1 + mu) - start + lam  # the bits from head on repeat those lam earlier
             if head < count:
                 bits = _row_bits(k, spec, start, head)
-                cycle = bits[head - lam :]
+                cycle = bytes(bits[head - lam :])  # a bytearray repeat out of memory also prints a SystemError
                 bits += cycle * ((count - head) // lam) + cycle[: (count - head) % lam]
                 return BitRow(k, spec, start, bytes(bits))
     return BitRow(k, spec, start, bytes(_row_bits(k, spec, start, count)))
@@ -107,34 +107,31 @@ def pair_row(spec: SequenceSpec, start: int, count: int) -> tuple[int, ...]:
 
 
 def detect_period(bits: Sequence[int], min_repeats: int = 3) -> PeriodReport | None:
-    """Smallest (preperiod, period) consistent with the window, or None.
+    """Least preperiod, then least period, shown min_repeats times in the window, or None.
 
-    A candidate period T is accepted only when the tail after the preperiod
-    contains at least min_repeats full copies of it.  zeros/ones count one
-    period starting at the preperiod.
+    bits[s:] reversed is the prefix rev[:n - s] of the reversed window, so one
+    border table of rev (Knuth, Morris & Pratt 1977) gives each tail's least
+    period in O(n), and the answer is the least s whose tail holds min_repeats
+    copies of it.  zeros/ones count one period starting at the preperiod.
     """
     if min_repeats < 2:
         raise DomainError(f"min_repeats must be >= 2, got {min_repeats}")
-    bits = list(bits)
-    n = len(bits)
-    best: tuple[int, int] | None = None
-    for period in range(1, n // min_repeats + 1):
-        s = 0
-        if bits[period:] != bits[:-period]:
-            for i in range(n - period - 1, -1, -1):
-                if bits[i] != bits[i + period]:
-                    s = i + 1
-                    break
-        if n - s >= min_repeats * period and (best is None or (s, period) < best):
-            best = (s, period)
-            if s == 0:  # nothing can beat a zero preperiod at the smallest period so far
-                break
-    if best is None:
-        return None
-    s, period = best
-    window = bits[s : s + period]
-    z = window.count(0)
-    return PeriodReport(s, period, z, period - z, False, (n - s) // period)
+    rev = list(bits)[::-1]
+    n = len(rev)
+    border, b = [0] * (n + 1), 0  # border[L]: the longest proper border of rev[:L]
+    for i in range(1, n):
+        while b and rev[i] != rev[b]:
+            b = border[b]
+        if rev[i] == rev[b]:
+            b += 1
+        border[i + 1] = b
+    for s in range(n):
+        length = n - s
+        period = length - border[length]
+        if min_repeats * period <= length:
+            z = rev[length - period : length].count(0)
+            return PeriodReport(s, period, z, period - z, False, length // period)
+    return None
 
 
 # ---------------- Residue-state periods ----------------
@@ -206,7 +203,7 @@ def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
         found = _linear_period(lin, m) if lin else None
     except ResourceLimitError:  # m needs a trial divisor past sequences.FACTOR_TRIAL_MAX
         found = None
-    mu, lam = found or _orbit(engine[0], engine[1], m)
+    mu, lam = found or _orbit(engine[0](1), engine[1], m)
     if lam > 1 << sequences.ORBIT_MAX.bit_length():  # past the window where _orbit stops
         raise ResourceLimitError(f"the residue orbit mod {m} is longer than {sequences.ORBIT_MAX} states")
     if lin and lin[4] > 1:
@@ -265,8 +262,7 @@ def _row_period(
         base = max(rep.preperiod, sp.preperiod)
         end = base + sp.period
         bits = row.bits
-        if end + rep.period <= len(bits) and all(bits[i] == bits[i + rep.period] for i in range(base, end)):
-            certified = True
+        certified = end + rep.period <= len(bits) and bits[base:end] == bits[base + rep.period : end + rep.period]
     return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats), sp
 
 

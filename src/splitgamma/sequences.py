@@ -301,30 +301,28 @@ def residue_engine(
         return (lambda n: _linear_pair(lin, n, m)), step, (lambda st: pow(st[0], power, m))
     if isinstance(spec, PowerRecurrence):
         step = lambda st: st[1:] + (_powrec_step(spec, st, m),)
-
-        def walk(n: int) -> tuple[int, ...]:
-            st = tuple(a % m for a in spec.init)
-            for _ in range(n - 1):
-                st = step(st)
-            return st
+        x0 = tuple(a % m for a in spec.init)
 
         def state_at(n: int) -> tuple[int, ...]:
             if n > ORBIT_MAX:  # into the cycle; n itself while n - 1 is still in the tail
-                mu, lam = _orbit(walk, step, m)
+                mu, lam = _orbit(x0, step, m)
                 n = min(n, 1 + mu + (n - 1 - mu) % lam)
-            return walk(n)
+            st = x0
+            for _ in range(n - 1):
+                st = step(st)
+            return st
 
         return state_at, step, lambda st: st[0]
     raise DomainError(f"no residue recurrence available for {spec!r}")
 
 
-def _orbit(state_at: Callable[[int], tuple], step: Callable[[tuple], tuple], m: int) -> tuple[int, int]:
-    """(mu, lam), the tail and cycle lengths of the states from state_at(1) on, mod m.
+def _orbit(x0: tuple, step: Callable[[tuple], tuple], m: int) -> tuple[int, int]:
+    """(mu, lam), the tail and cycle lengths of the states x0, step(x0), ... mod m.
 
-    Brent's cycle finding (BIT 1980) holds two states, takes O(mu + lam)
-    steps and calls state_at only at 1 and 1 + lam.  See ORBIT_MAX.
+    Brent's cycle finding (BIT 1980) holds two states and takes O(mu + lam)
+    steps: the hare then steps lam times from x0 and walks in step with the
+    tortoise to the cycle's first state.  See ORBIT_MAX.
     """
-    x0 = state_at(1)
     power = lam = 1
     tortoise, hare = x0, step(x0)
     while tortoise != hare:
@@ -334,7 +332,10 @@ def _orbit(state_at: Callable[[int], tuple], step: Callable[[tuple], tuple], m: 
             tortoise, power, lam = hare, 2 * power, 0
         hare = step(hare)
         lam += 1
-    mu, tortoise, hare = 0, x0, state_at(1 + lam)
+    hare = x0
+    for _ in range(lam):
+        hare = step(hare)
+    mu, tortoise = 0, x0
     while tortoise != hare:
         mu, tortoise, hare = mu + 1, step(tortoise), step(hare)
     return mu, lam

@@ -6,7 +6,8 @@ split witness and the former cube-by-cube Fibonacci cube witness; a plain
 Fibonacci orbit walk for Pisano periods; rows by stepping every residue,
 which the tiled linear rows are checked against; the former table-walk
 residue periods and windowed row periods, which the exact one-pass row
-periods are checked against; the former per-prime-power route to
+periods are checked against; the former O(W^2) window search, which the
+one-pass border-table search is checked against; the former per-prime-power route to
 (n!)^(n!) mod m; and a step-by-step power recurrence walk, which the
 Lucas-doubling rows and the orbit jump are checked against.  Also a deadline for calls that must stop
 quickly, so a regression fails the test instead of running away, a call
@@ -20,7 +21,7 @@ import math
 import signal
 
 from splitgamma.core import SplitSolution, _witness, gamma
-from splitgamma.periodicity import PeriodReport, StatePeriod, detect_period
+from splitgamma.periodicity import PeriodReport, StatePeriod
 from splitgamma.sequences import _factorize, parse_spec, residue_engine, residues
 
 # every family with a residue engine whose rows are read from residues; geo:1,4
@@ -214,11 +215,36 @@ def oracle_row_bits(k, spec, start, count):
     return bytes(gamma(k, r or 2 * k) for r in residues(spec, start, count, 2 * k))
 
 
+def oracle_detect_period(bits, min_repeats=3):
+    """detect_period by trying every period T <= n / min_repeats: T's preperiod is
+    one past the last i with bits[i] != bits[i + T], and the least feasible
+    (preperiod, T) wins."""
+    bits = list(bits)
+    n = len(bits)
+    best = None
+    for period in range(1, n // min_repeats + 1):
+        s = 0
+        if bits[period:] != bits[:-period]:
+            for i in range(n - period - 1, -1, -1):
+                if bits[i] != bits[i + period]:
+                    s = i + 1
+                    break
+        if n - s >= min_repeats * period and (best is None or (s, period) < best):
+            best = (s, period)
+            if s == 0:  # nothing can beat a zero preperiod at the smallest period so far
+                break
+    if best is None:
+        return None
+    s, period = best
+    z = bits[s : s + period].count(0)
+    return PeriodReport(s, period, z, period - z, False, (n - s) // period)
+
+
 def oracle_row_period(k, spec):
-    """The windowed row period: detect_period on max(4 pi, 200) + mu stepped bits, then certify."""
+    """The windowed row period: the window search on max(4 pi, 200) + mu stepped bits, then certify."""
     sp = oracle_state_period(spec, 2 * k)
     bits = oracle_row_bits(k, spec, 1, max(4 * sp.period, 200) + sp.preperiod)
-    rep = detect_period(bits)
+    rep = oracle_detect_period(bits)
     base = max(rep.preperiod, sp.preperiod)
     certified = (
         sp.period % rep.period == 0

@@ -419,6 +419,24 @@ def test_period_with_an_orbit_past_the_walk_bound_exits_4(capsys):
     assert err == "resource cap: the residue orbit mod 2000000000 is longer than 2000000 states\n"
 
 
+def test_period_on_a_long_window_answers_within_half_a_second(capsys):
+    # 20,000 factpow bits: the former window search took ~7.9 s end to end
+    with deadline(0.5):
+        code, out, err = run(capsys, "period", "--k", "30", "--seq", "factpow", "--window", "20000")
+    assert (code, err) == (0, "")
+    assert out == "period=1 preperiod=2 zeros=1 ones=0 certified=no verified_repeats=19998\n"
+
+
+def test_out_of_memory_exits_4_with_one_line(capsys, monkeypatch):
+    # a row too long for memory fails in gamma_row's tile; MemoryError carries no message
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("splitgamma.periodicity.gamma_row", exhausted)
+    code, out, err = run(capsys, "row", "--k", "3", "--seq", "fib", "--count", "3000000000")
+    assert (code, out, err) == (4, "", "resource cap: out of memory\n")
+
+
 def test_period_window_below_one_is_a_domain_error(capsys):
     for window in ("0", "-5"):
         code, out, err = run(capsys, "period", "--k", "5", "--seq", "fib", "--window", window)

@@ -180,6 +180,15 @@ def test_detect_period_prefers_smaller_preperiod():
     assert (rep.preperiod, rep.period) == (0, 6)
 
 
+def test_detect_period_takes_one_pass_over_a_long_window():
+    # the factpow row mod 60 is constant from n = 3 on; the former search tried
+    # every period up to W / 3 with a backward scan each, ~7.6 s on these 20,000 bits
+    bits = gamma_row(30, FactorialPower(), 1, 20000).bits
+    with deadline(0.5):
+        rep = detect_period(bits)
+    assert (rep.preperiod, rep.period, rep.zeros, rep.ones, rep.verified_repeats) == (2, 1, 1, 0, 19998)
+
+
 def test_detect_period_none_cases():
     assert detect_period([0, 0, 1, 0, 1, 1, 0, 0]) is None
     assert detect_period([0, 1] * 2) is None
@@ -280,6 +289,19 @@ def test_orbit_walk_refuses_past_its_bound(monkeypatch):
             row_period(25, FibonacciPower(1))
 
 
+def test_a_walked_state_period_walks_its_orbit_once(monkeypatch):
+    # 1 + lam > ORBIT_MAX here: a walk started from the engine's state_at
+    # would re-enter _orbit to reach state 1 + lam and walk the orbit twice
+    monkeypatch.setattr(sequences, "ORBIT_MAX", 100)
+    walks = count_calls(monkeypatch, periodicity, "_orbit")
+    walks_inside = count_calls(monkeypatch, sequences, "_orbit")
+    spec = parse_spec("powrec:c=1,1;t=1,2;init=1,1")
+    for m, want in ((73, (14, 113)), (94, (10, 105)), (97, (52, 122))):
+        before = len(walks) + len(walks_inside)
+        assert state_period_mod(spec, m) == StatePeriod(*want), m
+        assert len(walks) + len(walks_inside) == before + 1, m
+
+
 def test_unit_route_refuses_exactly_the_orbits_the_walk_refuses(monkeypatch):
     # with the bound at 100 the walk's last window holds 128 states: n mod 128
     # answers and n mod 129 is refused, and for every m the route that needs no
@@ -294,7 +316,7 @@ def test_unit_route_refuses_exactly_the_orbits_the_walk_refuses(monkeypatch):
         for m in range(1, 400):
             state_at, step, _ = sequences.residue_engine(spec, m)
             try:
-                want = StatePeriod(*sequences._orbit(state_at, step, m))
+                want = StatePeriod(*sequences._orbit(state_at(1), step, m))
             except ResourceLimitError as e:
                 with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(e))}$"):
                     state_period_mod(spec, m)
@@ -459,6 +481,16 @@ def test_gamma_shift_sweep_never_violates():
 def test_halfperiod_reflection():
     for k in range(2, 31):
         assert halfperiod_reflection(k) is True
+
+
+def test_rows_against_naturals_reflect_and_repeat_at_half_period():
+    # checked here for k < 300, not proven: gamma(k, 2k - s) = 1 - gamma(k, s)
+    # for s != k in 1..2k - 1, and for odd k gamma(k, b + k) = gamma(k, b) for b <= 2k
+    for k in range(1, 300):
+        row = [gamma(k, b) for b in range(1, 3 * k + 1)]  # row[b - 1] = gamma(k, b)
+        assert all(row[2 * k - s - 1] == 1 - row[s - 1] for s in range(1, 2 * k) if s != k), k
+        if k % 2:
+            assert row[k : 3 * k] == row[: 2 * k], k
 
 
 # ---------------- alternation helpers ----------------

@@ -4,7 +4,9 @@ each reduced shape the split witness treats apart: b' even (the roles of a'
 and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
 inverse on the same pairs; rs_solve against the closed form on the same
 shapes made coprime, with shifts r, s in -5..5; n-variable counts against
-the coin DP; tiled linear rows against stepped rows; power recurrence
+the coin DP; the one-pass window period search against the former O(W^2)
+search, on random rows and on rows with a planted preperiod and period and
+one bit flipped; tiled linear rows against stepped rows; power recurrence
 residues at starts up to 10**30 against the step-by-step walk, through Lucas
 rows and orbit jumps; and scans resumed after a crash at any byte of the
 shard past the checkpoint against the fresh scan."""
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from splitgamma import (
     PowerRecurrence,
     ResourceLimitError,
+    detect_period,
     gamma,
     gamma_row,
     nvar_classify,
@@ -34,6 +37,7 @@ from splitgamma.sequences import residues
 from conftest import (
     ENGINE_SPECS,
     inverse_parity_gamma,
+    oracle_detect_period,
     oracle_nvar_counts,
     oracle_powrec_residues,
     oracle_representable,
@@ -116,6 +120,25 @@ def test_nvar_counts_match_the_coin_dp(coeffs):
     rep = nvar_classify(coeffs)
     if rep.instance.rhs is not None:
         assert rep.counts == oracle_nvar_counts(coeffs)
+
+
+@st.composite
+def planted_rows(draw):
+    # a head, then a cycle to length n, then at most one bit flipped anywhere
+    n = draw(st.integers(0, 400))
+    head = draw(st.lists(st.integers(0, 1), max_size=n))
+    cycle = draw(st.lists(st.integers(0, 1), min_size=1, max_size=max(1, n // 2)))
+    bits = head + [cycle[i % len(cycle)] for i in range(n - len(head))]
+    flip = draw(st.one_of(st.none(), st.integers(0, max(0, n - 1))))
+    if flip is not None and bits:
+        bits[flip] ^= 1
+    return bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 1), max_size=400), planted_rows()), st.integers(2, 6))
+def test_detect_period_matches_the_quadratic_search(bits, min_repeats):
+    assert detect_period(bits, min_repeats) == oracle_detect_period(bits, min_repeats)
 
 
 LINEAR_SPECS = [spec for spec in ENGINE_SPECS if sequences._linear(spec) is not None]
