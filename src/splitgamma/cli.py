@@ -7,13 +7,19 @@ every number as a decimal string, so arbitrary precision survives any consumer,
 and leaves booleans and null native.  CSV prints booleans as 0/1, None as an
 empty cell and lists joined by ";"; its header is the payload's keys bar
 "command", unless the command is table-valued.  Text says yes/no for booleans
-and "none" for None.
+and "none" for None.  JSON is written by template under that rule, with the
+bytes ``json.dumps(..., indent=2)`` gives: a list of ints (a row's bits) or of
+flat records (scan records, verify items) fills one template built for the
+list, so no pure-Python encoder runs.  A scan reads its pairs as the
+explorer's plain rows, from the kernel that ``rs`` wraps in a record: the CSV
+table takes the rows as they are and JSON zips each with the schema.
 Exit codes: 0 ok, 1 usage or i/o error, 2 domain error, 3 verification failure, 4 resource cap.
 
 Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
 a process compiles every module it imports, which costs more than most answers,
 so this module imports only ``core`` up front; each handler imports the layer it
-uses, and ``_emit`` imports ``json`` or ``csv`` only for those formats.
+uses, ``_emit`` imports ``json`` or ``csv`` only for those formats, and a named
+command builds only its own subparser (help and usage errors see all of them).
 """
 
 from __future__ import annotations
@@ -59,14 +65,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _json_value(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, dict):
-        return {key: _json_value(v) for key, v in value.items()}
-    return [_json_value(v) for v in value]
+def _json_doc(value) -> str:
+    """json.dumps(v, indent=2) of value with every int as a decimal string, written by template.
+
+    Scalars go by their exact type; dicts and lists (any other iterable:
+    generators are consumed once and bytes gives ints) nest two spaces a level.
+    A list of ints, or of flat dicts with the first one's keys in its order,
+    fills one template built for the whole list; any other list goes item by item.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+    scalar = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false", int: '"%d"'.__mod__,
+              str: quote}
+
+    def flat(items, keys, pad):
+        # one template for a list of flat dicts; KeyError when an item does not fit it
+        inner = pad + "  "
+        item = "{" + inner + ("," + inner).join(quote(key).replace("%", "%%") + ": %s" for key in keys) + pad + "}"
+        for d in items:
+            if type(d) is not dict or tuple(d) != keys:
+                raise KeyError(keys)
+            yield item % tuple([scalar[type(v)](v) for v in d.values()])
+
+    def doc(value, pad):  # pad: a newline and the indent of the line value starts on
+        kind = type(value)
+        if kind in scalar:
+            return scalar[kind](value)
+        inner = pad + "  "
+        if isinstance(value, dict):
+            body = [quote(key) + ": " + doc(v, inner) for key, v in value.items()]
+            return "{" + inner + ("," + inner).join(body) + pad + "}" if body else "{}"
+        if isinstance(value, (str, int)):  # a subclass; no type subclasses bool or NoneType
+            return quote(value if isinstance(value, str) else str(value))
+        items = value if kind is list else list(value)
+        if not items:
+            return "[]"
+        sep = "," + inner
+        if all(type(v) is int for v in items):
+            return ("[" + inner + sep.join(['"%d"'] * len(items)) + pad + "]") % tuple(items)
+        if type(items[0]) is dict and items[0]:
+            try:
+                return "[" + inner + sep.join(flat(items, tuple(items[0]), inner)) + pad + "]"
+            except KeyError:
+                pass
+        return "[" + inner + sep.join([doc(v, inner) for v in items]) + pad + "]"
+
+    return doc(value, "\n")
 
 
 def _csv_cell(value):
@@ -81,8 +124,7 @@ def _emit(fmt: str, payload: dict, text: list[str], table=None, json_only=None) 
     table is (header, rows) for table-valued commands; json_only holds trailing keys with no CSV column.
     """
     if fmt == "json":
-        import json
-        print(json.dumps(_json_value({**payload, **(json_only or {})}), indent=2))
+        print(_json_doc({**payload, **(json_only or {})}))
     elif fmt == "csv":
         import csv
         if table is None:
@@ -345,11 +387,12 @@ def _cmd_beiter_scan(args) -> int:
         pairs, hits, table = summary["pairs"], summary["exactly_one"], None
         json_only = {"out": args.out, "metadata": summary["metadata"]}
     else:
-        records, pairs, hits = [], 0, 0
+        rows, pairs, hits = [], 0, 0
         for _, shard in iter_scan(args.r, args.s, args.xmax, args.cap):
-            pairs, hits = pairs + len(shard), hits + sum(rec.exactly_one for rec in shard)
-            records += map(vars, shard) if args.format != "text" else ()  # text prints the summary only
-        table = (SCAN_CSV_HEADER, (rec.values() for rec in records))
+            pairs, hits = pairs + len(shard), hits + sum([row[-1] for row in shard])
+            rows += shard if args.format != "text" else ()  # text prints the summary only
+        table = (SCAN_CSV_HEADER, rows)
+        records = (dict(zip(SCAN_CSV_HEADER, row)) for row in rows)
         json_only = {"metadata": dict(SCAN_METADATA), "records": records}
     g = math.gcd(hits, pairs)  # pairs >= 1: (1, 1) is always scanned
     num, den = hits // g, pairs // g
@@ -373,72 +416,71 @@ def _cmd_beiter_scan(args) -> int:
 # ---------------- Parser ----------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CAP = ("--cap", dict(type=int, default=math.inf))
+
+# each command's handler, summary and arguments, as (flag, add_argument options), in help order
+_COMMANDS = {
+    "gamma": (_cmd_gamma, "which equation of the pair is solvable", [("a", dict(type=int)), ("b", dict(type=int))]),
+    "solve": (_cmd_solve, "the unique nonnegative witness", [
+        ("a", dict(type=int)),
+        ("b", dict(type=int)),
+        ("--oracle", dict(action="store_true", help="cross-check against brute-force enumeration")),
+    ]),
+    "row": (_cmd_row, "classifier bits along a sequence", [
+        ("--k", dict(type=int, required=True)),
+        ("--seq", dict(required=True)),
+        ("--start", dict(type=int, default=1)),
+        ("--count", dict(type=int, required=True)),
+    ]),
+    "period": (_cmd_period, "eventual period of a classifier row", [
+        ("--k", dict(type=int, required=True)),
+        ("--seq", dict(required=True)),
+        ("--window", dict(type=int, default=None)),
+        ("--min-repeats", dict(type=int, default=3)),
+    ]),
+    "pisano": (_cmd_pisano, "Fibonacci period modulo m", [("m", dict(type=int))]),
+    "table1": (_cmd_table1, "row periods against Fibonacci for k = 1..kmax", [("--kmax", dict(type=int, default=10))]),
+    "density": (_cmd_density, "greedy chain hitting a target zero-bit density", [
+        ("--p", dict(required=True, help="target density, e.g. 1/2")),
+        ("--n", dict(type=int, required=True, help="number of steps")),
+    ]),
+    "verify": (_cmd_verify, "closed-form witnesses against the solver", [
+        ("--family", dict(choices=("fib", "fib2", "fib3", "fiblike", "mod6-4"), required=True)),
+        ("--range", dict(default=None, help="LO:HI, meaning depends on the family")),
+    ]),
+    "nvar": (_cmd_nvar, "solution counts for an n-variable instance", [("coeffs", dict(type=int, nargs="+")), _CAP]),
+    "rs": (_cmd_rs, "solvability with a shifted right-hand side", [
+        ("--a", dict(type=int, required=True)),
+        ("--b", dict(type=int, required=True)),
+        ("--r", dict(type=int, default=1)),
+        ("--s", dict(type=int, default=1)),
+        _CAP,
+    ]),
+    "beiter-scan": (_cmd_beiter_scan, "scan coprime pairs for exactly-one solvability", [
+        ("--r", dict(type=int, default=1)),
+        ("--s", dict(type=int, default=1)),
+        ("--xmax", dict(type=int, required=True)),
+        ("--out", dict(default=None, help="stream records to this file (csv, or json lines with --format json)")),
+        ("--resume", dict(action="store_true", help="continue from the checkpoint next to --out")),
+        ("--jobs", dict(type=int, default=1, help="accepted and ignored: the scan runs in one process")),
+        _CAP,
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command's subparser, or only the one named."""
     fmt_parent = argparse.ArgumentParser(add_help=False)
     fmt_parent.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     parser = _Parser(prog="splitgamma", description="Split-equation classifier, solver and explorer.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary):
-        p = sub.add_parser(name, parents=[fmt_parent], help=summary)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("gamma", _cmd_gamma, "which equation of the pair is solvable")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = command("solve", _cmd_solve, "the unique nonnegative witness")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--oracle", action="store_true", help="cross-check against brute-force enumeration")
-
-    p = command("row", _cmd_row, "classifier bits along a sequence")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--start", type=int, default=1)
-    p.add_argument("--count", type=int, required=True)
-
-    p = command("period", _cmd_period, "eventual period of a classifier row")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--min-repeats", type=int, default=3)
-
-    p = command("pisano", _cmd_pisano, "Fibonacci period modulo m")
-    p.add_argument("m", type=int)
-
-    p = command("table1", _cmd_table1, "row periods against Fibonacci for k = 1..kmax")
-    p.add_argument("--kmax", type=int, default=10)
-
-    p = command("density", _cmd_density, "greedy chain hitting a target zero-bit density")
-    p.add_argument("--p", required=True, help="target density, e.g. 1/2")
-    p.add_argument("--n", type=int, required=True, help="number of steps")
-
-    p = command("verify", _cmd_verify, "closed-form witnesses against the solver")
-    p.add_argument("--family", choices=("fib", "fib2", "fib3", "fiblike", "mod6-4"), required=True)
-    p.add_argument("--range", default=None, help="LO:HI, meaning depends on the family")
-
-    p = command("nvar", _cmd_nvar, "solution counts for an n-variable instance")
-    p.add_argument("coeffs", type=int, nargs="+")
-
-    p = command("rs", _cmd_rs, "solvability with a shifted right-hand side")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
-
-    p = command("beiter-scan", _cmd_beiter_scan, "scan coprime pairs for exactly-one solvability")
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--xmax", type=int, required=True)
-    p.add_argument("--out", default=None, help="stream records to this file (csv, or json lines with --format json)")
-    p.add_argument("--resume", action="store_true", help="continue from the checkpoint next to --out")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the scan runs in one process")
-
-    for name in ("nvar", "rs", "beiter-scan"):
-        sub.choices[name].add_argument("--cap", type=int, default=math.inf)
+    for name, (func, summary, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[fmt_parent], help=summary)
+            p.set_defaults(func=func)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -448,7 +490,11 @@ def main(argv=None) -> int:
     if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # a named command needs only its own subparser; help, errors and the rest see every command
+        args, extra = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
+        if extra:  # unrecognized arguments: the full parser reports them, its usage naming every command
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -11,17 +11,21 @@ is built; the saturating coin DP is the tests' oracle.
 
 Pair scans shard by the first coordinate.  Every scan draws its shards from
 ``iter_scan``, in this process: a pair costs microseconds, so worker start-up
-and pickling would outweigh it.  ``ScanRecord``'s fields are the scan schema.
-``run_scan`` renders each shard to bytes once (``_shard_bytes``: one table
-holds each file format's line template, and one comprehension fills it for
-CSV and JSON lines alike), streams them and keeps a plain-text checkpoint
-holding the last completed shard id; a scan printed to stdout goes through
-the CLI's ``_emit`` instead, by the rule every command prints with.  The
-checkpoint is one handle, opened when the first new shard is written and
-rewritten in place after each flushed shard.  A resumed scan runs the same
-loop: it recomputes the checkpointed shards and compares their bytes with
-the file instead of parsing records back, so a file from other parameters
-is refused and the partial shard a crash left is cut off.
+and pickling would outweigh it.  ``ScanRecord``'s fields are the scan schema,
+and one private kernel (``_rs_row``) gives them for a pair as a plain tuple in
+field order: scans read these rows as they are, and the public ``rs_solve``
+and ``scan_shard`` check their arguments and wrap the same rows in
+``ScanRecord``s, so a scan builds no object per pair.  ``run_scan`` renders
+each shard to bytes once (``_shard_bytes``: one table holds each file
+format's line template, and one comprehension fills it with the rows for CSV
+and JSON lines alike), streams them and keeps a plain-text checkpoint holding
+the last completed shard id; a scan printed to stdout goes through the CLI's
+``_emit`` instead, by the rule every command prints with.  The checkpoint is
+one handle, opened when the first new shard is written and rewritten in place
+after each flushed shard.  A resumed scan runs the same loop: it recomputes
+the checkpointed shards and compares their bytes with the file instead of
+parsing records back, so a file from other parameters is refused and the
+partial shard a crash left is cut off.
 """
 
 from __future__ import annotations
@@ -143,6 +147,20 @@ def nvar_classify(coeffs, cap: float = math.inf) -> NVarReport:
     return NVarReport(inst, counts, solvable, len(solvable) == 1)
 
 
+def _rs_row(a: int, b: int, r: int, s: int, cap: float) -> tuple:
+    # the scan kernel: one ScanRecord's fields, in order, for a checked coprime pair
+    num = (a - r) * (b - s)
+    if num % 2:
+        return (a, b, r, s, None, False, False, False, False)
+    rhs = num // 2
+    if rhs > cap:
+        raise ResourceLimitError(f"rhs {rhs} exceeds cap {cap}")
+    inv = mod_inverse(a, b) if b > 1 else 0
+    s0 = _witness(a, b, inv, rhs) is not None
+    s1 = _witness(a, b, inv, rhs - 1) is not None
+    return (a, b, r, s, rhs, True, s0, s1, s0 != s1)
+
+
 def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: float = math.inf) -> ScanRecord:
     """Solvability of i + ax + by = (a-r)(b-s)/2 for i in {0, 1}; needs gcd(a, b) = 1.
 
@@ -153,16 +171,7 @@ def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: float = math.inf) -> S
         raise DomainError(f"need positive a, b, got ({a}, {b})")
     if math.gcd(a, b) != 1:
         raise DomainError(f"need gcd(a, b) = 1, got gcd = {math.gcd(a, b)}")
-    num = (a - r) * (b - s)
-    if num % 2:
-        return ScanRecord(a, b, r, s, None, False, False, False, False)
-    rhs = num // 2
-    if rhs > cap:
-        raise ResourceLimitError(f"rhs {rhs} exceeds cap {cap}")
-    inv = mod_inverse(a, b) if b > 1 else 0
-    s0 = _witness(a, b, inv, rhs) is not None
-    s1 = _witness(a, b, inv, rhs - 1) is not None
-    return ScanRecord(a, b, r, s, rhs, True, s0, s1, s0 != s1)
+    return ScanRecord(*_rs_row(a, b, r, s, cap))
 
 
 # ---------------- Aggregates ----------------
@@ -173,22 +182,25 @@ def scan_shard(a: int, r: int, s: int, x_max: int, cap: float = math.inf) -> lis
     return [rs_solve(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
 
 
-def iter_scan(r: int, s: int, x_max: int, cap: float = math.inf) -> Iterator[tuple[int, list[ScanRecord]]]:
-    """(shard id, records) for the shards 1..x_max, in shard order.
+def iter_scan(r: int, s: int, x_max: int, cap: float = math.inf) -> Iterator[tuple[int, list[tuple]]]:
+    """(shard id, rows) for the shards 1..x_max, in shard order.
 
-    Arguments are checked here, before anything is yielded.
+    A row is a plain tuple of ``ScanRecord``'s fields, in order, from the same
+    kernel as ``rs_solve``.  Arguments are checked here, before anything is
+    yielded.
     """
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
-    return ((a, scan_shard(a, r, s, x_max, cap)) for a in range(1, x_max + 1))
+    bs = range(1, x_max + 1)
+    return ((a, [_rs_row(a, b, r, s, cap) for b in bs if math.gcd(a, b) == 1]) for a in bs)
 
 
 def beiter_density(r: int, s: int, x_max: int) -> Fraction:
     """Fraction of ordered coprime pairs in [1, x_max]^2 with exactly one solvable side."""
     from fractions import Fraction
     hits = total = 0
-    for _, records in iter_scan(r, s, x_max):
-        total, hits = total + len(records), hits + sum(rec.exactly_one for rec in records)
+    for _, rows in iter_scan(r, s, x_max):
+        total, hits = total + len(rows), hits + sum([row[-1] for row in rows])
     return Fraction(hits, total)
 
 
@@ -208,13 +220,12 @@ _SCAN_LINES = {
 }
 
 
-def _shard_bytes(shard_id: int, records: list[ScanRecord], fmt: str) -> bytes:
+def _shard_bytes(shard_id: int, rows: list[tuple], fmt: str) -> bytes:
     # the bytes one shard adds to a scan file; the CSV header opens shard 1
     line, null, num, word = _SCAN_LINES[fmt]
     text = "".join([
-        line % (rec.a, rec.b, rec.r, rec.s, null if rec.rhs is None else num % rec.rhs,
-                word[rec.integral], word[rec.solvable_i0], word[rec.solvable_i1], word[rec.exactly_one])
-        for rec in records
+        line % (a, b, r, s, null if rhs is None else num % rhs, word[i], word[s0], word[s1], word[one])
+        for a, b, r, s, rhs, i, s0, s1, one in rows
     ])
     if fmt == "csv" and shard_id == 1:
         text = ",".join(SCAN_CSV_HEADER) + "\n" + text
@@ -266,10 +277,10 @@ def run_scan(
     ckpt = None
     try:
         with out_path.open("r+b" if done else "wb") as fh:
-            for shard_id, records in shards:
-                pairs += len(records)
-                hits += sum(rec.exactly_one for rec in records)
-                data = _shard_bytes(shard_id, records, fmt)
+            for shard_id, rows in shards:
+                pairs += len(rows)
+                hits += sum([row[-1] for row in rows])
+                data = _shard_bytes(shard_id, rows, fmt)
                 if shard_id > done:
                     fh.write(data)
                     fh.flush()

@@ -11,8 +11,10 @@ one-pass border-table search is checked against; the former per-prime-power rout
 (n!)^(n!) mod m; and a step-by-step power recurrence walk, which the
 Lucas-doubling rows and the orbit jump are checked against.  Also a deadline for calls that must stop
 quickly, so a regression fails the test instead of running away, a call
-counter for complexity guards that count work instead of timing it, and the
-byte offsets where a scan file's shards end, read off its lines directly.
+counter for complexity guards that count work instead of timing it, the
+byte offsets where a scan file's shards end, read off its lines directly, and
+the CLI's former JSON conversion (every int a decimal string), which its
+template-built JSON is checked against.
 ENGINE_SPECS lists one spec of every residue-engine family the row and period
 tests sweep."""
 
@@ -281,6 +283,18 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def oracle_json_value(value):
+    """value as the CLI prints it in JSON, for json.dumps: ints become decimal strings,
+    None, bools and strings stay, dicts keep their keys and any other iterable becomes a list."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: oracle_json_value(v) for key, v in value.items()}
+    return [oracle_json_value(v) for v in value]
 
 
 def shard_end(data, fmt, shard):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import _count_table, count_calls, deadline, oracle_nvar_counts, shard_end
+from conftest import _count_table, count_calls, deadline, oracle_json_value, oracle_nvar_counts, shard_end
 from splitgamma import (
     DomainError,
     ResourceLimitError,
@@ -21,7 +21,7 @@ from splitgamma import (
     scan_shard,
 )
 from splitgamma import explorer
-from splitgamma.cli import _csv_cell, _json_value, main
+from splitgamma.cli import _csv_cell, main
 from splitgamma.explorer import SCAN_CSV_HEADER, SCAN_METADATA, ScanRecord, iter_scan
 
 
@@ -349,9 +349,9 @@ def test_scan_shard_covers_coprime_column():
     assert all(r.a == 3 for r in recs)
 
 
-def _fields(rec):
-    # a record's fields as the csv module and json read them back
-    return {key: None if v is None else str(int(v)) for key, v in vars(rec).items()}
+def _fields(row):
+    # a scan row's fields as the csv module and json read them back
+    return {key: None if v is None else str(int(v)) for key, v in zip(SCAN_CSV_HEADER, row)}
 
 
 def _csv_fields(text):
@@ -363,12 +363,12 @@ def _jsonl_fields(text):
             for line in text.splitlines()]
 
 
-def _cli_lines(records, fmt):
-    # the CLI's own rule for a record: the oracle the file templates must match
+def _cli_lines(rows, fmt):
+    # the CLI's own rule for a scan row: the oracle the file templates must match
     if fmt == "jsonl":
-        return "".join(json.dumps(_json_value(vars(rec))) + "\n" for rec in records)
+        return "".join(json.dumps(oracle_json_value(dict(zip(SCAN_CSV_HEADER, row)))) + "\n" for row in rows)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(map(_csv_cell, vars(rec).values()) for rec in records)
+    csv.writer(buf, lineterminator="\n").writerows(map(_csv_cell, row) for row in rows)
     return buf.getvalue()
 
 
@@ -378,16 +378,16 @@ def test_scan_templates_match_the_cli_rule_and_round_trip(fmt):
     header = ",".join(SCAN_CSV_HEADER) + "\n"
     seen = set()
     for r, s in itertools.product(range(4), repeat=2):
-        for shard_id, records in iter_scan(r, s, 30):
-            got = explorer._shard_bytes(shard_id, records, fmt).decode()
+        for shard_id, rows in iter_scan(r, s, 30):
+            got = explorer._shard_bytes(shard_id, rows, fmt).decode()
             assert got.startswith(header) == (fmt == "csv" and shard_id == 1)
             body = got.removeprefix(header)
-            assert body == _cli_lines(records, fmt), (r, s, shard_id)
+            assert body == _cli_lines(rows, fmt), (r, s, shard_id)
             back = _csv_fields(header + body) if fmt == "csv" else _jsonl_fields(body)
-            assert back == [_fields(rec) for rec in records]
-            seen.update((key, v) for rec in records for key, v in vars(rec).items()
+            assert back == [_fields(row) for row in rows]
+            seen.update((key, v) for row in rows for key, v in zip(SCAN_CSV_HEADER, row)
                         if v is None or isinstance(v, bool))
-            seen.update(("rhs", "negative") for rec in records if rec.rhs is not None and rec.rhs < 0)
+            seen.update(("rhs", "negative") for row in rows if row[4] is not None and row[4] < 0)
     # the scans hold rhs = None, a negative rhs and both values of every bool
     assert seen == {("rhs", None), ("rhs", "negative")} | {
         (key, v) for key in SCAN_CSV_HEADER[5:] for v in (False, True)
@@ -409,7 +409,7 @@ def test_run_scan_all_formats_and_summary(tmp_path):
     run_scan(2, 0, 14, out_jsonl, fmt="jsonl")
     csv_recs = _csv_fields(out_csv.read_text())
     assert _jsonl_fields(out_jsonl.read_text()) == csv_recs
-    want = [_fields(rec) for _, shard in iter_scan(2, 0, 14) for rec in shard]
+    want = [_fields(row) for _, shard in iter_scan(2, 0, 14) for row in shard]
     assert csv_recs == want
     assert sum(rec["exactly_one"] == "1" for rec in csv_recs) == summary["exactly_one"]
 
@@ -531,7 +531,7 @@ def test_run_scan_killed_mid_shard_keeps_the_checkpoint_at_the_last_whole_shard(
     fresh = tmp_path / "fresh.out"
     want = run_scan(1, 1, 12, fresh, fmt)
     data = fresh.read_bytes()
-    real = explorer.rs_solve
+    real = explorer._rs_row
     out, ckpt = tmp_path / "scan.out", tmp_path / "scan.out.checkpoint"
     at_death = []
 
@@ -542,7 +542,7 @@ def test_run_scan_killed_mid_shard_keeps_the_checkpoint_at_the_last_whole_shard(
             raise RuntimeError("killed")
         return real(a, *args)
 
-    monkeypatch.setattr(explorer, "rs_solve", dies_in_shard_8)
+    monkeypatch.setattr(explorer, "_rs_row", dies_in_shard_8)
     with pytest.raises(RuntimeError):
         run_scan(1, 1, 12, out, fmt)
     monkeypatch.undo()
@@ -574,7 +574,38 @@ def test_run_scan_resume_cuts_bytes_past_the_last_checkpointed_shard(tmp_path):
 
 
 def test_iter_scan_matches_shards_and_checks_before_yielding():
-    assert list(iter_scan(2, 0, 6)) == [(a, scan_shard(a, 2, 0, 6)) for a in range(1, 7)]
+    assert list(iter_scan(2, 0, 6)) == [(a, [tuple(vars(rec).values()) for rec in scan_shard(a, 2, 0, 6)])
+                                        for a in range(1, 7)]
     # raised by the call itself, so a caller can validate before it opens anything
     with pytest.raises(DomainError):
         iter_scan(1, 1, 0)
+
+
+def test_scan_rows_are_rs_solve_records_as_tuples():
+    shifts = range(-3, 8)
+    for r, s in itertools.product(shifts, repeat=2):
+        for a, rows in iter_scan(r, s, 40):
+            assert rows == [tuple(vars(rs_solve(a, b, r, s)).values()) for b in range(1, 41) if math.gcd(a, b) == 1]
+            assert scan_shard(a, r, s, 40) == [ScanRecord(*row) for row in rows]
+
+
+def test_scans_build_no_scan_record(tmp_path, monkeypatch, capsys):
+    built = []
+    real = ScanRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScanRecord, "__init__", counted)
+    assert rs_solve(3, 5, 1, 1).exactly_one and len(built) == 1  # the counter sees a construction
+    built.clear()
+    for fmt in ("csv", "jsonl"):
+        run_scan(1, 3, 20, tmp_path / f"scan.{fmt}", fmt)
+        run_scan(1, 3, 20, tmp_path / f"scan.{fmt}", fmt, resume=True)
+    for fmt in ("text", "csv", "json"):
+        assert main(["beiter-scan", "--r", "1", "--s", "3", "--xmax", "20", "--format", fmt]) == 0
+    assert main(["beiter-scan", "--xmax", "20", "--format", "json", "--out", str(tmp_path / "cli.jsonl")]) == 0
+    assert '"records": [' in capsys.readouterr().out
+    assert beiter_density(2, 0, 20) == beiter_density(0, 2, 20)
+    assert built == []

@@ -8,9 +8,14 @@ the coin DP; the one-pass window period search against the former O(W^2)
 search, on random rows and on rows with a planted preperiod and period and
 one bit flipped; tiled linear rows against stepped rows; power recurrence
 residues at starts up to 10**30 against the step-by-step walk, through Lucas
-rows and orbit jumps; and scans resumed after a crash at any byte of the
-shard past the checkpoint against the fresh scan."""
+rows and orbit jumps; scans resumed after a crash at any byte of the
+shard past the checkpoint against the fresh scan; and the CLI's template-built
+JSON against json.dumps of the former conversion, on nested values of every
+kind its payloads hold."""
 
+import contextlib
+import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -32,12 +37,14 @@ from splitgamma import (
     solve_split,
 )
 from splitgamma import sequences
+from splitgamma.cli import _emit
 from splitgamma.sequences import residues
 
 from conftest import (
     ENGINE_SPECS,
     inverse_parity_gamma,
     oracle_detect_period,
+    oracle_json_value,
     oracle_nvar_counts,
     oracle_powrec_residues,
     oracle_representable,
@@ -183,3 +190,64 @@ def test_resume_after_a_crash_anywhere_gives_the_fresh_scan(x_max, r, s, fmt, da
         Path(tmp, "out.checkpoint").write_text(f"{c}\n")
         assert run_scan(r, s, x_max, out, fmt, resume=True) == want
         assert out.read_bytes() == whole
+
+
+class _Gen(list):
+    """Stands for a generator of its items: each value built from a draw gets a fresh one."""
+
+
+def _build(value):
+    if isinstance(value, _Gen):
+        return (_build(v) for v in value)
+    if isinstance(value, dict):
+        return {key: _build(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_build(v) for v in value)
+    return value
+
+
+# quotes, backslashes, control characters, non-ASCII text and the template's own "%"
+json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f%dé€\u2028𝄞'), st.characters()), max_size=6)
+json_ints = st.one_of(st.integers(-3, 3), st.integers(-10**300, 10**300), st.integers(10**299, 10**300 - 1).map(lambda n: -n))
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_text)
+
+
+@st.composite
+def flat_dict_lists(draw, values):
+    # flat dicts sharing their keys; one may then reorder, drop or add a key, or nest a value
+    keys = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
+    items = [{key: draw(json_scalars) for key in keys} for _ in range(draw(st.integers(1, 5)))]
+    i = draw(st.integers(0, len(items) - 1))
+    change = draw(st.sampled_from(["none", "reorder", "drop", "add", "nest"]))
+    if change == "reorder":
+        items[i] = dict(reversed(list(items[i].items())))
+    elif change == "drop":
+        items[i].pop(keys[-1])
+    elif change == "add":
+        items[i][draw(json_text)] = draw(json_scalars)
+    elif change == "nest":
+        items[i][keys[0]] = draw(values)
+    return items
+
+
+json_values = st.recursive(
+    st.one_of(json_scalars, st.binary(max_size=6)),
+    lambda values: st.one_of(
+        st.lists(values, max_size=4),
+        st.lists(values, max_size=4).map(tuple),
+        st.lists(values, max_size=4).map(_Gen),
+        st.dictionaries(json_text, values, max_size=4),
+        st.lists(st.one_of(json_ints, st.booleans()), max_size=6),
+        flat_dict_lists(values),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(json_text, json_values, max_size=5), st.dictionaries(json_text, json_values, max_size=3))
+def test_emitted_json_is_json_dumps_of_the_oracle(payload, json_only):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit("json", _build(payload), [], json_only=_build(json_only))
+    assert out.getvalue() == json.dumps(oracle_json_value({**_build(payload), **_build(json_only)}), indent=2) + "\n"
