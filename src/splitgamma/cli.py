@@ -7,19 +7,17 @@ every number as a decimal string, so arbitrary precision survives any consumer,
 and leaves booleans and null native.  CSV prints booleans as 0/1, None as an
 empty cell and lists joined by ";"; its header is the payload's keys bar
 "command", unless the command is table-valued.  Text says yes/no for booleans
-and "none" for None.  JSON is written by template under that rule, with the
-bytes ``json.dumps(..., indent=2)`` gives: a list of ints (a row's bits) or of
-flat records (scan records, verify items) fills one template built for the
-list, so no pure-Python encoder runs.  A scan reads its pairs as the
-explorer's plain rows, from the kernel that ``rs`` wraps in a record: the CSV
-table takes the rows as they are and JSON zips each with the schema.
+and "none" for None.  JSON is written directly under that rule, with the
+bytes ``json.dumps(..., indent=2)`` gives, so no pure-Python encoder runs.  A
+scan reads its pairs as the explorer's plain rows, from the kernel that ``rs``
+wraps in a record: the CSV table takes the rows as they are and JSON zips each
+with the schema.
 Exit codes: 0 ok, 1 usage or i/o error, 2 domain error, 3 verification failure, 4 resource cap.
 
 Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
 a process compiles every module it imports, which costs more than most answers,
 so this module imports only ``core`` up front; each handler imports the layer it
-uses, ``_emit`` imports ``json`` or ``csv`` only for those formats, and a named
-command builds only its own subparser (help and usage errors see all of them).
+uses, and ``_emit`` imports ``json`` or ``csv`` only for those formats.
 """
 
 from __future__ import annotations
@@ -66,48 +64,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_doc(value) -> str:
-    """json.dumps(v, indent=2) of value with every int as a decimal string, written by template.
+    """json.dumps(v, indent=2) of value with every int as a decimal string.
 
     Scalars go by their exact type; dicts and lists (any other iterable:
     generators are consumed once and bytes gives ints) nest two spaces a level.
-    A list of ints, or of flat dicts with the first one's keys in its order,
-    fills one template built for the whole list; any other list goes item by item.
     """
     from json.encoder import encode_basestring_ascii as quote
     scalar = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false", int: '"%d"'.__mod__,
               str: quote}
-
-    def flat(items, keys, pad):
-        # one template for a list of flat dicts; KeyError when an item does not fit it
-        inner = pad + "  "
-        item = "{" + inner + ("," + inner).join(quote(key).replace("%", "%%") + ": %s" for key in keys) + pad + "}"
-        for d in items:
-            if type(d) is not dict or tuple(d) != keys:
-                raise KeyError(keys)
-            yield item % tuple([scalar[type(v)](v) for v in d.values()])
 
     def doc(value, pad):  # pad: a newline and the indent of the line value starts on
         kind = type(value)
         if kind in scalar:
             return scalar[kind](value)
         inner = pad + "  "
-        if isinstance(value, dict):
-            body = [quote(key) + ": " + doc(v, inner) for key, v in value.items()]
+        if isinstance(value, dict):  # a scalar member is written in place, without a call to doc
+            body = [quote(key) + ": " + (scalar[type(v)](v) if type(v) in scalar else doc(v, inner))
+                    for key, v in value.items()]
             return "{" + inner + ("," + inner).join(body) + pad + "}" if body else "{}"
         if isinstance(value, (str, int)):  # a subclass; no type subclasses bool or NoneType
             return quote(value if isinstance(value, str) else str(value))
-        items = value if kind is list else list(value)
-        if not items:
-            return "[]"
-        sep = "," + inner
-        if all(type(v) is int for v in items):
-            return ("[" + inner + sep.join(['"%d"'] * len(items)) + pad + "]") % tuple(items)
-        if type(items[0]) is dict and items[0]:
-            try:
-                return "[" + inner + sep.join(flat(items, tuple(items[0]), inner)) + pad + "]"
-            except KeyError:
-                pass
-        return "[" + inner + sep.join([doc(v, inner) for v in items]) + pad + "]"
+        body = [scalar[type(v)](v) if type(v) in scalar else doc(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + pad + "]" if body else "[]"
 
     return doc(value, "\n")
 
@@ -468,19 +446,17 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser, with every command's subparser, or only the one named."""
+def build_parser() -> argparse.ArgumentParser:
     fmt_parent = argparse.ArgumentParser(add_help=False)
     fmt_parent.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     parser = _Parser(prog="splitgamma", description="Split-equation classifier, solver and explorer.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, parents=[fmt_parent], help=summary)
-            p.set_defaults(func=func)
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
+        p = sub.add_parser(name, parents=[fmt_parent], help=summary)
+        p.set_defaults(func=func)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -490,11 +466,7 @@ def main(argv=None) -> int:
     if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        # a named command needs only its own subparser; help, errors and the rest see every command
-        args, extra = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
-        if extra:  # unrecognized arguments: the full parser reports them, its usage naming every command
-            args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -13,9 +13,9 @@ Pair scans shard by the first coordinate.  Every scan draws its shards from
 ``iter_scan``, in this process: a pair costs microseconds, so worker start-up
 and pickling would outweigh it.  ``ScanRecord``'s fields are the scan schema,
 and one private kernel (``_rs_row``) gives them for a pair as a plain tuple in
-field order: scans read these rows as they are, and the public ``rs_solve``
-and ``scan_shard`` check their arguments and wrap the same rows in
-``ScanRecord``s, so a scan builds no object per pair.  ``run_scan`` renders
+field order.  Scans read one shard's rows (``_shard_rows``) as they are, and
+the public ``rs_solve`` and ``scan_shard`` check their arguments and wrap the
+same rows in ``ScanRecord``s, so a scan builds no object per pair.  ``run_scan`` renders
 each shard to bytes once (``_shard_bytes``: one table holds each file
 format's line template, and one comprehension fills it with the rows for CSV
 and JSON lines alike), streams them and keeps a plain-text checkpoint holding
@@ -177,9 +177,16 @@ def rs_solve(a: int, b: int, r: int = 1, s: int = 1, cap: float = math.inf) -> S
 # ---------------- Aggregates ----------------
 
 
+def _shard_rows(a: int, r: int, s: int, x_max: int, cap: float) -> list[tuple]:
+    # one shard: the kernel's row for every b <= x_max coprime to a, for a checked a >= 1
+    return [_rs_row(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
+
+
 def scan_shard(a: int, r: int, s: int, x_max: int, cap: float = math.inf) -> list[ScanRecord]:
     """All records with first coordinate a and coprime second coordinate <= x_max."""
-    return [rs_solve(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
+    if a < 1:
+        raise DomainError(f"need positive a, got {a}")
+    return [ScanRecord(*row) for row in _shard_rows(a, r, s, x_max, cap)]
 
 
 def iter_scan(r: int, s: int, x_max: int, cap: float = math.inf) -> Iterator[tuple[int, list[tuple]]]:
@@ -191,8 +198,7 @@ def iter_scan(r: int, s: int, x_max: int, cap: float = math.inf) -> Iterator[tup
     """
     if x_max < 1:
         raise DomainError(f"need x_max >= 1, got {x_max}")
-    bs = range(1, x_max + 1)
-    return ((a, [_rs_row(a, b, r, s, cap) for b in bs if math.gcd(a, b) == 1]) for a in bs)
+    return ((a, _shard_rows(a, r, s, x_max, cap)) for a in range(1, x_max + 1))
 
 
 def beiter_density(r: int, s: int, x_max: int) -> Fraction:

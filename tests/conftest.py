@@ -13,8 +13,8 @@ Lucas-doubling rows and the orbit jump are checked against.  Also a deadline for
 quickly, so a regression fails the test instead of running away, a call
 counter for complexity guards that count work instead of timing it, the
 byte offsets where a scan file's shards end, read off its lines directly, and
-the CLI's former JSON conversion (every int a decimal string), which its
-template-built JSON is checked against.
+the CLI's former JSON conversion (every int a decimal string), which the JSON
+it writes directly is checked against.
 ENGINE_SPECS lists one spec of every residue-engine family the row and period
 tests sweep."""
 

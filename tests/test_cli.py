@@ -263,56 +263,6 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "verify", "--family", "wat")[0] == 1
 
 
-# a valid argv of every command, and one with a bad value where it takes an int (verify: a choice)
-_ARGVS = {
-    "gamma": (["7", "14"], ["7", "x"]),
-    "solve": (["--oracle", "7", "10"], ["x", "10"]),
-    "row": (["--k", "3", "--seq", "fib", "--count", "5"], ["--k", "3", "--seq", "fib", "--count", "x"]),
-    "period": (["--k", "3", "--seq", "fib"], ["--k", "x", "--seq", "fib"]),
-    "pisano": (["10"], ["x"]),
-    "table1": (["--kmax", "3"], ["--kmax", "x"]),
-    "density": (["--p", "1/2", "--n", "10"], ["--p", "1/2", "--n", "x"]),
-    "verify": (["--range", "6:9", "--family", "fib"], ["--family", "nope"]),
-    "nvar": (["3", "5", "--cap", "9"], ["3", "x"]),
-    "rs": (["--a", "7", "--b", "10"], ["--a", "7", "--b", "x"]),
-    "beiter-scan": (["--r", "2", "--xmax", "5"], ["--xmax", "x"]),
-}
-
-
-def _subcommands(parser):
-    (sub,) = [a for a in parser._actions if a.dest == "command"]
-    return list(sub.choices)
-
-
-def test_one_command_builds_only_its_subparser():
-    assert _subcommands(build_parser()) == list(_ARGVS)
-    for name in _ARGVS:
-        assert _subcommands(build_parser(name)) == [name]
-
-
-@pytest.mark.parametrize("name", list(_ARGVS))
-def test_bad_argvs_print_what_the_full_parser_prints(capsys, name):
-    valid, bad_value = _ARGVS[name]
-    samples = [
-        [name, *valid[:-1]],  # a missing positional or option value
-        [name, *bad_value],
-        [name, *valid, "--format", "yaml"],
-        [name, *valid, "extra"],
-        [name, "--help"],
-        [name, *valid, "-h"],
-        ["--format", "json", name, *valid],
-    ]
-    for argv in samples:
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
-        want = (int(exc.value.code or 0), *capsys.readouterr())
-        assert run(capsys, *argv) == want, argv
-        assert want[0] == 0 or "usage: splitgamma" in want[2], argv
-    # an unrecognized argument is the top-level parser's error: its usage names every command
-    err = run(capsys, name, *valid, "extra")[2]
-    assert "{" + ",".join(_ARGVS) + "}" in err, err
-
-
 def test_domain_error_exit_2(capsys):
     code, out, err = run(capsys, "gamma", "0", "5")
     assert code == 2

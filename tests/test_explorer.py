@@ -579,6 +579,8 @@ def test_iter_scan_matches_shards_and_checks_before_yielding():
     # raised by the call itself, so a caller can validate before it opens anything
     with pytest.raises(DomainError):
         iter_scan(1, 1, 0)
+    with pytest.raises(DomainError):
+        scan_shard(0, 1, 1, 6)
 
 
 def test_scan_rows_are_rs_solve_records_as_tuples():

@@ -9,9 +9,9 @@ search, on random rows and on rows with a planted preperiod and period and
 one bit flipped; tiled linear rows against stepped rows; power recurrence
 residues at starts up to 10**30 against the step-by-step walk, through Lucas
 rows and orbit jumps; scans resumed after a crash at any byte of the
-shard past the checkpoint against the fresh scan; and the CLI's template-built
-JSON against json.dumps of the former conversion, on nested values of every
-kind its payloads hold."""
+shard past the checkpoint against the fresh scan; and the CLI's JSON writer
+against json.dumps of the former conversion, on nested values of every kind
+its payloads hold."""
 
 import contextlib
 import io
@@ -206,7 +206,7 @@ def _build(value):
     return value
 
 
-# quotes, backslashes, control characters, non-ASCII text and the template's own "%"
+# quotes, backslashes, control characters, non-ASCII text and "%"
 json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f%dé€\u2028𝄞'), st.characters()), max_size=6)
 json_ints = st.one_of(st.integers(-3, 3), st.integers(-10**300, 10**300), st.integers(10**299, 10**300 - 1).map(lambda n: -n))
 json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_text)
@@ -214,7 +214,8 @@ json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_text)
 
 @st.composite
 def flat_dict_lists(draw, values):
-    # flat dicts sharing their keys; one may then reorder, drop or add a key, or nest a value
+    # flat dicts sharing their keys, as scan records and verify items do; one may then
+    # reorder, drop or add a key, or nest a value
     keys = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
     items = [{key: draw(json_scalars) for key in keys} for _ in range(draw(st.integers(1, 5)))]
     i = draw(st.integers(0, len(items) - 1))
