@@ -1,17 +1,18 @@
 """Command line front end.
 
-Every command honors --format text|csv|json.  A handler builds one ordered
-payload of native values plus its text lines, and ``_emit`` converts, and
-consumes generators, only for the requested format, by one rule.  JSON prints
-every number as a decimal string, so arbitrary precision survives any consumer,
-and leaves booleans and null native.  CSV prints booleans as 0/1, None as an
-empty cell and lists joined by ";"; its header is the payload's keys bar
-"command", unless the command is table-valued.  Text says yes/no for booleans
-and "none" for None.  JSON is written directly under that rule, with the
-bytes ``json.dumps(..., indent=2)`` gives, so no pure-Python encoder runs.  A
-scan reads its pairs as the explorer's plain rows, from the kernel that ``rs``
-wraps in a record: the CSV table takes the rows as they are and JSON zips each
-with the schema.
+Every command honors --format text|csv|json.  A handler only computes: it
+returns one ordered payload of native values plus its text lines (and a table
+or JSON-only keys), and ``main`` alone prints them, through ``_emit``, and picks
+the exit code.  ``_emit`` converts, and consumes generators, only for the
+requested format, by one rule.  JSON prints every number as a decimal string,
+so arbitrary precision survives any consumer, and leaves booleans and null
+native.  CSV prints booleans as 0/1, None as an empty cell and lists joined by
+";"; its header is the payload's keys bar "command", unless the command is
+table-valued.  Text says yes/no for booleans and "none" for None.  JSON is
+written directly under that rule, with the bytes ``json.dumps(..., indent=2)``
+gives, so no pure-Python encoder runs.  A scan reads its pairs as the
+explorer's plain rows, from the kernel that ``rs`` wraps in a record: the CSV
+table takes the rows as they are and JSON zips each with the schema.
 Exit codes: 0 ok, 1 usage or i/o error, 2 domain error, 3 verification failure, 4 resource cap.
 
 Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
@@ -66,8 +67,9 @@ class _Parser(argparse.ArgumentParser):
 def _json_doc(value) -> str:
     """json.dumps(v, indent=2) of value with every int as a decimal string.
 
-    Scalars go by their exact type; dicts and lists (any other iterable:
-    generators are consumed once and bytes gives ints) nest two spaces a level.
+    Scalars go by their exact type (no payload holds an int or str subclass but
+    bool); dicts and lists (any other iterable: generators are consumed once and
+    bytes gives ints) nest two spaces a level.
     """
     from json.encoder import encode_basestring_ascii as quote
     scalar = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false", int: '"%d"'.__mod__,
@@ -82,8 +84,6 @@ def _json_doc(value) -> str:
             body = [quote(key) + ": " + (scalar[type(v)](v) if type(v) in scalar else doc(v, inner))
                     for key, v in value.items()]
             return "{" + inner + ("," + inner).join(body) + pad + "}" if body else "{}"
-        if isinstance(value, (str, int)):  # a subclass; no type subclasses bool or NoneType
-            return quote(value if isinstance(value, str) else str(value))
         body = [scalar[type(v)](v) if type(v) in scalar else doc(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(body) + pad + "]" if body else "[]"
 
@@ -125,13 +125,12 @@ def _word(value) -> str:
 # ---------------- Command handlers ----------------
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> tuple:
     g = gamma(args.a, args.b)
-    _emit(args.format, {"command": "gamma", "a": args.a, "b": args.b, "gamma": g}, [str(g)])
-    return EXIT_OK
+    return {"command": "gamma", "a": args.a, "b": args.b, "gamma": g}, [str(g)]
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     sol = solve_split(args.a, args.b)
     if args.oracle:
         report = brute_force_split(args.a, args.b)
@@ -142,8 +141,7 @@ def _cmd_solve(args) -> int:
             raise InvariantViolation(f"oracle disagrees with solver on ({args.a}, {args.b})")
     payload = {"command": "solve", "a": args.a, "b": args.b, "delta": sol.delta, "x": sol.x, "y": sol.y}
     text = f"delta={sol.delta} x={sol.x} y={sol.y}" + (" oracle=ok" if args.oracle else "")
-    _emit(args.format, payload, [text], json_only={"oracle_checked": args.oracle})
-    return EXIT_OK
+    return payload, [text], None, {"oracle_checked": args.oracle}
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -156,18 +154,17 @@ def _bit_line(bits) -> str:
     return line.decode("ascii")
 
 
-def _cmd_row(args) -> int:
+def _cmd_row(args) -> tuple:
     from .periodicity import gamma_row
     from .sequences import format_spec, parse_spec
     spec = parse_spec(args.seq)
     bits = gamma_row(args.k, spec, args.start, args.count).bits
     payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
     table = (("n", "bit"), enumerate(bits, args.start))
-    _emit(args.format, payload, [_bit_line(bits)], table)
-    return EXIT_OK
+    return payload, [_bit_line(bits)], table
 
 
-def _cmd_period(args) -> int:
+def _cmd_period(args) -> tuple:
     from .periodicity import _row_period
     from .sequences import format_spec, parse_spec
     spec = parse_spec(args.seq)
@@ -186,27 +183,24 @@ def _cmd_period(args) -> int:
     )
     if sp is not None:
         text += f" residue_period={sp.period} residue_preperiod={sp.preperiod}"
-    _emit(args.format, payload, [text])
-    return EXIT_OK
+    return payload, [text]
 
 
-def _cmd_pisano(args) -> int:
+def _cmd_pisano(args) -> tuple:
     from .periodicity import pisano
     value = pisano(args.m)
-    _emit(args.format, {"command": "pisano", "m": args.m, "pisano": value}, [str(value)])
-    return EXIT_OK
+    return {"command": "pisano", "m": args.m, "pisano": value}, [str(value)]
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> tuple:
     from .periodicity import fibonacci_period_table
     rows = fibonacci_period_table(args.kmax)
     payload = {"command": "table1", "rows": [{"k": k, "t_k": t, "pi_2k": p} for k, t, p in rows]}
     text = ["  k   t_k  pi(2k)"] + [f"{k:>3} {t:>5} {p:>7}" for k, t, p in rows]
-    _emit(args.format, payload, text, (("k", "t_k", "pi_2k"), rows))
-    return EXIT_OK
+    return payload, text, (("k", "t_k", "pi_2k"), rows)
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> tuple:
     from fractions import Fraction
     from .density import build_density_sequence, verify_growth_bounds
     try:
@@ -236,8 +230,7 @@ def _cmd_density(args) -> int:
     rows = chain([(0, trace.terms[0], None, None, None)],  # the seed row n = 0 has no bit or ratio
                  ((n, t, bit, r.numerator, r.denominator) for n, (t, bit, r) in
                   enumerate(zip(trace.terms[1:], trace.bits, trace.ratios), 1)))
-    _emit(args.format, payload, text, (("n", "a_n", "gamma_bit", "ratio_num", "ratio_den"), rows))
-    return EXIT_OK
+    return payload, text, (("n", "a_n", "gamma_bit", "ratio_num", "ratio_den"), rows)
 
 
 # default LO:HI per family; LO is also the smallest index the family accepts
@@ -294,7 +287,7 @@ def _verify_items(family: str, lo: int, hi: int):
                 yield f"u={u},v={v}", ok(u, v)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if args.range:
         try:
             lo, _, hi = args.range.partition(":")
@@ -315,11 +308,10 @@ def _cmd_verify(args) -> int:
     }
     text = [("ok " if ok else "FAIL ") + label for label, ok in items] + [f"checked={len(items)} failed={failed}"]
     table = (("family", "item", "ok"), ((args.family, label, ok) for label, ok in items))
-    _emit(args.format, payload, text, table)
-    return EXIT_VERIFY if failed else EXIT_OK
+    return payload, text, table
 
 
-def _cmd_nvar(args) -> int:
+def _cmd_nvar(args) -> tuple:
     from .explorer import nvar_classify
     rep = nvar_classify(tuple(args.coeffs), args.cap)
     inst = rep.instance
@@ -343,19 +335,17 @@ def _cmd_nvar(args) -> int:
         f" exactly_one={_word(rep.exactly_one)}"
         f" setwise={_word(inst.setwise_coprime)} pairwise={_word(inst.pairwise_coprime)}"
     )
-    _emit(args.format, payload, [text])
-    return EXIT_OK
+    return payload, [text]
 
 
-def _cmd_rs(args) -> int:
+def _cmd_rs(args) -> tuple:
     from .explorer import rs_solve
     record = vars(rs_solve(args.a, args.b, args.r, args.s, args.cap))
     text = " ".join(f"{key}={_word(value)}" for key, value in record.items())
-    _emit(args.format, {**record, "command": "rs"}, [text])
-    return EXIT_OK
+    return {**record, "command": "rs"}, [text]
 
 
-def _cmd_beiter_scan(args) -> int:
+def _cmd_beiter_scan(args) -> tuple:
     from .explorer import SCAN_CSV_HEADER, SCAN_METADATA, iter_scan, run_scan
     if args.resume and not args.out:
         raise DomainError("--resume needs --out")
@@ -387,8 +377,7 @@ def _cmd_beiter_scan(args) -> int:
     text = [f"pairs={pairs} exactly_one={hits} density={num}/{den}"]
     if args.out:
         text.append(f"written={args.out}")
-    _emit(args.format, payload, text, table, json_only)
-    return EXIT_OK
+    return payload, text, table, json_only
 
 
 # ---------------- Parser ----------------
@@ -467,7 +456,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        payload, *rest = args.func(args)
+        _emit(args.format, payload, *rest)
+        return EXIT_VERIFY if payload.get("failed") else EXIT_OK  # only verify counts failed items
     except SystemExit as exc:
         return int(exc.code or 0)
     except tuple(_ERRORS) as exc:

@@ -17,7 +17,7 @@ witness x = R / a' mod b' is (a'^-1 - 1) / 2, a halving; otherwise R - 1's is
 every partial quotient 1; ``mod_inverse`` takes them to 1/25 to 1/80 of its
 steps.  y is one exact division, and one product checks the witness.
 ``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
-shifted right-hand sides of ``explorer.rs_solve``, the n-variable counts of
+shifted right-hand sides of ``explorer._rs_row``, the n-variable counts of
 ``explorer.nvar_classify`` and the test oracles.
 ``brute_force_split`` and ``theta`` are kept as independent oracles for the
 tests and are not called on any fast path.
@@ -251,9 +251,6 @@ class SplitSolution(Record):
     x: int
     y: int
     unique: bool = True
-
-    def __init__(self, delta: int, x: int, y: int, unique: bool = True) -> None:
-        self.__dict__.update(delta=delta, x=x, y=y, unique=unique)
 
 
 def solve_split(a: int, b: int) -> SplitSolution:

@@ -131,7 +131,8 @@ def nvar_classify(coeffs, cap: float = math.inf) -> NVarReport:
     and each equation is one ``_count``; cap, when given, bounds rhs.  With
     c' <= c the two largest coins, a count of t >= 2c'c takes the first
     multiple at every level: at most m - 1 calls (proof: tests/test_explorer.py).
-    Other counts may spend COUNT_SPARE calls more; one that needs more exits 4.
+    Other counts may spend COUNT_SPARE calls more; one that needs more exits 4,
+    as do coins too many for ``_count``'s one frame per coin.
     """
     inst = NVarInstance.from_coeffs(coeffs)
     n = len(inst.coeffs)
@@ -142,7 +143,10 @@ def nvar_classify(coeffs, cap: float = math.inf) -> NVarReport:
     # a third equal coin cannot change a count saturated at 2
     ordered = sorted(inst.coeffs)
     coins = tuple(c for i, c in enumerate(ordered) if i < 2 or c != ordered[i - 2])
-    counts = tuple(_count(coins, inst.rhs - i, iter(range(len(coins) - 1 + COUNT_SPARE))) for i in range(n))
+    try:
+        counts = tuple(_count(coins, inst.rhs - i, iter(range(len(coins) - 1 + COUNT_SPARE))) for i in range(n))
+    except RecursionError:
+        raise ResourceLimitError(f"{len(coins)} coins nest deeper than the recursion limit") from None
     solvable = tuple(i for i, c in enumerate(counts) if c)
     return NVarReport(inst, counts, solvable, len(solvable) == 1)
 

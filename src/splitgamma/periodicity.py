@@ -86,17 +86,14 @@ def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
     """
     lin = _linear(spec)
     if lin is not None and k >= 1 and start >= 1 and 2 * k <= count:  # bad arguments fail in _row_bits
-        try:
-            mu, lam = _linear_period(lin, 2 * k)
-        except ResourceLimitError:  # 2k needs a trial divisor past sequences.FACTOR_TRIAL_MAX: step
-            pass
-        else:
-            head = max(start, 1 + mu) - start + lam  # the bits from head on repeat those lam earlier
-            if head < count:
-                bits = _row_bits(k, spec, start, head)
-                cycle = bytes(bits[head - lam :])  # a bytearray repeat out of memory also prints a SystemError
-                bits += cycle * ((count - head) // lam) + cycle[: (count - head) % lam]
-                return BitRow(k, spec, start, bytes(bits))
+        # _linear_period refuses only 2k past 10**12, a row that no path can hold
+        mu, lam = _linear_period(lin, 2 * k)
+        head = max(start, 1 + mu) - start + lam  # the bits from head on repeat those lam earlier
+        if head < count:
+            bits = _row_bits(k, spec, start, head)
+            cycle = bytes(bits[head - lam :])  # a bytearray repeat out of memory also prints a SystemError
+            bits += cycle * ((count - head) // lam) + cycle[: (count - head) % lam]
+            return BitRow(k, spec, start, bytes(bits))
     return BitRow(k, spec, start, bytes(_row_bits(k, spec, start, count)))
 
 

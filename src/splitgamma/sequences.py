@@ -270,7 +270,7 @@ def _linear(spec: SequenceSpec) -> tuple[int, int, int, int, int] | None:
 def _powrec_step(spec: PowerRecurrence, window: tuple[int, ...], m: int | None = None) -> int:
     # window holds (a_{n-s}, ..., a_{n-1}); lag i counts back from the end
     if m is None:
-        return sum(spec.coeffs[i] * window[-1 - i] ** spec.powers[i] for i in range(spec.order))
+        return sum(c * w**p for c, w, p in zip(spec.coeffs, reversed(window), spec.powers) if c)
     return sum(spec.coeffs[i] * pow(window[-1 - i], spec.powers[i], m) for i in range(spec.order)) % m
 
 
@@ -369,7 +369,10 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
         for n in range(1, end):
             if n <= spec.order:
                 t = spec.init[n - 1]
-            else:
+            else:  # refuse a summand past the operand bound of _linear_pair before powering it
+                if any(c and (w.bit_length() - 1) * p >= 2 * MAX_TERM_BITS
+                       for c, w, p in zip(spec.coeffs, reversed(window), spec.powers)):
+                    raise _too_big(n)
                 t = _powrec_step(spec, window)
                 if t < 1:
                     raise DomainError(f"power recurrence produced a nonpositive term at n={n}")

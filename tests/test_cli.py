@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import pathlib
+import random
 import re
 import shlex
 import sys
@@ -204,6 +205,47 @@ def test_verify_mod6_4_walks_its_pairs_by_additions(monkeypatch):
     assert not _mod6_4_ok(3, 5) and seen == [4] and len(splits) == 1
 
 
+# one valid argv per command; beiter-scan writes its file into the working directory
+HANDLER_ARGVS = {
+    "gamma": ["7", "14"],
+    "solve": ["8", "13", "--oracle"],
+    "row": ["--k", "5", "--seq", "fib", "--count", "20"],
+    "period": ["--k", "5", "--seq", "fib"],
+    "pisano": ["10"],
+    "table1": ["--kmax", "3"],
+    "density": ["--p", "1/2", "--n", "10"],
+    "verify": ["--family", "mod6-4", "--range", "1:3"],
+    "nvar": ["3", "5", "7"],
+    "rs": ["--a", "7", "--b", "10"],
+    "beiter-scan": ["--xmax", "5", "--out", "scan.csv"],
+}
+
+
+def test_handlers_return_their_result_and_print_nothing(capsys, tmp_path, monkeypatch):
+    from splitgamma.cli import _COMMANDS
+    assert HANDLER_ARGVS.keys() == _COMMANDS.keys()
+    monkeypatch.chdir(tmp_path)
+    for name, argv in HANDLER_ARGVS.items():
+        for fmt in ("text", "csv", "json"):
+            args = build_parser().parse_args([name, *argv, "--format", fmt])
+            result = args.func(args)
+            assert capsys.readouterr() == ("", ""), (name, fmt)
+            assert isinstance(result, tuple) and 2 <= len(result) <= 4, (name, fmt)
+            assert isinstance(result[0], dict) and result[0]["command"] == name, (name, fmt)
+    assert (tmp_path / "scan.csv").exists()  # written by run_scan, not printed
+
+
+def test_verify_exits_3_when_an_item_fails(capsys, monkeypatch):
+    # main picks the exit code from the payload's failed count
+    def wrong(u, v, fibs):
+        yield None
+
+    monkeypatch.setattr(sequences, "_mod6_4_witnesses", wrong)
+    code, out, err = run(capsys, "verify", "--family", "mod6-4", "--range", "1:3")
+    assert (code, err) == (3, "")
+    assert out.endswith("checked=7 failed=7\n") and out.startswith("FAIL u=1,v=1\n")
+
+
 def test_nvar_text(capsys):
     code, out, _ = run(capsys, "nvar", "3", "5", "7")
     assert code == 0
@@ -370,6 +412,13 @@ def test_verify_past_the_term_bit_cap_exits_4_within_two_seconds(capsys):
         assert err.startswith("resource cap: term at n=") and "exceeds 1000000 bits" in err, family
 
 
+def test_exact_powrec_past_the_operand_bound_exits_4_within_a_second(capsys):
+    # a negative coefficient makes this powrec exact-only: 3 ** 10**8 was built before the cap refused it
+    with deadline(1):
+        code, out, err = run(capsys, "row", "--k", "3", "--seq", "powrec:c=1,-1;t=100000000,1;init=1,3", "--count", "3")
+    assert (code, out, err) == (4, "", "resource cap: term at n=3 exceeds 1000000 bits; use term_mod instead\n")
+
+
 def test_powrec_with_nonpositive_term_exits_2(capsys):
     # a_3 = 1 - 2 * 1^2 = -1 in the first two; a_2 = 0 * 3^2 = 0 in the last.
     # Residues cannot show either, so rows and periods must not print bits.
@@ -399,10 +448,21 @@ def test_resource_cap_exit_4(capsys):
     assert "rhs 5268060 exceeds cap 1000000" in err
 
 
+def test_nvar_with_a_thousand_coefficients_exits_4_within_a_second(capsys):
+    # the count recurses one frame per coin: past the recursion limit it is a resource cap, not a traceback
+    coeffs = random.Random(27).sample(range(2, 10**6), 1000)
+    with deadline(1):
+        code, out, err = run(capsys, "nvar", *map(str, coeffs))
+    assert (code, out) == (4, "")
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+
+
 def test_factoring_past_the_trial_bound_exits_4_within_a_second(capsys):
     # a 30-digit prime modulus, and 2k with k an 18-digit prime: trial division
-    # would need ~1e15 and ~1e9 steps, so both stop at the stated bound instead
-    for argv in (("pisano", str(10**29 + 319)), ("row", "--k", str(10**17 + 3), "--seq", "factpow", "--count", "1")):
+    # would need ~1e15 and ~1e9 steps, so each stops at the stated bound instead
+    # (a fib row that long is tiled by its period, which needs 2k factored)
+    for argv in (("pisano", str(10**29 + 319)), ("row", "--k", str(10**17 + 3), "--seq", "factpow", "--count", "1"),
+                 ("row", "--k", str(10**17 + 3), "--seq", "fib", "--count", str(2 * 10**17 + 7))):
         with deadline(1.0):
             code, out, err = run(capsys, *argv)
         assert (code, out) == (4, ""), argv

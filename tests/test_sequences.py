@@ -297,6 +297,21 @@ def test_exact_linear_terms_past_the_bit_cap_are_refused_fast():
                 list(iter_terms(FibonacciPower(power), 1, 20))
 
 
+def test_exact_powrec_summands_past_the_operand_bound_are_refused_unbuilt():
+    # 3 ** 10**7 has ~1.6e7 bits and 3 ** 10**8 ~1.6e8: each summand is refused from its
+    # base's bit length, at the doubling's operand bound, before it is built (~2.7 s for the first)
+    for spec, n in ((PowerRecurrence((1,), (10**7,), (3,)), 2), (parse_spec("powrec:c=1,-1;t=100000000,1;init=1,3"), 3)):
+        with deadline(1):
+            with pytest.raises(ResourceLimitError, match=f"^term at n={n} exceeds 1000000 bits"):
+                term(spec, n)
+    # a lag with coefficient 0 is never powered: a_n = 0 * a_(n-1)^(10**8) + a_(n-2) is 1, 3, 1, 3, ...
+    with deadline(1):
+        assert list(iter_terms(PowerRecurrence((0, 1), (10**8, 1), (1, 3)), 1, 6)) == [1, 3, 1, 3, 1, 3]
+    # summands past MAX_TERM_BITS but under the operand bound are built, and a sum that cancels is answered
+    wide = 2**1_500_000
+    assert term(PowerRecurrence((1, -1), (1, 1), (wide, wide + 5)), 3) == 5
+
+
 def test_polynomial_terms_at_a_wide_index_take_no_doubling():
     # c_1 = 2, c_2 = -1 has U_j = j: a term at an 8,001-digit index is a few
     # products, where doubling took ~26,600 steps on index-wide operands
