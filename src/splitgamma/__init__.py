@@ -15,15 +15,16 @@ _EXPORTS = {
     ),
     "sequences": (
         "Arithmetic", "Balancing", "Explicit", "FactorialPower", "FibonacciLike", "FibonacciPower", "KthPower",
-        "LucasBalancing", "Naturals", "Odds", "OddrResult", "PowerRecurrence", "SequenceSpec",
-        "ShiftedGeometric", "closed_form_mod6_4", "fib", "fib_cube_solution", "fib_identity_solution",
-        "fib_pair", "fib_square_solution", "fiblike_pair", "format_spec", "iter_terms", "oddr", "parse_spec",
-        "phi_psi", "term", "term_mod"
+        "LucasBalancing", "Naturals", "Odds", "PowerRecurrence", "SequenceSpec", "ShiftedGeometric", "fib",
+        "fib_pair", "fiblike_pair", "format_spec", "iter_terms", "parse_spec", "term", "term_mod"
+    ),
+    "identities": (
+        "OddrResult", "closed_form_mod6_4", "fib_cube_solution", "fib_identity_solution", "fib_square_solution",
+        "first_alternation_index", "gamma_shift_check", "halfperiod_reflection", "oddr", "phi_psi"
     ),
     "periodicity": (
         "BitRow", "InconclusiveError", "PeriodReport", "StatePeriod", "detect_period", "fibonacci_period_table",
-        "first_alternation_index", "gamma_row", "gamma_shift_check", "halfperiod_reflection", "pair_row",
-        "pisano", "row_period", "state_period_mod"
+        "gamma_row", "pair_row", "pisano", "row_period", "state_period_mod"
     ),
     "density": ("DensityTrace", "build_density_sequence", "verify_growth_bounds"),
     "explorer": (

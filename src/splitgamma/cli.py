@@ -17,8 +17,14 @@ Exit codes: 0 ok, 1 usage or i/o error, 2 domain error, 3 verification failure, 
 
 Start-up is paid per command.  Without a bytecode cache (PYTHONDONTWRITEBYTECODE)
 a process compiles every module it imports, which costs more than most answers,
-so this module imports only ``core`` up front; each handler imports the layer it
-uses, and ``_emit`` imports ``json`` or ``csv`` only for those formats.
+so a process compiles only the code its command runs.  This module is the front
+end every command runs, plus the two kernel handlers, and imports only ``core``.
+Every other handler sits in the module of the layer it presents (``periodicity``,
+``density``, ``explorer``, ``identities``), which ``main`` imports when it
+dispatches, and ``build_parser(argv)`` builds only the subparser of the command
+argv names.  No handler module imports this one: under ``python -m
+splitgamma.cli`` it runs as ``__main__``, so the import would compile it twice.
+``_emit`` imports ``json`` or ``csv`` only for those formats.
 """
 
 from __future__ import annotations
@@ -26,14 +32,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain, product
 
 from .core import (
     DomainError,
     InconclusiveError,
     InvariantViolation,
     ResourceLimitError,
-    _split,
     brute_force_split,
     gamma,
     solve_split,
@@ -116,13 +120,7 @@ def _emit(fmt: str, payload: dict, text: list[str], table=None, json_only=None) 
         print("\n".join(text))
 
 
-def _word(value) -> str:
-    if value is None:
-        return "none"
-    return ("yes" if value else "no") if isinstance(value, bool) else str(value)
-
-
-# ---------------- Command handlers ----------------
+# ---------------- Kernel command handlers ----------------
 
 
 def _cmd_gamma(args) -> tuple:
@@ -144,286 +142,51 @@ def _cmd_solve(args) -> tuple:
     return payload, [text], None, {"oracle_checked": args.oracle}
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _bit_line(bits) -> str:
-    # "0 1 1 ..." from the 0/1 bits: a byte per bit and per space, not a str object per bit
-    line = bytearray(b" ") * (2 * len(bits) - 1)
-    line[::2] = bits.translate(_DIGITS)
-    return line.decode("ascii")
-
-
-def _cmd_row(args) -> tuple:
-    from .periodicity import gamma_row
-    from .sequences import format_spec, parse_spec
-    spec = parse_spec(args.seq)
-    bits = gamma_row(args.k, spec, args.start, args.count).bits
-    payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
-    table = (("n", "bit"), enumerate(bits, args.start))
-    return payload, [_bit_line(bits)], table
-
-
-def _cmd_period(args) -> tuple:
-    from .periodicity import _row_period
-    from .sequences import format_spec, parse_spec
-    spec = parse_spec(args.seq)
-    rep, sp = _row_period(args.k, spec, args.window, args.min_repeats)
-    payload = {
-        "command": "period",
-        "k": args.k,
-        "seq": format_spec(spec),
-        **vars(rep),
-        "residue_preperiod": None if sp is None else sp.preperiod,
-        "residue_period": None if sp is None else sp.period,
-    }
-    text = (
-        f"period={rep.period} preperiod={rep.preperiod} zeros={rep.zeros} ones={rep.ones}"
-        f" certified={_word(rep.certified)} verified_repeats={rep.verified_repeats}"
-    )
-    if sp is not None:
-        text += f" residue_period={sp.period} residue_preperiod={sp.preperiod}"
-    return payload, [text]
-
-
-def _cmd_pisano(args) -> tuple:
-    from .periodicity import pisano
-    value = pisano(args.m)
-    return {"command": "pisano", "m": args.m, "pisano": value}, [str(value)]
-
-
-def _cmd_table1(args) -> tuple:
-    from .periodicity import fibonacci_period_table
-    rows = fibonacci_period_table(args.kmax)
-    payload = {"command": "table1", "rows": [{"k": k, "t_k": t, "pi_2k": p} for k, t, p in rows]}
-    text = ["  k   t_k  pi(2k)"] + [f"{k:>3} {t:>5} {p:>7}" for k, t, p in rows]
-    return payload, text, (("k", "t_k", "pi_2k"), rows)
-
-
-def _cmd_density(args) -> tuple:
-    from fractions import Fraction
-    from .density import build_density_sequence, verify_growth_bounds
-    try:
-        p = Fraction(args.p)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse target density {args.p!r}") from exc
-    trace = build_density_sequence(p, args.n)
-    bounds = verify_growth_bounds(trace)
-    final = trace.ratios[-1]
-    payload = {
-        "p_num": p.numerator,
-        "p_den": p.denominator,
-        "terms": trace.terms,
-        "bits": trace.bits,
-        "ratios": ({"num": r.numerator, "den": r.denominator} for r in trace.ratios),
-        "crossings": trace.crossings,
-        "command": "density",
-        "growth_bounds_ok": bounds,
-    }
-    text = [
-        f"p={p}",
-        f"terms={len(trace.terms)}",
-        f"final_ratio={final.numerator}/{final.denominator}",
-        f"crossings={len(trace.crossings)}" + (f" last={trace.crossings[-1]}" if trace.crossings else ""),
-        f"growth_bounds={_word(bounds)}",
-    ]
-    rows = chain([(0, trace.terms[0], None, None, None)],  # the seed row n = 0 has no bit or ratio
-                 ((n, t, bit, r.numerator, r.denominator) for n, (t, bit, r) in
-                  enumerate(zip(trace.terms[1:], trace.bits, trace.ratios), 1)))
-    return payload, text, (("n", "a_n", "gamma_bit", "ratio_num", "ratio_den"), rows)
-
-
-# default LO:HI per family; LO is also the smallest index the family accepts
-_VERIFY_DEFAULT_RANGE = {
-    "fib": (6, 30),
-    "fib2": (2, 30),
-    "fib3": (2, 8),
-    "fiblike": (1, 8),
-    "mod6-4": (1, 8),
-}
-
-
-def _fiblike_ok(u: int, v: int) -> bool:
-    from .sequences import fiblike_pair
-    x, y = u, v
-    for n in range(1, 31):
-        if fiblike_pair(u, v, n) != (x, y) or math.gcd(x, y) != 1:
-            return False
-        x, y = y, x + y
-    return True
-
-
-# (n, F_{n-2}, F_{n-1}) at the four indices n = 4 mod 6 that each mod6-4 seed pair checks
-_MOD6_4_FIBS = ((4, 1, 2), (10, 21, 34), (16, 377, 610), (22, 6765, 10946))
-
-
-def _mod6_4_ok(u: int, v: int) -> bool:
-    from .sequences import _mod6_4_witnesses
-    t = [u, v]  # t_1, t_2, ... by additions
-    while len(t) < 23:
-        t.append(t[-1] + t[-2])
-    witnesses = _mod6_4_witnesses(u, v, _MOD6_4_FIBS)  # one oddr; stops at the first mismatch
-    return all(w == _split(t[n - 1], t[n]) for (n, _, _), w in zip(_MOD6_4_FIBS, witnesses))
-
-
-def _verify_items(family: str, lo: int, hi: int):
-    from .sequences import FibonacciPower, fib_cube_solution, fib_identity_solution, fib_square_solution, iter_terms
-    lo = max(lo, _VERIFY_DEFAULT_RANGE[family][0])
-    if family == "fib":
-        for n in range(lo, hi + 1):
-            if n % 6 in (0, 4):
-                yield f"n={n}", solve_split(*iter_terms(FibonacciPower(1), n, 2)) == fib_identity_solution(n)
-    elif family == "fib2":
-        for n in range(lo, hi + 1):
-            if n % 6 in (0, 2, 3, 5):
-                yield f"n={n}", solve_split(*iter_terms(FibonacciPower(2), n, 2)) == fib_square_solution(n)
-    elif family == "fib3":
-        for m in range(lo, hi + 1):
-            yield f"m={m}", solve_split(*iter_terms(FibonacciPower(3), 2 * m - 1, 2)) == fib_cube_solution(m)
-    else:
-        ok = _fiblike_ok if family == "fiblike" else _mod6_4_ok
-        for u, v in product(range(lo, hi + 1), repeat=2):
-            if math.gcd(u, v) == 1:
-                yield f"u={u},v={v}", ok(u, v)
-
-
-def _cmd_verify(args) -> tuple:
-    if args.range:
-        try:
-            lo, _, hi = args.range.partition(":")
-            lo, hi = int(lo), int(hi)
-        except ValueError as exc:
-            raise DomainError(f"range must look like LO:HI, got {args.range!r}") from exc
-    else:
-        lo, hi = _VERIFY_DEFAULT_RANGE[args.family]
-    items = list(_verify_items(args.family, lo, hi))
-    failed = sum(not ok for _, ok in items)
-    payload = {
-        "command": "verify",
-        "family": args.family,
-        "range": f"{lo}:{hi}",
-        "items": ({"item": label, "ok": ok} for label, ok in items),
-        "checked": len(items),
-        "failed": failed,
-    }
-    text = [("ok " if ok else "FAIL ") + label for label, ok in items] + [f"checked={len(items)} failed={failed}"]
-    table = (("family", "item", "ok"), ((args.family, label, ok) for label, ok in items))
-    return payload, text, table
-
-
-def _cmd_nvar(args) -> tuple:
-    from .explorer import nvar_classify
-    rep = nvar_classify(tuple(args.coeffs), args.cap)
-    inst = rep.instance
-    payload = {
-        "command": "nvar",
-        "coeffs": inst.coeffs,
-        "rhs_numerator": inst.rhs_numerator,
-        "rhs": inst.rhs,
-        "integral": inst.rhs is not None,
-        "counts": rep.counts,
-        "solvable": rep.solvable,
-        "exactly_one": rep.exactly_one,
-        "setwise_coprime": inst.setwise_coprime,
-        "pairwise_coprime": inst.pairwise_coprime,
-    }
-    text = (
-        f"coeffs={','.join(map(str, inst.coeffs))}"
-        f" rhs={_word(inst.rhs)}"
-        f" counts={','.join(map(str, rep.counts))}"
-        f" solvable={','.join(map(str, rep.solvable)) or '-'}"
-        f" exactly_one={_word(rep.exactly_one)}"
-        f" setwise={_word(inst.setwise_coprime)} pairwise={_word(inst.pairwise_coprime)}"
-    )
-    return payload, [text]
-
-
-def _cmd_rs(args) -> tuple:
-    from .explorer import rs_solve
-    record = vars(rs_solve(args.a, args.b, args.r, args.s, args.cap))
-    text = " ".join(f"{key}={_word(value)}" for key, value in record.items())
-    return {**record, "command": "rs"}, [text]
-
-
-def _cmd_beiter_scan(args) -> tuple:
-    from .explorer import SCAN_CSV_HEADER, SCAN_METADATA, iter_scan, run_scan
-    if args.resume and not args.out:
-        raise DomainError("--resume needs --out")
-    if args.out:
-        fmt = "jsonl" if args.format == "json" else "csv"
-        summary = run_scan(args.r, args.s, args.xmax, args.out, fmt, args.resume, args.jobs, args.cap)
-        pairs, hits, table = summary["pairs"], summary["exactly_one"], None
-        json_only = {"out": args.out, "metadata": summary["metadata"]}
-    else:
-        rows, pairs, hits = [], 0, 0
-        for _, shard in iter_scan(args.r, args.s, args.xmax, args.cap):
-            pairs, hits = pairs + len(shard), hits + sum([row[-1] for row in shard])
-            rows += shard if args.format != "text" else ()  # text prints the summary only
-        table = (SCAN_CSV_HEADER, rows)
-        records = (dict(zip(SCAN_CSV_HEADER, row)) for row in rows)
-        json_only = {"metadata": dict(SCAN_METADATA), "records": records}
-    g = math.gcd(hits, pairs)  # pairs >= 1: (1, 1) is always scanned
-    num, den = hits // g, pairs // g
-    payload = {
-        "command": "beiter-scan",
-        "r": args.r,
-        "s": args.s,
-        "x_max": args.xmax,
-        "pairs": pairs,
-        "exactly_one": hits,
-        "density_num": num,
-        "density_den": den,
-    }
-    text = [f"pairs={pairs} exactly_one={hits} density={num}/{den}"]
-    if args.out:
-        text.append(f"written={args.out}")
-    return payload, text, table, json_only
-
-
 # ---------------- Parser ----------------
 
 
 _CAP = ("--cap", dict(type=int, default=math.inf))
 
-# each command's handler, summary and arguments, as (flag, add_argument options), in help order
+# each command's handler, as "module.function" (a bare function is in this module), its summary and its
+# arguments, as (flag, add_argument options), in help order
 _COMMANDS = {
-    "gamma": (_cmd_gamma, "which equation of the pair is solvable", [("a", dict(type=int)), ("b", dict(type=int))]),
-    "solve": (_cmd_solve, "the unique nonnegative witness", [
+    "gamma": ("_cmd_gamma", "which equation of the pair is solvable", [("a", dict(type=int)), ("b", dict(type=int))]),
+    "solve": ("_cmd_solve", "the unique nonnegative witness", [
         ("a", dict(type=int)),
         ("b", dict(type=int)),
         ("--oracle", dict(action="store_true", help="cross-check against brute-force enumeration")),
     ]),
-    "row": (_cmd_row, "classifier bits along a sequence", [
+    "row": ("periodicity._cmd_row", "classifier bits along a sequence", [
         ("--k", dict(type=int, required=True)),
         ("--seq", dict(required=True)),
         ("--start", dict(type=int, default=1)),
         ("--count", dict(type=int, required=True)),
     ]),
-    "period": (_cmd_period, "eventual period of a classifier row", [
+    "period": ("periodicity._cmd_period", "eventual period of a classifier row", [
         ("--k", dict(type=int, required=True)),
         ("--seq", dict(required=True)),
         ("--window", dict(type=int, default=None)),
         ("--min-repeats", dict(type=int, default=3)),
     ]),
-    "pisano": (_cmd_pisano, "Fibonacci period modulo m", [("m", dict(type=int))]),
-    "table1": (_cmd_table1, "row periods against Fibonacci for k = 1..kmax", [("--kmax", dict(type=int, default=10))]),
-    "density": (_cmd_density, "greedy chain hitting a target zero-bit density", [
+    "pisano": ("periodicity._cmd_pisano", "Fibonacci period modulo m", [("m", dict(type=int))]),
+    "table1": ("periodicity._cmd_table1", "row periods against Fibonacci for k = 1..kmax", [("--kmax", dict(type=int, default=10))]),
+    "density": ("density._cmd_density", "greedy chain hitting a target zero-bit density", [
         ("--p", dict(required=True, help="target density, e.g. 1/2")),
         ("--n", dict(type=int, required=True, help="number of steps")),
     ]),
-    "verify": (_cmd_verify, "closed-form witnesses against the solver", [
+    "verify": ("identities._cmd_verify", "closed-form witnesses against the solver", [
         ("--family", dict(choices=("fib", "fib2", "fib3", "fiblike", "mod6-4"), required=True)),
         ("--range", dict(default=None, help="LO:HI, meaning depends on the family")),
     ]),
-    "nvar": (_cmd_nvar, "solution counts for an n-variable instance", [("coeffs", dict(type=int, nargs="+")), _CAP]),
-    "rs": (_cmd_rs, "solvability with a shifted right-hand side", [
+    "nvar": ("explorer._cmd_nvar", "solution counts for an n-variable instance", [("coeffs", dict(type=int, nargs="+")), _CAP]),
+    "rs": ("explorer._cmd_rs", "solvability with a shifted right-hand side", [
         ("--a", dict(type=int, required=True)),
         ("--b", dict(type=int, required=True)),
         ("--r", dict(type=int, default=1)),
         ("--s", dict(type=int, default=1)),
         _CAP,
     ]),
-    "beiter-scan": (_cmd_beiter_scan, "scan coprime pairs for exactly-one solvability", [
+    "beiter-scan": ("explorer._cmd_beiter_scan", "scan coprime pairs for exactly-one solvability", [
         ("--r", dict(type=int, default=1)),
         ("--s", dict(type=int, default=1)),
         ("--xmax", dict(type=int, required=True)),
@@ -435,18 +198,33 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of the command argv names first.
+
+    Both parse argv alike: an unknown or missing command, or --help, gets the
+    full parser, and the one-command parser's metavar keeps the usage line.
+    """
     fmt_parent = argparse.ArgumentParser(add_help=False)
     fmt_parent.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     parser = _Parser(prog="splitgamma", description="Split-equation classifier, solver and explorer.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, arguments) in _COMMANDS.items():
+    one = bool(argv) and argv[0] in _COMMANDS
+    # a metavar also renames the command in argparse's errors, which only the full parser can raise
+    metavar = "{" + ",".join(_COMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in argv[:1] if one else _COMMANDS:
+        _, summary, arguments = _COMMANDS[name]
         p = sub.add_parser(name, parents=[fmt_parent], help=summary)
-        p.set_defaults(func=func)
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
+
+
+def _handler(command: str):
+    # the command's handler, its module imported now: a process compiles only the layer its command uses.
+    # __import__ rather than importlib.import_module, so that -X importtime lists the module
+    module, _, name = _COMMANDS[command][0].rpartition(".")
+    return getattr(__import__(module, globals(), level=1, fromlist=(name,)), name) if module else globals()[name]
 
 
 def main(argv=None) -> int:
@@ -455,8 +233,9 @@ def main(argv=None) -> int:
     if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        payload, *rest = args.func(args)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv).parse_args(argv)
+        payload, *rest = _handler(args.command)(args)
         _emit(args.format, payload, *rest)
         return EXIT_VERIFY if payload.get("failed") else EXIT_OK  # only verify counts failed items
     except SystemExit as exc:

@@ -121,6 +121,13 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> list:
     return [values[name] if name in values else getattr(cls, name) for name in names]
 
 
+def _word(value) -> str:
+    # a CLI text value: yes/no for booleans, "none" for None
+    if value is None:
+        return "none"
+    return ("yes" if value else "no") if isinstance(value, bool) else str(value)
+
+
 def _check_pair(a: int, b: int) -> None:
     if a < 1 or b < 1:
         raise DomainError(f"need positive integers, got a={a}, b={b}")

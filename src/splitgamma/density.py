@@ -6,13 +6,20 @@ so steering by the running zero ratio drives the ratio to any target p in
 [0, 1].  Ratios are exact fractions throughout; no floats.  Each step makes
 one classifier call, and the bit it returns is both recorded and steers the
 next step; the steering compares integers, zeros * den < num * (n - 1).
+The chain keeps every term, about n^2/2 bits in all, so a walk of more than
+DENSITY_MAX_STEPS steps is refused (exit 4) before it starts.  The CLI's
+``density`` handler lives here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from .core import DomainError, Record, gamma
+from .core import DomainError, Record, ResourceLimitError, _word, gamma
+
+# the chain holds all n + 1 terms, about n^2 / 2 bits: 2**15 steps hold about 5.4e8 bits (67 MB)
+DENSITY_MAX_STEPS = 2**15
 
 
 class DensityTrace(Record):
@@ -36,6 +43,8 @@ def build_density_sequence(p: Fraction | int | str, n_max: int) -> DensityTrace:
         raise DomainError(f"target density must lie in [0, 1], got {p}")
     if n_max < 2:
         raise DomainError(f"need at least two steps, got {n_max}")
+    if n_max > DENSITY_MAX_STEPS:
+        raise ResourceLimitError(f"{n_max} steps exceed {DENSITY_MAX_STEPS}: the chain holds about n^2/2 bits")
     num, den = p.numerator, p.denominator
     if p == 1:
         terms = [2**n for n in range(n_max + 1)]
@@ -69,3 +78,37 @@ def verify_growth_bounds(trace: DensityTrace) -> bool:
         return False
     # 2^(n-1) < a <= 2^(n+1) is 2^(n-1) <= a - 1 < 2^(n+1)
     return all(a > 0 and n <= (a - 1).bit_length() <= n + 1 for n, a in enumerate(terms[1:], 1))
+
+
+# ---------------- Command handler ----------------
+
+
+def _cmd_density(args) -> tuple:
+    try:
+        p = Fraction(args.p)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse target density {args.p!r}") from exc
+    trace = build_density_sequence(p, args.n)
+    bounds = verify_growth_bounds(trace)
+    final = trace.ratios[-1]
+    payload = {
+        "p_num": p.numerator,
+        "p_den": p.denominator,
+        "terms": trace.terms,
+        "bits": trace.bits,
+        "ratios": ({"num": r.numerator, "den": r.denominator} for r in trace.ratios),
+        "crossings": trace.crossings,
+        "command": "density",
+        "growth_bounds_ok": bounds,
+    }
+    text = [
+        f"p={p}",
+        f"terms={len(trace.terms)}",
+        f"final_ratio={final.numerator}/{final.denominator}",
+        f"crossings={len(trace.crossings)}" + (f" last={trace.crossings[-1]}" if trace.crossings else ""),
+        f"growth_bounds={_word(bounds)}",
+    ]
+    rows = chain([(0, trace.terms[0], None, None, None)],  # the seed row n = 0 has no bit or ratio
+                 ((n, t, bit, r.numerator, r.denominator) for n, (t, bit, r) in
+                  enumerate(zip(trace.terms[1:], trace.bits, trace.ratios), 1)))
+    return payload, text, (("n", "a_n", "gamma_bit", "ratio_num", "ratio_den"), rows)

@@ -25,7 +25,8 @@ one handle, opened when the first new shard is written and rewritten in place
 after each flushed shard.  A resumed scan runs the same loop: it recomputes
 the checkpointed shards and compares their bytes with the file instead of
 parsing records back, so a file from other parameters is refused and the
-partial shard a crash left is cut off.
+partial shard a crash left is cut off.  The CLI handlers of ``nvar``, ``rs``
+and ``beiter-scan`` live here too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .core import DomainError, Record, ResourceLimitError, _witness, mod_inverse
+from .core import DomainError, Record, ResourceLimitError, _witness, _word, mod_inverse
 
 SCAN_METADATA = {
     "pair_order": "ordered pairs (a, b), both orientations counted",
@@ -314,3 +315,72 @@ def run_scan(
         "exactly_one": hits,
         "metadata": dict(SCAN_METADATA),
     }
+
+
+# ---------------- Command handlers ----------------
+
+
+def _cmd_nvar(args) -> tuple:
+    rep = nvar_classify(tuple(args.coeffs), args.cap)
+    inst = rep.instance
+    payload = {
+        "command": "nvar",
+        "coeffs": inst.coeffs,
+        "rhs_numerator": inst.rhs_numerator,
+        "rhs": inst.rhs,
+        "integral": inst.rhs is not None,
+        "counts": rep.counts,
+        "solvable": rep.solvable,
+        "exactly_one": rep.exactly_one,
+        "setwise_coprime": inst.setwise_coprime,
+        "pairwise_coprime": inst.pairwise_coprime,
+    }
+    text = (
+        f"coeffs={','.join(map(str, inst.coeffs))}"
+        f" rhs={_word(inst.rhs)}"
+        f" counts={','.join(map(str, rep.counts))}"
+        f" solvable={','.join(map(str, rep.solvable)) or '-'}"
+        f" exactly_one={_word(rep.exactly_one)}"
+        f" setwise={_word(inst.setwise_coprime)} pairwise={_word(inst.pairwise_coprime)}"
+    )
+    return payload, [text]
+
+
+def _cmd_rs(args) -> tuple:
+    record = vars(rs_solve(args.a, args.b, args.r, args.s, args.cap))
+    text = " ".join(f"{key}={_word(value)}" for key, value in record.items())
+    return {**record, "command": "rs"}, [text]
+
+
+def _cmd_beiter_scan(args) -> tuple:
+    if args.resume and not args.out:
+        raise DomainError("--resume needs --out")
+    if args.out:
+        fmt = "jsonl" if args.format == "json" else "csv"
+        summary = run_scan(args.r, args.s, args.xmax, args.out, fmt, args.resume, args.jobs, args.cap)
+        pairs, hits, table = summary["pairs"], summary["exactly_one"], None
+        json_only = {"out": args.out, "metadata": summary["metadata"]}
+    else:
+        rows, pairs, hits = [], 0, 0
+        for _, shard in iter_scan(args.r, args.s, args.xmax, args.cap):
+            pairs, hits = pairs + len(shard), hits + sum([row[-1] for row in shard])
+            rows += shard if args.format != "text" else ()  # text prints the summary only
+        table = (SCAN_CSV_HEADER, rows)
+        records = (dict(zip(SCAN_CSV_HEADER, row)) for row in rows)
+        json_only = {"metadata": dict(SCAN_METADATA), "records": records}
+    g = math.gcd(hits, pairs)  # pairs >= 1: (1, 1) is always scanned
+    num, den = hits // g, pairs // g
+    payload = {
+        "command": "beiter-scan",
+        "r": args.r,
+        "s": args.s,
+        "x_max": args.xmax,
+        "pairs": pairs,
+        "exactly_one": hits,
+        "density_num": num,
+        "density_den": den,
+    }
+    text = [f"pairs={pairs} exactly_one={hits} density={num}/{den}"]
+    if args.out:
+        text.append(f"written={args.out}")
+    return payload, text, table, json_only

@@ -12,7 +12,8 @@ mu + lam terms of that cycle once, and ``gamma_row`` repeats one state
 period's bits along a long order-2 linear row.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
 period on a finite window (``detect_period``, O(window)) and certify it
-against the residue period where there is one.
+against the residue period where there is one.  The CLI handlers of
+``row``, ``period``, ``pisano`` and ``table1`` live here too.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import math
 from typing import Callable, Sequence
 
 from . import sequences
-from .core import DomainError, InconclusiveError, InvariantViolation, Record, ResourceLimitError
-from .core import gamma, gcd, solve_split
+from .core import DomainError, InconclusiveError, InvariantViolation, Record, ResourceLimitError, _word, gamma
 from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, _linear, _linear_pair
-from .sequences import _orbit, iter_terms, residue_engine, residues
+from .sequences import _orbit, format_spec, iter_terms, parse_spec, residue_engine, residues
 
 
 class BitRow(Record):
@@ -277,41 +277,6 @@ def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeat
     return _row_period(k, spec, window, min_repeats)[0]
 
 
-def gamma_shift_check(a: int, b: int, n_shift: int) -> bool:
-    """Test the sufficient condition under which gamma(a, b + N) = gamma(a, b).
-
-    With y the second witness coordinate for (a, b), the condition is that
-    N*((a-1)/2 - y) is an integer divisible by a.  Returns False when the
-    condition does not apply; when it does, the equality is also asserted.
-    """
-    if a < 1 or b < 1 or n_shift < 1:
-        raise DomainError(f"need positive a, b, N, got ({a}, {b}, {n_shift})")
-    if gcd(a, b) != 1:
-        raise DomainError(f"need gcd(a, b) = 1, got gcd({a}, {b}) = {gcd(a, b)}")
-    if gcd(a, b + n_shift) != 1:
-        raise DomainError(f"need gcd(a, b + N) = 1, got {gcd(a, b + n_shift)}")
-    y = solve_split(a, b).y
-    doubled = n_shift * (a - 1 - 2 * y)
-    if doubled % 2 or (doubled // 2) % a:
-        return False
-    if gamma(a, b + n_shift) != gamma(a, b):
-        raise InvariantViolation(f"shift condition held but gamma moved for ({a}, {b}) + {n_shift}")
-    return True
-
-
-def halfperiod_reflection(k: int) -> bool:
-    """Reflection property inside one period of the row against naturals.
-
-    Odd k: gamma(k, s) differs from gamma(k, k - s) for 1 <= s <= (k-1)/2.
-    Even k: gamma(k, s) differs from gamma(k, 2k - s) for 1 <= s <= k - 1.
-    """
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    if k % 2:
-        return all(gamma(k, s) != gamma(k, k - s) for s in range(1, (k - 1) // 2 + 1))
-    return all(gamma(k, s) != gamma(k, 2 * k - s) for s in range(1, k))
-
-
 def fibonacci_period_table(kmax: int) -> list[tuple[int, int, int]]:
     """Rows (k, row period against Fibonacci, Fibonacci period mod 2k), the last read off the row's residue period."""
     if kmax < 1:
@@ -320,12 +285,54 @@ def fibonacci_period_table(kmax: int) -> list[tuple[int, int, int]]:
     return [(k, rep.period, sp.period) for k, (rep, sp) in enumerate(rows, 1)]
 
 
-def first_alternation_index(bits: Sequence[int]) -> int:
-    """Smallest index j such that bits[j:] strictly alternates through the end."""
-    bits = list(bits)
-    if not bits:
-        raise DomainError("empty bit row")
-    j = len(bits) - 1
-    while j > 0 and bits[j - 1] != bits[j]:
-        j -= 1
-    return j
+# ---------------- Command handlers ----------------
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bit_line(bits) -> str:
+    # "0 1 1 ..." from the 0/1 bits: a byte per bit and per space, not a str object per bit
+    line = bytearray(b" ") * (2 * len(bits) - 1)
+    line[::2] = bits.translate(_DIGITS)
+    return line.decode("ascii")
+
+
+def _cmd_row(args) -> tuple:
+    spec = parse_spec(args.seq)
+    bits = gamma_row(args.k, spec, args.start, args.count).bits
+    payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
+    table = (("n", "bit"), enumerate(bits, args.start))
+    return payload, [_bit_line(bits)], table
+
+
+def _cmd_period(args) -> tuple:
+    spec = parse_spec(args.seq)
+    rep, sp = _row_period(args.k, spec, args.window, args.min_repeats)
+    payload = {
+        "command": "period",
+        "k": args.k,
+        "seq": format_spec(spec),
+        **vars(rep),
+        "residue_preperiod": None if sp is None else sp.preperiod,
+        "residue_period": None if sp is None else sp.period,
+    }
+    text = (
+        f"period={rep.period} preperiod={rep.preperiod} zeros={rep.zeros} ones={rep.ones}"
+        f" certified={_word(rep.certified)} verified_repeats={rep.verified_repeats}"
+    )
+    if sp is not None:
+        text += f" residue_period={sp.period} residue_preperiod={sp.preperiod}"
+    return payload, [text]
+
+
+def _cmd_pisano(args) -> tuple:
+    value = pisano(args.m)
+    return {"command": "pisano", "m": args.m, "pisano": value}, [str(value)]
+
+
+def _cmd_table1(args) -> tuple:
+    rows = fibonacci_period_table(args.kmax)
+    payload = {"command": "table1", "rows": [{"k": k, "t_k": t, "pi_2k": p} for k, t, p in rows]}
+    text = ["  k   t_k  pi(2k)"] + [f"{k:>3} {t:>5} {p:>7}" for k, t, p in rows]
+    return payload, text, (("k", "t_k", "pi_2k"), rows)

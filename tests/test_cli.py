@@ -182,15 +182,15 @@ def test_verify_families(capsys):
 
 
 def test_verify_mod6_4_walks_its_pairs_by_additions(monkeypatch):
-    from splitgamma import cli
-    from splitgamma.cli import _MOD6_4_FIBS, _mod6_4_ok
+    from splitgamma import identities
+    from splitgamma.identities import _MOD6_4_FIBS, _mod6_4_ok
     # the constants are (n, F_{n-2}, F_{n-1}) at the four indices n = 4 mod 6
     assert _MOD6_4_FIBS == tuple((n, *sequences.fib_pair(n - 2)) for n in (4, 10, 16, 22))
-    inverses = count_calls(monkeypatch, sequences, "oddr")
+    inverses = count_calls(monkeypatch, identities, "oddr")
     doublings = count_calls(monkeypatch, sequences, "_linear_pair")
     assert _mod6_4_ok(3, 5)
     assert (len(inverses), len(doublings)) == (1, 0)  # t is walked by additions, the F's are constants
-    items = list(cli._verify_items("mod6-4", 20, 79))
+    items = list(identities._verify_items("mod6-4", 20, 79))
     assert len(items) == 2182 and all(ok for _, ok in items)
     assert (len(inverses), len(doublings)) == (1 + 2182, 0)
     seen = []  # a mismatch at n = 4 ends the check
@@ -200,8 +200,8 @@ def test_verify_mod6_4_walks_its_pairs_by_additions(monkeypatch):
             seen.append(n)
             yield None
 
-    monkeypatch.setattr(sequences, "_mod6_4_witnesses", wrong)
-    splits = count_calls(monkeypatch, cli, "_split")
+    monkeypatch.setattr(identities, "_mod6_4_witnesses", wrong)
+    splits = count_calls(monkeypatch, identities, "_split")
     assert not _mod6_4_ok(3, 5) and seen == [4] and len(splits) == 1
 
 
@@ -222,17 +222,71 @@ HANDLER_ARGVS = {
 
 
 def test_handlers_return_their_result_and_print_nothing(capsys, tmp_path, monkeypatch):
-    from splitgamma.cli import _COMMANDS
+    from splitgamma.cli import _COMMANDS, _handler
     assert HANDLER_ARGVS.keys() == _COMMANDS.keys()
     monkeypatch.chdir(tmp_path)
     for name, argv in HANDLER_ARGVS.items():
         for fmt in ("text", "csv", "json"):
             args = build_parser().parse_args([name, *argv, "--format", fmt])
-            result = args.func(args)
+            result = _handler(args.command)(args)
             assert capsys.readouterr() == ("", ""), (name, fmt)
             assert isinstance(result, tuple) and 2 <= len(result) <= 4, (name, fmt)
             assert isinstance(result[0], dict) and result[0]["command"] == name, (name, fmt)
     assert (tmp_path / "scan.csv").exists()  # written by run_scan, not printed
+
+
+# argvs the parser refuses, or answers with help, at least one per command: a missing, non-int or extra argument,
+# an unknown flag, a bad --format; and the argvs that never name a command
+BAD_ARGVS = [
+    ["gamma", "7"],
+    ["gamma", "7", "x"],
+    ["gamma", "7", "14", "15"],
+    ["solve", "7", "10", "--bogus"],
+    ["solve", "7", "10", "--format", "xml"],
+    ["row", "--k", "3", "--seq", "fib"],
+    ["row", "--k", "x", "--seq", "fib", "--count", "3"],
+    ["row", "-h"],
+    ["period", "--seq", "fib"],
+    ["period", "--k", "3", "--seq", "fib", "extra"],
+    ["pisano"],
+    ["pisano", "ten"],
+    ["table1", "--kmax"],
+    ["table1", "--bogus"],
+    ["density", "--p", "1/2"],
+    ["density", "--p", "1/2", "--n", "ten", "--format", "json"],
+    ["verify"],
+    ["verify", "--family", "lucas"],
+    ["nvar"],
+    ["nvar", "3", "x"],
+    ["rs", "--a", "7"],
+    ["rs", "--a", "7", "--b", "10", "--format", "yaml"],
+    ["beiter-scan"],
+    ["beiter-scan", "--xmax", "5", "--jobs", "two"],
+    ["beiter-scan", "--xmax", "5", "extra", "--help"],
+    ["bogus", "7"],
+    ["--format", "json"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=" ".join)
+def test_the_one_command_parser_refuses_as_the_full_parser_does(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = (exc.value.code, *capsys.readouterr())
+    assert full[0] in (0, 1)
+    assert run(capsys, *argv) == full
+
+
+def test_a_command_argv_builds_only_its_own_subparser(capsys):
+    def choices(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    assert choices(build_parser(["row", "--k", "3"])) == ["row"]
+    assert choices(build_parser(["bogus"])) == choices(build_parser([])) == choices(build_parser()) == list(HANDLER_ARGVS)
+    code, out, err = run(capsys, "--help")
+    assert (code, out, err) == (0, build_parser().format_help(), "")
 
 
 def test_verify_exits_3_when_an_item_fails(capsys, monkeypatch):
@@ -240,7 +294,7 @@ def test_verify_exits_3_when_an_item_fails(capsys, monkeypatch):
     def wrong(u, v, fibs):
         yield None
 
-    monkeypatch.setattr(sequences, "_mod6_4_witnesses", wrong)
+    monkeypatch.setattr("splitgamma.identities._mod6_4_witnesses", wrong)
     code, out, err = run(capsys, "verify", "--family", "mod6-4", "--range", "1:3")
     assert (code, err) == (3, "")
     assert out.endswith("checked=7 failed=7\n") and out.startswith("FAIL u=1,v=1\n")
@@ -455,6 +509,17 @@ def test_nvar_with_a_thousand_coefficients_exits_4_within_a_second(capsys):
         code, out, err = run(capsys, "nvar", *map(str, coeffs))
     assert (code, out) == (4, "")
     assert err.startswith("resource cap: ") and err.count("\n") == 1
+
+
+def test_density_past_its_step_bound_exits_4_within_a_second(capsys):
+    # the chain holds about n^2/2 bits: 4e5 steps would need some 12 GB, so the step count is refused before the walk
+    from splitgamma.density import DENSITY_MAX_STEPS
+    assert DENSITY_MAX_STEPS == 2**15
+    for n in (DENSITY_MAX_STEPS + 1, 4 * 10**5, 10**30):
+        with deadline(1):
+            code, out, err = run(capsys, "density", "--p", "1/2", "--n", str(n))
+        assert (code, out) == (4, ""), n
+        assert err == f"resource cap: {n} steps exceed {DENSITY_MAX_STEPS}: the chain holds about n^2/2 bits\n"
 
 
 def test_factoring_past_the_trial_bound_exits_4_within_a_second(capsys):

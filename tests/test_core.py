@@ -20,6 +20,7 @@ from splitgamma import (
 from splitgamma import core
 from splitgamma.core import DEFAULT_BRUTE_CAP, InvariantViolation, Record, _split
 from splitgamma.explorer import rs_solve
+from splitgamma.identities import fib_identity_solution
 from splitgamma.periodicity import PeriodReport
 from splitgamma.sequences import (
     Arithmetic,
@@ -30,7 +31,6 @@ from splitgamma.sequences import (
     LucasBalancing,
     PowerRecurrence,
     fib,
-    fib_identity_solution,
     fib_pair,
     iter_terms,
     parse_spec,

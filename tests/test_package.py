@@ -23,17 +23,18 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitgamma"
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
-# every name the package exported when its __init__ imported each submodule eagerly
+# every name the package exported when its __init__ imported each submodule eagerly, by the module
+# that now defines it
 EXPORTS = {
     "core": "DomainError InvariantViolation ResourceLimitError BruteForceReport SplitInstance SplitSolution"
     " brute_force_split gamma gcd mod_inverse solve_split theta",
     "sequences": "Arithmetic Balancing Explicit FactorialPower FibonacciLike FibonacciPower KthPower"
-    " LucasBalancing Naturals Odds OddrResult PowerRecurrence SequenceSpec ShiftedGeometric closed_form_mod6_4"
-    " fib fib_cube_solution fib_identity_solution fib_pair fib_square_solution fiblike_pair format_spec"
-    " iter_terms oddr parse_spec phi_psi term term_mod",
+    " LucasBalancing Naturals Odds PowerRecurrence SequenceSpec ShiftedGeometric fib fib_pair fiblike_pair"
+    " format_spec iter_terms parse_spec term term_mod",
+    "identities": "OddrResult closed_form_mod6_4 fib_cube_solution fib_identity_solution fib_square_solution"
+    " first_alternation_index gamma_shift_check halfperiod_reflection oddr phi_psi",
     "periodicity": "BitRow InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
-    " first_alternation_index gamma_row gamma_shift_check halfperiod_reflection pair_row pisano row_period"
-    " state_period_mod",
+    " gamma_row pair_row pisano row_period state_period_mod",
     "density": "DensityTrace build_density_sequence verify_growth_bounds",
     "explorer": "NVarInstance NVarReport ScanRecord beiter_density density_curve nvar_classify rs_solve run_scan"
     " scan_shard",
@@ -93,14 +94,6 @@ def test_import_splitgamma_loads_no_submodule(preloaded):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--help"], ["gamma", "7", "14"], ["solve", "7", "10"], ["solve", "7", "10", "--oracle"]]
-)
-def test_kernel_commands_load_only_cli_and_core(preloaded, argv):
-    package = {m for m in _imports(preloaded, "-m", "splitgamma.cli", *argv) if m.startswith("splitgamma")}
-    assert package <= {"splitgamma", "splitgamma.cli", "splitgamma.core"}, package
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["gamma", "7", "14"],
@@ -140,6 +133,34 @@ def test_all_commands_are_listed():
 
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
     assert sorted(argv[0] for argv in ALL_COMMANDS) == sorted(sub.choices)
+
+
+# the package modules each command compiles besides the running cli (its __main__) and the package itself
+COMPILED = {
+    "--help": {"core"},
+    "gamma": {"core"},
+    "solve": {"core"},
+    "row": {"core", "sequences", "periodicity"},
+    "period": {"core", "sequences", "periodicity"},
+    "pisano": {"core", "sequences", "periodicity"},
+    "table1": {"core", "sequences", "periodicity"},
+    "density": {"core", "density"},
+    "verify": {"core", "sequences", "identities"},
+    "nvar": {"core", "explorer"},
+    "rs": {"core", "explorer"},
+    "beiter-scan": {"core", "explorer"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *ALL_COMMANDS, ["solve", "7", "10", "--oracle"]],
+    ids=["--help", *(argv[0] for argv in ALL_COMMANDS), "solve-oracle"],
+)
+def test_each_command_compiles_only_its_own_modules(preloaded, argv):
+    # a handler module that imported splitgamma.cli would compile the front end a second time
+    package = {m for m in _imports(preloaded, "-m", "splitgamma.cli", *argv) if m.startswith("splitgamma.")}
+    assert package == {f"splitgamma.{m}" for m in COMPILED[argv[0]]}, package
 
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=[argv[0] for argv in ALL_COMMANDS])

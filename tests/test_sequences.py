@@ -40,7 +40,7 @@ from splitgamma import (
     term,
     term_mod,
 )
-from splitgamma import sequences
+from splitgamma import identities, sequences
 from splitgamma.sequences import residues
 
 from conftest import (
@@ -622,7 +622,7 @@ def test_mod6_4_witnesses_match_the_closed_form_at_every_index():
     for u in range(1, 61):
         for v in range(1, 61):
             if math.gcd(u, v) == 1:
-                got = [SplitSolution(*w) for w in sequences._mod6_4_witnesses(u, v, fibs)]
+                got = [SplitSolution(*w) for w in identities._mod6_4_witnesses(u, v, fibs)]
                 assert got == [closed_form_mod6_4(u, v, n) for n in ns], (u, v)
                 if u + v < 20:
                     assert got == [solve_split(*fiblike_pair(u, v, n)) for n in ns], (u, v)
@@ -639,11 +639,11 @@ def _fib_off_by(d2, d1):
 
 
 def _oddr_off_by(dr, flip):
-    real = sequences.oddr
+    real = identities.oddr
 
     def oddr(u, v):
         sel = real(u, v)
-        return sequences.OddrResult(sel.r + dr, -sel.sign if flip else sel.sign)
+        return identities.OddrResult(sel.r + dr, -sel.sign if flip else sel.sign)
 
     return oddr
 
@@ -665,7 +665,7 @@ def _oddr_off_by(dr, flip):
     ids=["half-integral", "both-half-integral", "negative", "not-coprime", "equation", "sign", "r", "sign-even-u"],
 )
 def test_closed_form_mod6_4_failures_keep_their_messages(monkeypatch, name, patch, args, error, message):
-    monkeypatch.setattr(sequences, name, patch)
+    monkeypatch.setattr(identities, name, patch)
     with pytest.raises(error) as err:
         closed_form_mod6_4(*args)
     assert str(err.value) == message
@@ -718,7 +718,7 @@ def test_fib_cube_solution_matches_cube_by_cube_sums():
 
 def test_fib_cube_solution_takes_constant_fibonacci_evaluations(monkeypatch):
     m = 10**5
-    calls = count_calls(monkeypatch, sequences, "fib_pair")
+    calls = count_calls(monkeypatch, identities, "fib_pair")
     with deadline(30):  # the cube-by-cube sum would run for minutes here
         s = fib_cube_solution(m)
     assert 1 <= len(calls) <= 4
