@@ -100,10 +100,11 @@ def _csv_cell(value):
     return int(value) if isinstance(value, bool) else value  # the writer prints None as ""
 
 
-def _emit(fmt: str, payload: dict, text: list[str], table=None, json_only=None) -> None:
+def _emit(fmt: str, payload: dict, text, table=None, json_only=None) -> None:
     """Print one result, converting only for the requested format (see the module docstring).
 
-    table is (header, rows) for table-valued commands; json_only holds trailing keys with no CSV column.
+    text is any iterable of lines; table is (header, rows) for table-valued commands; json_only
+    holds trailing keys with no CSV column.
     """
     if fmt == "json":
         print(_json_doc({**payload, **(json_only or {})}))

@@ -12,8 +12,9 @@ mu + lam terms of that cycle once, and ``gamma_row`` repeats one state
 period's bits along a long order-2 linear row.  Explicit lists, power
 recurrences reduced from exact terms and an explicit window still detect a
 period on a finite window (``detect_period``, O(window)) and certify it
-against the residue period where there is one.  The CLI handlers of
-``row``, ``period``, ``pisano`` and ``table1`` live here too.
+against the residue period where there is one, which ``PeriodReport`` (the
+``period`` schema) carries.  The CLI handlers of ``row``, ``period``,
+``pisano`` and ``table1`` live here too; the last two call ``row_period``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,21 @@ class BitRow(Record):
 
 
 class PeriodReport(Record):
+    """A row's preperiod and least period, with the zeros and ones of one period.
+
+    The fields, in order, are the ``period`` command's schema.  residue_preperiod
+    and residue_period are the (mu, lam) mod 2k the report was read from or
+    certified against, None without them (always so from detect_period).
+    """
+
     preperiod: int
     period: int
     zeros: int
     ones: int
     certified: bool
     verified_repeats: int
+    residue_preperiod: int | None = None
+    residue_period: int | None = None
 
 
 class StatePeriod(Record):
@@ -218,51 +228,6 @@ def pisano(m: int) -> int:
 # ---------------- Row periods with certification ----------------
 
 
-def _row_period(
-    k: int, spec: SequenceSpec, window: int | None, min_repeats: int
-) -> tuple[PeriodReport, StatePeriod | None]:
-    """row_period's report with the residue period it used (None without a residue engine)."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    if window is not None and window < 1:
-        raise DomainError(f"need window >= 1, got {window}")
-    if min_repeats < 2:
-        raise DomainError(f"min_repeats must be >= 2, got {min_repeats}")
-    sp: StatePeriod | None
-    try:
-        sp = state_period_mod(spec, 2 * k)
-    except DomainError:
-        sp = None
-    if window is None and sp is not None and not _exact_only(spec):
-        # the bits are a function of the residues, so mu + lam of them hold the whole row
-        mu, lam = sp.preperiod, sp.period
-        bits = _row_bits(k, spec, 1, mu + lam)
-        cycle = memoryview(bits)[mu:]  # views: a period test copies no bits
-        period = _least_period(lam, _factorize(lam), lambda d: cycle[d:] == cycle[:-d])
-        pre = mu
-        while pre and bits[pre - 1] == bits[pre - 1 + period]:
-            pre -= 1
-        zeros = bits[pre : pre + period].count(0)
-        # verified_repeats: what the default window max(4 lam, 200) + mu would have shown
-        repeats = (max(4 * lam, 200) + mu - pre) // period
-        return PeriodReport(pre, period, zeros, period - zeros, True, repeats), sp
-    if window is None:
-        window = max(4 * sp.period, 200) + sp.preperiod if sp else 1000
-        if isinstance(spec, Explicit):
-            window = min(window, len(spec.terms))
-    row = gamma_row(k, spec, 1, window)
-    rep = detect_period(row.bits, min_repeats)
-    if rep is None:
-        raise InconclusiveError(window)
-    certified = False
-    if sp is not None and sp.period % rep.period == 0:
-        base = max(rep.preperiod, sp.preperiod)
-        end = base + sp.period
-        bits = row.bits
-        certified = end + rep.period <= len(bits) and bits[base:end] == bits[base + rep.period : end + rep.period]
-    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats), sp
-
-
 def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeats: int = 3) -> PeriodReport:
     """Eventual period of the bit row gamma(k, a_n), certified when possible.
 
@@ -272,17 +237,56 @@ def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeat
     min_repeats then only has to be >= 2.  Explicit lists, power recurrences
     reduced from exact terms and an explicit window use detect_period on a
     window instead; such a period is certified once it divides lam and the
-    bits repeat across one full lam-length stretch beyond the preperiod.
+    bits repeat across one full lam-length stretch beyond the preperiod.  The
+    report carries (mu, lam), None without them or when a window's are refused.
     """
-    return _row_period(k, spec, window, min_repeats)[0]
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    if window is not None and window < 1:
+        raise DomainError(f"need window >= 1, got {window}")
+    if min_repeats < 2:
+        raise DomainError(f"min_repeats must be >= 2, got {min_repeats}")
+    try:
+        sp = state_period_mod(spec, 2 * k)
+        mu, lam = sp.preperiod, sp.period
+    except DomainError:
+        mu = lam = None
+    except ResourceLimitError:
+        if window is None:
+            raise
+        mu = lam = None  # the window's bits still give a period, uncertified
+    # the default window; the exact report's verified_repeats are what it would have shown
+    default = 1000 if lam is None else max(4 * lam, 200) + mu
+    if window is None and lam is not None and not _exact_only(spec):
+        # the bits are a function of the residues, so mu + lam of them hold the whole row
+        bits = _row_bits(k, spec, 1, mu + lam)
+        cycle = memoryview(bits)[mu:]  # views: a period test copies no bits
+        period = _least_period(lam, _factorize(lam), lambda d: cycle[d:] == cycle[:-d])
+        pre = mu
+        while pre and bits[pre - 1] == bits[pre - 1 + period]:
+            pre -= 1
+        zeros = bits[pre : pre + period].count(0)
+        return PeriodReport(pre, period, zeros, period - zeros, True, (default - pre) // period, mu, lam)
+    if window is None:
+        window = min(default, len(spec.terms)) if isinstance(spec, Explicit) else default
+    bits = gamma_row(k, spec, 1, window).bits
+    rep = detect_period(bits, min_repeats)
+    if rep is None:
+        raise InconclusiveError(window)
+    certified = False
+    if lam is not None and lam % rep.period == 0:
+        base = max(rep.preperiod, mu)
+        end = base + lam
+        certified = end + rep.period <= len(bits) and bits[base:end] == bits[base + rep.period : end + rep.period]
+    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats, mu, lam)
 
 
 def fibonacci_period_table(kmax: int) -> list[tuple[int, int, int]]:
     """Rows (k, row period against Fibonacci, Fibonacci period mod 2k), the last read off the row's residue period."""
     if kmax < 1:
         raise DomainError(f"need kmax >= 1, got {kmax}")
-    rows = (_row_period(k, FibonacciPower(1), None, 3) for k in range(1, kmax + 1))
-    return [(k, rep.period, sp.period) for k, (rep, sp) in enumerate(rows, 1)]
+    reps = (row_period(k, FibonacciPower(1)) for k in range(1, kmax + 1))
+    return [(k, rep.period, rep.residue_period) for k, rep in enumerate(reps, 1)]
 
 
 # ---------------- Command handlers ----------------
@@ -303,26 +307,19 @@ def _cmd_row(args) -> tuple:
     bits = gamma_row(args.k, spec, args.start, args.count).bits
     payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
     table = (("n", "bit"), enumerate(bits, args.start))
-    return payload, [_bit_line(bits)], table
+    return payload, map(_bit_line, (bits,)), table  # the line is built only when text is printed
 
 
 def _cmd_period(args) -> tuple:
     spec = parse_spec(args.seq)
-    rep, sp = _row_period(args.k, spec, args.window, args.min_repeats)
-    payload = {
-        "command": "period",
-        "k": args.k,
-        "seq": format_spec(spec),
-        **vars(rep),
-        "residue_preperiod": None if sp is None else sp.preperiod,
-        "residue_period": None if sp is None else sp.period,
-    }
+    rep = row_period(args.k, spec, args.window, args.min_repeats)
+    payload = {"command": "period", "k": args.k, "seq": format_spec(spec), **vars(rep)}
     text = (
         f"period={rep.period} preperiod={rep.preperiod} zeros={rep.zeros} ones={rep.ones}"
         f" certified={_word(rep.certified)} verified_repeats={rep.verified_repeats}"
     )
-    if sp is not None:
-        text += f" residue_period={sp.period} residue_preperiod={sp.preperiod}"
+    if rep.residue_period is not None:
+        text += f" residue_period={rep.residue_period} residue_preperiod={rep.residue_preperiod}"
     return payload, [text]
 
 

@@ -253,7 +253,8 @@ def oracle_row_period(k, spec):
         and base + sp.period + rep.period <= len(bits)
         and all(bits[i] == bits[i + rep.period] for i in range(base, base + sp.period))
     )
-    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats)
+    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats,
+                        sp.preperiod, sp.period)
 
 
 @contextlib.contextmanager

@@ -22,6 +22,7 @@ from splitgamma import (
     fibonacci_period_table,
     gamma,
     gamma_row,
+    state_period_mod,
 )
 from splitgamma import sequences
 from splitgamma.cli import build_parser, main
@@ -550,6 +551,70 @@ def test_period_on_a_long_window_answers_within_half_a_second(capsys):
         code, out, err = run(capsys, "period", "--k", "30", "--seq", "factpow", "--window", "20000")
     assert (code, err) == (0, "")
     assert out == "period=1 preperiod=2 zeros=1 ones=0 certified=no verified_repeats=19998\n"
+
+
+def test_period_with_a_window_past_the_walk_bound_answers_uncertified(capsys):
+    # the Fibonacci orbit mod 4,000,000 is past the walk bound, so without a window period exits 4;
+    # an explicit window's bits still hold a period, reported uncertified
+    argv = ("period", "--k", "2000000", "--seq", "fib", "--window", "3000")
+    with deadline(1):
+        assert run(capsys, *argv) == (0, "period=1 preperiod=2997 zeros=1 ones=0 certified=no verified_repeats=3\n", "")
+        code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "command": "period", "k": "2000000", "seq": "fib", "preperiod": "2997", "period": "1", "zeros": "1",
+        "ones": "0", "certified": False, "verified_repeats": "3", "residue_preperiod": None, "residue_period": None,
+    }
+    with deadline(1):
+        code, out, err = run(capsys, "period", "--k", "2000000", "--seq", "fib")
+        assert (code, out) == (4, "")
+        code, out, err = run(capsys, "period", "--k", str(10**9), "--seq", "fib", "--window", "200")
+    assert (code, out) == (3, "")
+    assert err.startswith("inconclusive: ")
+
+
+@pytest.mark.parametrize("seq", ["fib", "bal", "nat", "n^3"])
+def test_period_on_the_default_window_prints_the_exact_report(capsys, seq):
+    # the window route, on the window the exact report counts its repeats in, finds the same report
+    for k in (1, 2, 7, 12, 30, 97, 1000):
+        sp = state_period_mod(parse_spec(seq), 2 * k)
+        window = str(max(4 * sp.period, 200) + sp.preperiod)
+        for fmt in ("text", "json"):
+            argv = ("period", "--k", str(k), "--seq", seq, "--format", fmt)
+            exact = run(capsys, *argv)
+            assert exact[0] == 0 and "certified" in exact[1], (seq, k, fmt)
+            assert run(capsys, *argv, "--window", window) == exact, (seq, k, fmt)
+
+
+def test_period_min_repeats(capsys):
+    code, out, err = run(capsys, "period", "--k", "5", "--seq", "fib", "--min-repeats", "1")
+    assert (code, out, err) == (2, "", "domain error: min_repeats must be >= 2, got 1\n")
+    # two copies of period 5 from the start, but three only of period 1 from n = 10, and four of none
+    argv = ("period", "--k", "5", "--seq", "explicit:1,2,3,4,5,6,7,8,9,10,11,12")
+    assert run(capsys, *argv, "--min-repeats", "2") == (
+        0, "period=5 preperiod=0 zeros=3 ones=2 certified=no verified_repeats=2\n", "")
+    assert run(capsys, *argv) == (0, "period=1 preperiod=9 zeros=1 ones=0 certified=no verified_repeats=3\n", "")
+    code, out, err = run(capsys, *argv, "--min-repeats", "4")
+    assert (code, out) == (3, "")
+
+
+def test_period_and_table1_enter_through_row_period(capsys, monkeypatch):
+    from splitgamma import periodicity
+    assert not hasattr(periodicity, "_row_period")
+    calls = count_calls(monkeypatch, periodicity, "row_period")
+    assert run(capsys, "period", "--k", "5", "--seq", "fib", "--format", "json")[0] == 0
+    assert len(calls) == 1
+    assert run(capsys, "table1", "--kmax", "7")[0] == 0
+    assert len(calls) == 1 + 7
+
+
+def test_row_builds_its_text_line_only_for_text(capsys, monkeypatch):
+    from splitgamma import periodicity
+    calls = count_calls(monkeypatch, periodicity, "_bit_line")
+    for fmt, want in (("text", 1), ("csv", 0), ("json", 0)):
+        calls.clear()
+        assert run(capsys, "row", "--k", "3", "--seq", "fib", "--count", "10", "--format", fmt)[0] == 0
+        assert len(calls) == want, fmt
 
 
 def test_out_of_memory_exits_4_with_one_line(capsys, monkeypatch):

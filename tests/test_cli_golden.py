@@ -183,6 +183,20 @@ def test_golden_record_covers_every_command_in_every_format():
         assert {a[0] for a in argvs if fmt in a} == set(sub.choices), fmt
 
 
+def test_period_json_keys_are_the_period_report_fields():
+    from splitgamma.periodicity import PeriodReport
+    answered = 0
+    for argv in (a for a in golden_argvs() if a[0] == "period" and "json" in a):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if code == 0:
+            answered += 1
+            keys = list(json.loads(stdout.getvalue()))
+            assert keys[:3] == ["command", "k", "seq"] and tuple(keys[3:]) == PeriodReport._fields, argv
+    assert answered > len(SPECS) * len(KS) // 2, answered
+
+
 def _main(args):
     argvs = {" ".join(a): a for a in golden_argvs()}
     if args == ["--record"]:

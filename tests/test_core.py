@@ -455,7 +455,7 @@ def test_vars_lists_fields_in_declaration_order():
     # the scan file templates and cli._emit read vars() in this order
     assert list(vars(SplitInstance(b=4, a=6))) == ["a", "b", "g", "a_red", "b_red", "rhs"]
     assert list(vars(PeriodReport(verified_repeats=4, certified=True, ones=2, zeros=1, period=3, preperiod=0))) == [
-        "preperiod", "period", "zeros", "ones", "certified", "verified_repeats"
+        "preperiod", "period", "zeros", "ones", "certified", "verified_repeats", "residue_preperiod", "residue_period"
     ]
     assert list(vars(rs_solve(7, 10))) == ["a", "b", "r", "s", "rhs", "integral", "solvable_i0", "solvable_i1",
                                           "exactly_one"]

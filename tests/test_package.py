@@ -169,6 +169,29 @@ def test_no_command_loads_the_dataclass_machinery(preloaded, argv):
     assert not machinery, machinery
 
 
+# ---------------- one output site ----------------
+
+
+def _output_sites(path):
+    # (line, what) for every print and every sys.stdout or sys.stderr the module names, on any path
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and node.id == "print":
+            yield node.lineno, "print"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sys" \
+                and node.attr in ("stdout", "stderr"):
+            yield node.lineno, f"sys.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            yield from ((node.lineno, f"sys.{a.name}") for a in node.names if a.name in ("stdout", "stderr", "*"))
+
+
+def test_only_the_cli_prints():
+    # handlers return their result and cli.main prints it, error paths included
+    found = [f"{path.name}:{line} {what}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for line, what in _output_sites(path)]
+    assert found == []
+    assert {what for _, what in _output_sites(PACKAGE / "cli.py")} == {"print", "sys.stdout", "sys.stderr"}
+
+
 # ---------------- dependencies ----------------
 
 
