@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     "core": (
         "DomainError", "InvariantViolation", "ResourceLimitError", "BruteForceReport", "SplitInstance",
-        "SplitSolution", "brute_force_split", "gamma", "gcd", "mod_inverse", "solve_split", "theta"
+        "SplitSolution", "brute_force_split", "gamma", "gcd", "mod_inverse", "solve_split"
     ),
     "sequences": (
         "Arithmetic", "Balancing", "Explicit", "FactorialPower", "FibonacciLike", "FibonacciPower", "KthPower",
@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "identities": (
         "OddrResult", "closed_form_mod6_4", "fib_cube_solution", "fib_identity_solution", "fib_square_solution",
-        "first_alternation_index", "gamma_shift_check", "halfperiod_reflection", "oddr", "phi_psi"
+        "first_alternation_index", "oddr", "phi_psi"
     ),
     "periodicity": (
         "BitRow", "InconclusiveError", "PeriodReport", "StatePeriod", "detect_period", "fibonacci_period_table",
@@ -28,8 +28,7 @@ _EXPORTS = {
     ),
     "density": ("DensityTrace", "build_density_sequence", "verify_growth_bounds"),
     "explorer": (
-        "NVarInstance", "NVarReport", "ScanRecord", "beiter_density", "density_curve", "nvar_classify",
-        "rs_solve", "run_scan", "scan_shard"
+        "NVarInstance", "NVarReport", "ScanRecord", "beiter_density", "nvar_classify", "rs_solve", "run_scan"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,8 +19,8 @@ steps.  y is one exact division, and one product checks the witness.
 ``_witness`` is the general route, n * a'^-1 mod b' for any n; it serves the
 shifted right-hand sides of ``explorer._rs_row``, the n-variable counts of
 ``explorer.nvar_classify`` and the test oracles.
-``brute_force_split`` and ``theta`` are kept as independent oracles for the
-tests and are not called on any fast path.
+``brute_force_split`` is kept as an independent oracle for the tests and
+``solve --oracle``, and is not called on any fast path.
 
 Every result and spec type in the package is a ``Record``: an immutable value
 whose fields are the names its class annotates.  Records replace frozen
@@ -170,19 +170,6 @@ def mod_inverse(a: int, m: int) -> int:
                 return c * pow(ca, -1, m) % m
     except ValueError:
         raise DomainError(f"{a % m} is not invertible modulo {m} (gcd = {math.gcd(a, m)})") from None
-
-
-def theta(a: int, b: int) -> int:
-    """Inverse of a/gcd(a,b) modulo b/gcd(a,b), as an integer in [1, b/g - 1].
-
-    Undefined when b/gcd(a,b) = 1, i.e. when b divides a.
-    """
-    _check_pair(a, b)
-    g = math.gcd(a, b)
-    b_red = b // g
-    if b_red == 1:
-        raise DomainError(f"theta({a}, {b}) undefined: b/gcd = 1")
-    return mod_inverse(a // g, b_red)
 
 
 def _witness(a: int, b: int, inv: int, n: int) -> tuple[int, int] | None:

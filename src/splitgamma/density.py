@@ -1,14 +1,21 @@
 """Greedy pair chains realizing any rational zero-bit density.
 
-Walk a chain a_0 = 1, a_1 = 2, a_n in {2a_{n-1}, 2a_{n-1} - 1}.  Doubling
-appends a 0 bit to the row gamma(a_{n-1}, a_n), the other branch appends a 1,
-so steering by the running zero ratio drives the ratio to any target p in
-[0, 1].  Ratios are exact fractions throughout; no floats.  Each step makes
-one classifier call, and the bit it returns is both recorded and steers the
-next step; the steering compares integers, zeros * den < num * (n - 1).
-The chain keeps every term, about n^2/2 bits in all, so a walk of more than
-DENSITY_MAX_STEPS steps is refused (exit 4) before it starts.  The CLI's
-``density`` handler lives here too.
+Walk a chain a_n in {2a_{n-1}, 2a_{n-1} - 1}.  Doubling appends a 0 bit to the
+row gamma(a_{n-1}, a_n), the other branch appends a 1, so steering by the
+running zero ratio drives the ratio to any target p in [0, 1].  The bit is the
+branch taken, so no step calls the classifier:
+
+    gamma(a, 2a) = 0 for a >= 1: the pair reduces to (1, 2), where R = 0
+    and x = y = 0 solve the delta = 0 equation.
+    gamma(a, 2a - 1) = 1 for a >= 2: R = (a - 1)^2, and x = a - 2, y = 0
+    solve ax + (2a - 1)y + 1 = R, so by the dichotomy delta = 1.
+
+Hence a_n = 2a_{n-1} - bit_n.  Building the terms is O(n^2) bit work; the
+classifier would have taken one inverse a step on operands up to n bits wide.
+Ratios are exact fractions throughout; no floats.  The steering compares
+integers, zeros * den < num * n.  The chain keeps every term, about n^2/2 bits
+in all, so a walk of more than DENSITY_MAX_STEPS steps is refused (exit 4)
+before it starts.  The CLI's ``density`` handler lives here too.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .core import DomainError, Record, ResourceLimitError, _word, gamma
+from .core import DomainError, Record, ResourceLimitError, _word
 
 # the chain holds all n + 1 terms, about n^2 / 2 bits: 2**15 steps hold about 5.4e8 bits (67 MB)
 DENSITY_MAX_STEPS = 2**15
@@ -33,10 +40,9 @@ class DensityTrace(Record):
 def build_density_sequence(p: Fraction | int | str, n_max: int) -> DensityTrace:
     """Construct the chain out to a_N and record bits, ratios and crossings.
 
-    p = 1 gives the pure doubling chain, p = 0 the 2^n + 1 chain; in between
-    the branch is chosen by comparing the previous ratio to p.  Bits are
-    always evaluated by the classifier, once per step, never assumed from the
-    branch taken.
+    One rule serves every target: p = 0 seeds a_0 = 2 and never doubles (the
+    2^n + 1 chain), p = 1 always doubles (2^n), and otherwise a_0 = 1, step 1
+    doubles and each later step doubles while the ratio so far is below p.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -46,22 +52,17 @@ def build_density_sequence(p: Fraction | int | str, n_max: int) -> DensityTrace:
     if n_max > DENSITY_MAX_STEPS:
         raise ResourceLimitError(f"{n_max} steps exceed {DENSITY_MAX_STEPS}: the chain holds about n^2/2 bits")
     num, den = p.numerator, p.denominator
-    if p == 1:
-        terms = [2**n for n in range(n_max + 1)]
-    elif p == 0:
-        terms = [2**n + 1 for n in range(n_max + 1)]
-    else:
-        terms = [1, 2]
+    a = 2 if p == 0 else 1
+    terms = [a]
     bits = []
     ratios = []
     crossings = []
     zeros = 0
-    below = False  # whether the ratio over the bits so far lies below p
+    below = p != 0  # whether the ratio over the bits so far lies below p; step 1 doubles unless p = 0
     for n in range(1, n_max + 1):
-        prev = terms[n - 1]
-        if n == len(terms):  # a steered chain: double while the ratio over n - 1 bits is below p
-            terms.append(2 * prev if below else 2 * prev - 1)
-        bit = gamma(prev, terms[n])
+        bit = 0 if below or p == 1 else 1
+        a = 2 * a - bit
+        terms.append(a)
         bits.append(bit)
         zeros += 1 - bit
         ratios.append(Fraction(zeros, n))

@@ -14,8 +14,8 @@ Pair scans shard by the first coordinate.  Every scan draws its shards from
 and pickling would outweigh it.  ``ScanRecord``'s fields are the scan schema,
 and one private kernel (``_rs_row``) gives them for a pair as a plain tuple in
 field order.  Scans read one shard's rows (``_shard_rows``) as they are, and
-the public ``rs_solve`` and ``scan_shard`` check their arguments and wrap the
-same rows in ``ScanRecord``s, so a scan builds no object per pair.  ``run_scan`` renders
+the public ``rs_solve`` checks its arguments and wraps the same row in a
+``ScanRecord``, so a scan builds no object per pair.  ``run_scan`` renders
 each shard to bytes once (``_shard_bytes``: one table holds each file
 format's line template, and one comprehension fills it with the rows for CSV
 and JSON lines alike), streams them and keeps a plain-text checkpoint holding
@@ -187,13 +187,6 @@ def _shard_rows(a: int, r: int, s: int, x_max: int, cap: float) -> list[tuple]:
     return [_rs_row(a, b, r, s, cap) for b in range(1, x_max + 1) if math.gcd(a, b) == 1]
 
 
-def scan_shard(a: int, r: int, s: int, x_max: int, cap: float = math.inf) -> list[ScanRecord]:
-    """All records with first coordinate a and coprime second coordinate <= x_max."""
-    if a < 1:
-        raise DomainError(f"need positive a, got {a}")
-    return [ScanRecord(*row) for row in _shard_rows(a, r, s, x_max, cap)]
-
-
 def iter_scan(r: int, s: int, x_max: int, cap: float = math.inf) -> Iterator[tuple[int, list[tuple]]]:
     """(shard id, rows) for the shards 1..x_max, in shard order.
 
@@ -213,10 +206,6 @@ def beiter_density(r: int, s: int, x_max: int) -> Fraction:
     for _, rows in iter_scan(r, s, x_max):
         total, hits = total + len(rows), hits + sum([row[-1] for row in rows])
     return Fraction(hits, total)
-
-
-def density_curve(r: int, s: int, x_values) -> list[tuple[int, Fraction]]:
-    return [(x, beiter_density(r, s, x)) for x in x_values]
 
 
 # ---------------- Serialization ----------------

@@ -3,9 +3,9 @@
 Closed-form witnesses for consecutive Fibonacci pairs, squared and cubed
 Fibonacci pairs, and general coprime-seeded Fibonacci-like pairs at indices n
 with n mod 6 = 4, where one ``oddr`` serves every index of a seed pair
-(``_mod6_4_witnesses``).  Also the paper's row checks that no command calls:
-the shift condition, the half-period reflection and the first alternation
-index.  ``verify`` checks each family's closed form against the solver.
+(``_mod6_4_witnesses``).  Also the first alternation index of a pair row,
+which no command calls yet.  ``verify`` checks each family's closed form
+against the solver.
 
 This module imports ``core`` and ``sequences`` only, so a ``verify`` process
 compiles no row or period code.
@@ -17,7 +17,7 @@ import math
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DomainError, InvariantViolation, Record, SplitSolution, _split, gamma, gcd, mod_inverse, solve_split
+from .core import DomainError, InvariantViolation, Record, SplitSolution, _split, mod_inverse, solve_split
 from .sequences import FibonacciPower, fib_pair, fiblike_pair, iter_terms
 
 
@@ -167,42 +167,7 @@ def fib_cube_solution(m: int) -> SplitSolution:
     return SplitSolution(0, x, y)
 
 
-# ---------------- Row checks ----------------
-
-
-def gamma_shift_check(a: int, b: int, n_shift: int) -> bool:
-    """Test the sufficient condition under which gamma(a, b + N) = gamma(a, b).
-
-    With y the second witness coordinate for (a, b), the condition is that
-    N*((a-1)/2 - y) is an integer divisible by a.  Returns False when the
-    condition does not apply; when it does, the equality is also asserted.
-    """
-    if a < 1 or b < 1 or n_shift < 1:
-        raise DomainError(f"need positive a, b, N, got ({a}, {b}, {n_shift})")
-    if gcd(a, b) != 1:
-        raise DomainError(f"need gcd(a, b) = 1, got gcd({a}, {b}) = {gcd(a, b)}")
-    if gcd(a, b + n_shift) != 1:
-        raise DomainError(f"need gcd(a, b + N) = 1, got {gcd(a, b + n_shift)}")
-    y = solve_split(a, b).y
-    doubled = n_shift * (a - 1 - 2 * y)
-    if doubled % 2 or (doubled // 2) % a:
-        return False
-    if gamma(a, b + n_shift) != gamma(a, b):
-        raise InvariantViolation(f"shift condition held but gamma moved for ({a}, {b}) + {n_shift}")
-    return True
-
-
-def halfperiod_reflection(k: int) -> bool:
-    """Reflection property inside one period of the row against naturals.
-
-    Odd k: gamma(k, s) differs from gamma(k, k - s) for 1 <= s <= (k-1)/2.
-    Even k: gamma(k, s) differs from gamma(k, 2k - s) for 1 <= s <= k - 1.
-    """
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    if k % 2:
-        return all(gamma(k, s) != gamma(k, k - s) for s in range(1, (k - 1) // 2 + 1))
-    return all(gamma(k, s) != gamma(k, 2 * k - s) for s in range(1, k))
+# ---------------- Row helper ----------------
 
 
 def first_alternation_index(bits: Sequence[int]) -> int:

@@ -1,7 +1,8 @@
 """Shared oracles, written independently of the package's fast paths: a
 brute-force enumeration and Sylvester's closed form for two-coin
 representability; the saturating coin DP, which the n-variable counts are
-checked against; the inverse-parity rule for gamma; the former multiply-mod
+checked against; the inverse-parity rule for gamma and theta, the inverse of
+a' mod b', which the parity-rule test reads; the former multiply-mod
 split witness and the former cube-by-cube Fibonacci cube witness; a plain
 Fibonacci orbit walk for Pisano periods; rows by stepping every residue,
 which the tiled linear rows are checked against; the former table-walk
@@ -9,7 +10,9 @@ residue periods and windowed row periods, which the exact one-pass row
 periods are checked against; the former O(W^2) window search, which the
 one-pass border-table search is checked against; the former per-prime-power route to
 (n!)^(n!) mod m; and a step-by-step power recurrence walk, which the
-Lucas-doubling rows and the orbit jump are checked against.  Also a deadline for calls that must stop
+Lucas-doubling rows and the orbit jump are checked against; and the former density
+walk, which classifies every step and which the branch-read chain is checked
+against.  Also a deadline for calls that must stop
 quickly, so a regression fails the test instead of running away, a call
 counter for complexity guards that count work instead of timing it, the
 byte offsets where a scan file's shards end, read off its lines directly, and
@@ -21,8 +24,10 @@ tests sweep."""
 import contextlib
 import math
 import signal
+from fractions import Fraction
 
 from splitgamma.core import SplitSolution, _witness, gamma
+from splitgamma.density import DensityTrace
 from splitgamma.periodicity import PeriodReport, StatePeriod
 from splitgamma.sequences import _factorize, parse_spec, residue_engine, residues
 
@@ -116,6 +121,13 @@ def inverse_parity_gamma(a, b):
     return 0 if b == 1 or pow(a, -1, b) % 2 else 1
 
 
+def oracle_theta(a, b):
+    """The inverse of a' = a/gcd(a, b) modulo b' = b/gcd(a, b), in [1, b' - 1]; b' > 1."""
+    g = math.gcd(a, b)
+    assert b // g > 1, (a, b)
+    return pow(a // g, -1, b // g)
+
+
 def oracle_fib_cube_solution(m):
     """The cube witness for (F_{2m-1}^3, F_{2m}^3) summed one cube at a time:
     x alternates over F_1^3 .. F_{2m-1}^3 (newest term positive), y adds F_2^3 .. F_{2m-2}^3."""
@@ -174,6 +186,38 @@ def oracle_powrec_residues(spec, start, count, m):
     mu = seen.get(state, 0)
     lam = len(states) - mu
     return [states[i if i < len(states) else mu + (i - mu) % lam][0] for i in range(start - 1, start + count - 1)]
+
+
+def oracle_density_walk(p, n_max):
+    """The greedy density chain with every bit read off the classifier, gamma(a_{n-1}, a_n).
+
+    p = 1 is the chain 2^n, p = 0 the chain 2^n + 1; otherwise a_0 = 1, a_1 = 2
+    and each later term doubles while the ratio over the bits so far is below p,
+    else takes 2a - 1.
+    """
+    p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    if p == 1:
+        terms = [2**n for n in range(n_max + 1)]
+    elif p == 0:
+        terms = [2**n + 1 for n in range(n_max + 1)]
+    else:
+        terms = [1, 2]
+    bits, ratios, crossings = [], [], []
+    zeros = 0
+    below = False
+    for n in range(1, n_max + 1):
+        prev = terms[n - 1]
+        if n == len(terms):
+            terms.append(2 * prev if below else 2 * prev - 1)
+        bit = gamma(prev, terms[n])
+        bits.append(bit)
+        zeros += 1 - bit
+        ratios.append(Fraction(zeros, n))
+        was_below, below = below, zeros * den < num * n
+        if n >= 2 and below != was_below:
+            crossings.append(n)
+    return DensityTrace(p, tuple(terms), tuple(bits), tuple(ratios), tuple(crossings))
 
 
 def coprime_pairs(limit):

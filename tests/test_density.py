@@ -8,12 +8,14 @@ from splitgamma import cli, core
 from splitgamma import (
     DensityTrace,
     DomainError,
+    SplitSolution,
     build_density_sequence,
     gamma,
+    solve_split,
     verify_growth_bounds,
 )
 
-from conftest import count_calls
+from conftest import count_calls, oracle_density_walk
 
 TARGETS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 
@@ -102,12 +104,31 @@ def test_growth_bounds_at_the_powers_of_two():
         assert verify_growth_bounds(DensityTrace(Fraction(1, 2), terms, (), (), ())) == power_form, terms
 
 
-def test_one_classifier_call_per_step(monkeypatch):
+def test_the_branches_solve_the_split():
+    # the lemma the chain reads its bits by: doubling gives bit 0, 2a - 1 gives bit 1
+    for a in range(1, 5001):
+        assert solve_split(a, 2 * a) == SplitSolution(0, 0, 0), a
+        if a >= 2:
+            assert solve_split(a, 2 * a - 1) == SplitSolution(1, a - 2, 0), a
+
+
+def test_the_chain_makes_no_classifier_call(monkeypatch, capsys):
     calls = count_calls(monkeypatch, core, "_split")
     for p in (*TARGETS, Fraction(2, 7), 0, 1):
-        calls.clear()
         build_density_sequence(p, 300)
-        assert len(calls) == 300, p
+    for fmt in ("text", "csv", "json"):
+        assert cli.main(["density", "--p", "2/7", "--n", "40", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
+
+
+def test_the_chain_matches_the_classifier_walk():
+    grid = {Fraction(num, den) for den in range(1, 40) for num in range(den + 1)}
+    assert len(grid) == 475 and {0, 1} <= grid
+    for p in sorted(grid):
+        assert build_density_sequence(p, 400) == oracle_density_walk(p, 400), p
+    for p in (Fraction(2, 7), Fraction(1, 3), Fraction(5, 11)):
+        assert build_density_sequence(p, 2000) == oracle_density_walk(p, 2000), p
 
 
 def test_crossings_keep_happening():

@@ -13,12 +13,10 @@ from splitgamma import (
     DomainError,
     ResourceLimitError,
     beiter_density,
-    density_curve,
     gamma,
     nvar_classify,
     rs_solve,
     run_scan,
-    scan_shard,
 )
 from splitgamma import explorer
 from splitgamma.cli import _csv_cell, main
@@ -335,18 +333,13 @@ def test_beiter_density_swap_symmetry():
         assert beiter_density(r, s, 30) == beiter_density(s, r, 30)
 
 
-def test_density_curve():
-    assert density_curve(1, 1, [10, 30]) == [(10, Fraction(1)), (30, Fraction(1))]
-    assert density_curve(2, 0, [20]) == [(20, beiter_density(2, 0, 20))]
-
-
 # ---------------- scan plumbing ----------------
 
 
 def test_scan_shard_covers_coprime_column():
-    recs = scan_shard(3, 1, 1, 6)
-    assert [r.b for r in recs] == [1, 2, 4, 5]
-    assert all(r.a == 3 for r in recs)
+    shards = dict(iter_scan(1, 1, 6))
+    assert list(shards) == [1, 2, 3, 4, 5, 6]
+    assert [row[:2] for row in shards[3]] == [(3, 1), (3, 2), (3, 4), (3, 5)]
 
 
 def _fields(row):
@@ -574,13 +567,12 @@ def test_run_scan_resume_cuts_bytes_past_the_last_checkpointed_shard(tmp_path):
 
 
 def test_iter_scan_matches_shards_and_checks_before_yielding():
-    assert list(iter_scan(2, 0, 6)) == [(a, [tuple(vars(rec).values()) for rec in scan_shard(a, 2, 0, 6)])
+    assert list(iter_scan(2, 0, 6)) == [(a, [tuple(vars(rs_solve(a, b, 2, 0)).values())
+                                             for b in range(1, 7) if math.gcd(a, b) == 1])
                                         for a in range(1, 7)]
     # raised by the call itself, so a caller can validate before it opens anything
     with pytest.raises(DomainError):
         iter_scan(1, 1, 0)
-    with pytest.raises(DomainError):
-        scan_shard(0, 1, 1, 6)
 
 
 def test_scan_rows_are_rs_solve_records_as_tuples():
@@ -588,7 +580,6 @@ def test_scan_rows_are_rs_solve_records_as_tuples():
     for r, s in itertools.product(shifts, repeat=2):
         for a, rows in iter_scan(r, s, 40):
             assert rows == [tuple(vars(rs_solve(a, b, r, s)).values()) for b in range(1, 41) if math.gcd(a, b) == 1]
-            assert scan_shard(a, r, s, 40) == [ScanRecord(*row) for row in rows]
 
 
 def test_scans_build_no_scan_record(tmp_path, monkeypatch, capsys):

@@ -24,20 +24,19 @@ PACKAGE = ROOT / "src" / "splitgamma"
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 # every name the package exported when its __init__ imported each submodule eagerly, by the module
-# that now defines it
+# that now defines it, less the names only the tests called
 EXPORTS = {
     "core": "DomainError InvariantViolation ResourceLimitError BruteForceReport SplitInstance SplitSolution"
-    " brute_force_split gamma gcd mod_inverse solve_split theta",
+    " brute_force_split gamma gcd mod_inverse solve_split",
     "sequences": "Arithmetic Balancing Explicit FactorialPower FibonacciLike FibonacciPower KthPower"
     " LucasBalancing Naturals Odds PowerRecurrence SequenceSpec ShiftedGeometric fib fib_pair fiblike_pair"
     " format_spec iter_terms parse_spec term term_mod",
     "identities": "OddrResult closed_form_mod6_4 fib_cube_solution fib_identity_solution fib_square_solution"
-    " first_alternation_index gamma_shift_check halfperiod_reflection oddr phi_psi",
+    " first_alternation_index oddr phi_psi",
     "periodicity": "BitRow InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
     " gamma_row pair_row pisano row_period state_period_mod",
     "density": "DensityTrace build_density_sequence verify_growth_bounds",
-    "explorer": "NVarInstance NVarReport ScanRecord beiter_density density_curve nvar_classify rs_solve run_scan"
-    " scan_shard",
+    "explorer": "NVarInstance NVarReport ScanRecord beiter_density nvar_classify rs_solve run_scan",
 }
 
 
@@ -190,6 +189,34 @@ def test_only_the_cli_prints():
              for line, what in _output_sites(path)]
     assert found == []
     assert {what for _, what in _output_sites(PACKAGE / "cli.py")} == {"print", "sys.stdout", "sys.stderr"}
+
+
+# ---------------- oracles stay off the fast paths ----------------
+
+
+def _mentions(path, name):
+    # (lines that read name, as a name or an attribute; lines that import it)
+    tree = ast.parse(path.read_text(), str(path))
+    reads = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name}
+    imports = {node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name == name for a in node.names)}
+    return reads, imports
+
+
+def test_oracles_stay_off_the_fast_paths():
+    # the brute-force enumeration runs only in solve --oracle
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("core.py", "cli.py"):
+            assert _mentions(path, "brute_force_split") == (set(), set()), path.name
+    oracle_branch = {line for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+                     if isinstance(node, ast.If) and ast.unparse(node.test) == "args.oracle"
+                     for line in range(node.lineno, node.end_lineno + 1)}
+    reads, _ = _mentions(PACKAGE / "cli.py", "brute_force_split")
+    assert reads and reads <= oracle_branch, reads - oracle_branch
+    # the density chain reads its bits off its branches
+    for name in ("gamma", "_split", "solve_split"):
+        assert _mentions(PACKAGE / "density.py", name) == (set(), set()), name
 
 
 # ---------------- dependencies ----------------

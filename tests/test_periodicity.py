@@ -38,11 +38,10 @@ from splitgamma import (
     first_alternation_index,
     gamma,
     gamma_row,
-    gamma_shift_check,
-    halfperiod_reflection,
     pair_row,
     pisano,
     row_period,
+    solve_split,
     state_period_mod,
     term,
 )
@@ -462,25 +461,28 @@ def test_certified_periods_divide_residue_period():
 # ---------------- shift and reflection checks ----------------
 
 
+def shift_condition(a, b, n_shift):
+    """The sufficient condition for gamma(a, b + N) = gamma(a, b), coprime a, b and b + N: with y
+    solve_split(a, b)'s second coordinate, N * ((a - 1)/2 - y) is an integer divisible by a."""
+    doubled = n_shift * (a - 1 - 2 * solve_split(a, b).y)
+    return doubled % 2 == 0 and doubled // 2 % a == 0
+
+
 def test_gamma_shift_applicable_case():
-    assert gamma_shift_check(3, 5, 6) is True
+    assert shift_condition(3, 5, 6)
+    assert gamma(3, 5 + 6) == gamma(3, 5)
+    assert not shift_condition(3, 5, 1)
 
 
 def test_gamma_shift_sweep_never_violates():
     applicable = 0
     for a in range(1, 21):
         for b in range(1, 21):
-            if math.gcd(a, b) != 1:
-                continue
-            for n_shift in (2 * a, 4 * a):
-                if gamma_shift_check(a, b, n_shift):
+            for n_shift in range(1, 4 * a + 1):
+                if math.gcd(a, b) == math.gcd(a, b + n_shift) == 1 and shift_condition(a, b, n_shift):
                     applicable += 1
+                    assert gamma(a, b + n_shift) == gamma(a, b), (a, b, n_shift)
     assert applicable > 0
-
-
-def test_halfperiod_reflection():
-    for k in range(2, 31):
-        assert halfperiod_reflection(k) is True
 
 
 def test_rows_against_naturals_reflect_and_repeat_at_half_period():

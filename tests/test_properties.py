@@ -2,7 +2,8 @@
 pairs up to hundreds of digits, with and without a common factor, and with
 each reduced shape the split witness treats apart: b' even (the roles of a'
 and b' swap), a' even, a' = 1 and b' = 1; gamma against the parity of the
-inverse on the same pairs; rs_solve against the closed form on the same
+inverse on the same pairs; the density chain's two branches, (a, 2a) and
+(a, 2a - 1), solved as its lemma says for a up to 10**400; rs_solve against the closed form on the same
 shapes made coprime, with shifts r, s in -5..5; n-variable counts against
 the coin DP; the one-pass window period search against the former O(W^2)
 search, on random rows and on rows with a planted preperiod and period and
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from splitgamma import (
     PowerRecurrence,
     ResourceLimitError,
+    SplitSolution,
     detect_period,
     gamma,
     gamma_row,
@@ -88,6 +90,14 @@ def test_witness_and_delta_agree_with_sylvester(pair):
 @given(pairs)
 def test_gamma_is_the_parity_of_the_inverse_on_wide_pairs(pair):
     assert gamma(*pair) == inverse_parity_gamma(*pair)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_size)
+def test_the_density_branches_solve_the_split_on_wide_terms(a):
+    assert solve_split(a, 2 * a) == SplitSolution(0, 0, 0)
+    if a >= 2:
+        assert solve_split(a, 2 * a - 1) == SplitSolution(1, a - 2, 0)
 
 
 @settings(max_examples=400, deadline=None)
