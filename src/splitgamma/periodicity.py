@@ -9,12 +9,13 @@ and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for every
 order-2 linear family (``pisano`` is the Fibonacci case), else by Brent's
 cycle finding (``sequences._orbit``).  ``row_period`` classifies the
 mu + lam terms of that cycle once, and ``gamma_row`` repeats one state
-period's bits along a long order-2 linear row.  Explicit lists, power
-recurrences reduced from exact terms and an explicit window still detect a
-period on a finite window (``detect_period``, O(window)) and certify it
-against the residue period where there is one, which ``PeriodReport`` (the
-``period`` schema) carries.  The CLI handlers of ``row``, ``period``,
-``pisano`` and ``table1`` live here too; the last two call ``row_period``.
+period's bits along a long order-2 linear row.  Only that cycle certifies:
+factorial powers, explicit lists, power recurrences reduced from exact terms
+and an explicit window detect a period on a finite window (``detect_period``,
+O(window)), uncertified, and ``PeriodReport`` (the ``period`` schema) carries
+the residue period exactly when it certifies.  The CLI handlers of ``row``,
+``period``, ``pisano`` and ``table1`` live here too; the last two call
+``row_period``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class PeriodReport(Record):
     """A row's preperiod and least period, with the zeros and ones of one period.
 
     The fields, in order, are the ``period`` command's schema.  residue_preperiod
-    and residue_period are the (mu, lam) mod 2k the report was read from or
-    certified against, None without them (always so from detect_period).
+    and residue_period are the (mu, lam) mod 2k a certified report was read
+    from; they are set exactly when certified is, never by detect_period.
     """
 
     preperiod: int
@@ -229,16 +230,15 @@ def pisano(m: int) -> int:
 
 
 def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeats: int = 3) -> PeriodReport:
-    """Eventual period of the bit row gamma(k, a_n), certified when possible.
+    """Eventual period of the bit row gamma(k, a_n), certified only when read off the residue cycle.
 
-    With a residue engine and no window, the report is exact and certified:
-    the bits for n = 1 .. mu + lam, (mu, lam) the residue preperiod and
+    With no window, a family whose residues need no exact terms gets the exact
+    report: the bits for n = 1 .. mu + lam, (mu, lam) the residue preperiod and
     period mod 2k, hold the whole row, and the least bit period divides lam.
-    min_repeats then only has to be >= 2.  Explicit lists, power recurrences
-    reduced from exact terms and an explicit window use detect_period on a
-    window instead; such a period is certified once it divides lam and the
-    bits repeat across one full lam-length stretch beyond the preperiod.  The
-    report carries (mu, lam), None without them or when a window's are refused.
+    min_repeats then only has to be >= 2.  An explicit window (which walks no
+    residues), factpow, explicit lists and power recurrences reduced from exact
+    terms take detect_period on a window instead, uncertified.  So the report
+    carries (mu, lam) exactly when it is certified.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -246,39 +246,28 @@ def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeat
         raise DomainError(f"need window >= 1, got {window}")
     if min_repeats < 2:
         raise DomainError(f"min_repeats must be >= 2, got {min_repeats}")
-    try:
-        sp = state_period_mod(spec, 2 * k)
-        mu, lam = sp.preperiod, sp.period
-    except DomainError:
-        mu = lam = None
-    except ResourceLimitError:
-        if window is None:
-            raise
-        mu = lam = None  # the window's bits still give a period, uncertified
-    # the default window; the exact report's verified_repeats are what it would have shown
-    default = 1000 if lam is None else max(4 * lam, 200) + mu
-    if window is None and lam is not None and not _exact_only(spec):
-        # the bits are a function of the residues, so mu + lam of them hold the whole row
-        bits = _row_bits(k, spec, 1, mu + lam)
-        cycle = memoryview(bits)[mu:]  # views: a period test copies no bits
-        period = _least_period(lam, _factorize(lam), lambda d: cycle[d:] == cycle[:-d])
-        pre = mu
-        while pre and bits[pre - 1] == bits[pre - 1 + period]:
-            pre -= 1
-        zeros = bits[pre : pre + period].count(0)
-        return PeriodReport(pre, period, zeros, period - zeros, True, (default - pre) // period, mu, lam)
     if window is None:
-        window = min(default, len(spec.terms)) if isinstance(spec, Explicit) else default
-    bits = gamma_row(k, spec, 1, window).bits
-    rep = detect_period(bits, min_repeats)
+        try:
+            sp = state_period_mod(spec, 2 * k)
+        except DomainError:  # factpow and explicit lists have no residue engine
+            window = min(1000, len(spec.terms)) if isinstance(spec, Explicit) else 1000
+        else:
+            mu, lam = sp.preperiod, sp.period
+            window = max(4 * lam, 200) + mu  # the default window, which the exact report counts its repeats in
+            if not _exact_only(spec):
+                # the bits are a function of the residues, so mu + lam of them hold the whole row
+                bits = _row_bits(k, spec, 1, mu + lam)
+                cycle = memoryview(bits)[mu:]  # views: a period test copies no bits
+                period = _least_period(lam, _factorize(lam), lambda d: cycle[d:] == cycle[:-d])
+                pre = mu
+                while pre and bits[pre - 1] == bits[pre - 1 + period]:
+                    pre -= 1
+                zeros = bits[pre : pre + period].count(0)
+                return PeriodReport(pre, period, zeros, period - zeros, True, (window - pre) // period, mu, lam)
+    rep = detect_period(gamma_row(k, spec, 1, window).bits, min_repeats)
     if rep is None:
         raise InconclusiveError(window)
-    certified = False
-    if lam is not None and lam % rep.period == 0:
-        base = max(rep.preperiod, mu)
-        end = base + lam
-        certified = end + rep.period <= len(bits) and bits[base:end] == bits[base + rep.period : end + rep.period]
-    return PeriodReport(rep.preperiod, rep.period, rep.zeros, rep.ones, certified, rep.verified_repeats, mu, lam)
+    return rep
 
 
 def fibonacci_period_table(kmax: int) -> list[tuple[int, int, int]]:

@@ -21,7 +21,6 @@ from typing import Callable, Iterator, Union
 
 from .core import DomainError, Record, ResourceLimitError
 
-FACTPOW_FULL_TERM_MAX = 6
 MAX_TERM_BITS = 1_000_000
 # Brent's walk (_orbit) finds every orbit with mu < ORBIT_MAX and lam <= ORBIT_MAX and
 # refuses longer ones (exit 4) after ~4 * ORBIT_MAX steps, ~10 s for a powrec (~2-2.5 us
@@ -196,7 +195,7 @@ class PowerRecurrence(Record):
 
 
 class FactorialPower(Record):
-    """a_n = (n!) ** (n!).  Full terms only up to n = 6; use term_mod beyond."""
+    """a_n = (n!) ** (n!).  Exact terms stop at MAX_TERM_BITS, after n = 8; use term_mod beyond."""
 
 
 class Explicit(Record):
@@ -377,11 +376,11 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
             if n >= start:
                 yield t
     elif isinstance(spec, FactorialPower):
-        if end - 1 > FACTPOW_FULL_TERM_MAX:
-            raise ResourceLimitError(f"full (n!)**(n!) terms stop at n = {FACTPOW_FULL_TERM_MAX}; use term_mod")
         for n in range(start, end):
             f = math.factorial(n)
-            yield f**f
+            if (f.bit_length() - 1) * f >= MAX_TERM_BITS or (t := f**f).bit_length() > MAX_TERM_BITS:
+                raise _too_big(n)
+            yield t
     elif isinstance(spec, Explicit):
         if end - 1 > len(spec.terms):
             raise DomainError(f"explicit sequence has {len(spec.terms)} terms, asked through {end - 1}")

@@ -575,15 +575,44 @@ def test_period_with_a_window_past_the_walk_bound_answers_uncertified(capsys):
 
 @pytest.mark.parametrize("seq", ["fib", "bal", "nat", "n^3"])
 def test_period_on_the_default_window_prints_the_exact_report(capsys, seq):
-    # the window route, on the window the exact report counts its repeats in, finds the same report
+    # the window route, on the window the exact report counts its repeats in, finds the same
+    # numbers, uncertified and without the residue period it did not read
     for k in (1, 2, 7, 12, 30, 97, 1000):
         sp = state_period_mod(parse_spec(seq), 2 * k)
         window = str(max(4 * sp.period, 200) + sp.preperiod)
-        for fmt in ("text", "json"):
-            argv = ("period", "--k", str(k), "--seq", seq, "--format", fmt)
-            exact = run(capsys, *argv)
-            assert exact[0] == 0 and "certified" in exact[1], (seq, k, fmt)
-            assert run(capsys, *argv, "--window", window) == exact, (seq, k, fmt)
+        argv = ("period", "--k", str(k), "--seq", seq, "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        exact = json.loads(out)
+        assert code == 0 and exact["certified"] is True, (seq, k)
+        assert (exact["residue_preperiod"], exact["residue_period"]) == (str(sp.preperiod), str(sp.period))
+        code, out, _ = run(capsys, *argv, "--window", window)
+        want = {**exact, "certified": False, "residue_preperiod": None, "residue_period": None}
+        assert (code, json.loads(out)) == (0, want), (seq, k)
+        text = ("period={period} preperiod={preperiod} zeros={zeros} ones={ones} certified=no"
+                " verified_repeats={verified_repeats}\n").format(**exact)
+        assert run(capsys, *argv[:-2], "--window", window) == (0, text, ""), (seq, k)
+
+
+def test_period_of_a_powrec_reduced_from_exact_terms_is_not_certified(capsys):
+    # a_n = 10**6 + 1 - n ends at n = 10**6, which its residues mod 2k cannot show
+    argv = ("period", "--k", "3", "--seq", "powrec:c=2,-1;t=1,1;init=1000000,999999")
+    assert run(capsys, *argv) == (0, "period=3 preperiod=0 zeros=2 ones=1 certified=no verified_repeats=66\n", "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "command": "period", "k": "3", "seq": "powrec:c=2,-1;t=1,1;init=1000000,999999", "preperiod": "0",
+        "period": "3", "zeros": "2", "ones": "1", "certified": False, "verified_repeats": "66",
+        "residue_preperiod": None, "residue_period": None,
+    }
+
+
+def test_period_with_a_window_skips_the_residue_walk(capsys):
+    # the orbit mod 2k is past the walk bound, and walking it to find so took 7-10 s
+    with deadline(1):
+        code, out, err = run(capsys, "period", "--k", "1000000007", "--seq", "powrec:c=1,1;t=1,2;init=1,1",
+                             "--window", "200")
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: no period found within a window of 200 terms; retry with a larger window\n"
 
 
 def test_period_min_repeats(capsys):

@@ -87,6 +87,12 @@ def _row_argvs(f):
     out.append(["row", "--k", "3", "--seq", "nat", "--count", "-1", *f])
     out.append(["row", "--k", "3", "--seq", "nat", "--count", "0", *f])
     out.append(["period", "--k", "0", "--seq", "fib", *f])
+    # an explicit window (the last exits 3) or repeat count: detected on the window, never certified
+    out.append(["period", "--k", "5", "--seq", "fib", "--window", "500", *f])
+    out.append(["period", "--k", "5", "--seq", "fib", "--window", "12", *f])
+    out.append(["period", "--k", "7", "--seq", "factpow", "--window", "300", *f])
+    out.append(["period", "--k", "7", "--seq", SPECS[-1], "--min-repeats", "2", *f])
+    out.append(["period", "--k", "7", "--seq", "powrec:c=2,-1;t=1,1;init=1,2", "--window", "200", *f])
     for m in (1, 2, 10, 97, 1000, 4096):
         out.append(["pisano", str(m), *f])
     out.append(["table1", "--kmax", "12", *f])

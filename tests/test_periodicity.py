@@ -28,6 +28,7 @@ from splitgamma import (
     LucasBalancing,
     Naturals,
     Odds,
+    PeriodReport,
     PowerRecurrence,
     ResourceLimitError,
     ShiftedGeometric,
@@ -413,6 +414,40 @@ def test_row_period_matches_windowed_oracle():
 def test_row_period_window_too_small():
     with pytest.raises(InconclusiveError):
         row_period(5, FibonacciPower(1), window=12)
+
+
+def test_only_the_residue_cycle_certifies():
+    # certified exactly when the residue fields are set; a window report never is, and on the
+    # default window it finds the exact report's numbers
+    for spec in ENGINE_SPECS:
+        for k in range(1, 31):
+            exact = row_period(k, spec)
+            assert exact.certified and None not in (exact.residue_preperiod, exact.residue_period), (spec, k)
+            mu, lam = exact.residue_preperiod, exact.residue_period
+            want = PeriodReport(exact.preperiod, exact.period, exact.zeros, exact.ones, False, exact.verified_repeats)
+            assert row_period(k, spec, window=max(4 * lam, 200) + mu) == want, (spec, k)
+    # no residue engine, or residues that cannot show a term turning nonpositive: never certified
+    for seq in ("factpow", "explicit:" + ",".join(["7"] * 12), "powrec:c=2,-1;t=1,1;init=1,2",
+                "powrec:c=6,-1;t=1,1;init=1,6"):
+        for k in range(1, 31):
+            rep = row_period(k, parse_spec(seq), min_repeats=2)
+            assert not rep.certified and (rep.residue_preperiod, rep.residue_period) == (None, None), (seq, k)
+
+
+def test_row_period_with_a_window_walks_no_residues(monkeypatch):
+    walks = [count_calls(monkeypatch, owner, name) for owner, name in (
+        (periodicity, "state_period_mod"), (periodicity, "_orbit"), (sequences, "_orbit"))]
+    # a Brent-walked powrec whose orbit mod 2k is past the walk bound: the window alone answers
+    spec = parse_spec("powrec:c=1,1;t=1,2;init=1,1")
+    with deadline(1):
+        with pytest.raises(InconclusiveError):
+            row_period(10**9 + 7, spec, window=200)
+        for seq in ("fib", "powrec:c=1,1;t=1,1;init=1,2", "powrec:c=2,-1;t=1,1;init=1,2", "factpow"):
+            assert not row_period(7, parse_spec(seq), window=300).certified
+    assert walks == [[], [], []]
+    # without a window the exact route walks as before
+    assert row_period(7, spec).certified
+    assert [len(w) for w in walks] == [1, 1, 0]
 
 
 def test_naturals_row_structure_small():

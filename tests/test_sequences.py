@@ -204,8 +204,8 @@ def test_term_mod_matches_term():
 
 
 def test_term_mod_factorial_power():
-    # full terms exist through n = 6; beyond that compare against pow()
-    for n in range(1, 7):
+    # exact terms exist through n = 8; beyond that compare against pow()
+    for n in range(1, 9):
         t = term(FactorialPower(), n)
         for m in (2, 5, 12, 30, 97):
             assert term_mod(FactorialPower(), n, m) == t % m
@@ -262,8 +262,12 @@ def test_factpow_residues_stay_cheap_on_wide_smooth_moduli():
 
 
 def test_factorial_power_guards():
+    # exact terms share MAX_TERM_BITS: 8!^8! has 616,865 bits, and 9!^9! is refused before it is built
+    assert term(FactorialPower(), 8).bit_length() == 616_865
+    with pytest.raises(ResourceLimitError, match=r"^term at n=9 exceeds 1000000 bits; use term_mod instead$"):
+        term(FactorialPower(), 9)
     with pytest.raises(ResourceLimitError):
-        term(FactorialPower(), 7)
+        list(iter_terms(FactorialPower(), 7, 3))
     # m | n! for n >= m forces residue 0
     for n in range(8, 13):
         for m in range(2, n + 1):
