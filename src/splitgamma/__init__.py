@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     "core": (
         "DomainError", "InvariantViolation", "ResourceLimitError", "BruteForceReport", "SplitInstance",
-        "SplitSolution", "brute_force_split", "gamma", "gcd", "mod_inverse", "solve_split"
+        "SplitSolution", "brute_force_split", "gamma", "mod_inverse", "solve_split"
     ),
     "sequences": (
         "Arithmetic", "Balancing", "Explicit", "FactorialPower", "FibonacciLike", "FibonacciPower", "KthPower",
@@ -27,9 +27,7 @@ _EXPORTS = {
         "gamma_row", "pair_row", "pisano", "row_period", "state_period_mod"
     ),
     "density": ("DensityTrace", "build_density_sequence", "verify_growth_bounds"),
-    "explorer": (
-        "NVarInstance", "NVarReport", "ScanRecord", "beiter_density", "nvar_classify", "rs_solve", "run_scan"
-    ),
+    "explorer": ("NVarReport", "ScanRecord", "beiter_density", "nvar_classify", "rs_solve", "run_scan"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -135,10 +135,9 @@ def _cmd_solve(args) -> tuple:
         report = brute_force_split(args.a, args.b)
         if sorted(report.counts) != [0, 1]:
             raise InvariantViolation(f"oracle found solution counts {report.counts} for ({args.a}, {args.b})")
-        osol = report.solution
-        if (osol.delta, osol.x, osol.y) != (sol.delta, sol.x, sol.y):
+        if report.solution != sol:
             raise InvariantViolation(f"oracle disagrees with solver on ({args.a}, {args.b})")
-    payload = {"command": "solve", "a": args.a, "b": args.b, "delta": sol.delta, "x": sol.x, "y": sol.y}
+    payload = {"command": "solve", "a": args.a, "b": args.b, **vars(sol)}
     text = f"delta={sol.delta} x={sol.x} y={sol.y}" + (" oracle=ok" if args.oracle else "")
     return payload, [text], None, {"oracle_checked": args.oracle}
 

@@ -133,13 +133,6 @@ def _check_pair(a: int, b: int) -> None:
         raise DomainError(f"need positive integers, got a={a}, b={b}")
 
 
-def gcd(a: int, b: int) -> int:
-    """gcd of two nonnegative integers, rejecting the undefined (0, 0) case."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
 INVERSE_WINDOW = 128  # moduli wider than this many bits are preconditioned; 128 beat 64 (CHANGES.md has the numbers)
 
 
@@ -239,12 +232,14 @@ class SplitInstance(Record):
 
 
 class SplitSolution(Record):
-    """A witness (delta, x, y) with delta + a'x + b'y = (a'-1)(b'-1)/2."""
+    """A witness (delta, x, y) with delta + a'x + b'y = (a'-1)(b'-1)/2; the ``solve`` schema after a and b.
+
+    It is unique by the theorem, which ``brute_force_split``'s counts check; no field restates it.
+    """
 
     delta: int
     x: int
     y: int
-    unique: bool = True
 
 
 def solve_split(a: int, b: int) -> SplitSolution:
@@ -285,7 +280,7 @@ def brute_force_split(a: int, b: int, max_iterations: int = DEFAULT_BRUTE_CAP) -
     planned = sum((rhs - d) // a_red + 1 for d in (0, 1) if rhs - d >= 0)
     if planned > max_iterations:
         raise ResourceLimitError(f"enumeration needs {planned} iterations, cap is {max_iterations}")
-    found: list[tuple[int, int, int]] = []
+    found: list[SplitSolution] = []
     counts = [0, 0]
     for delta in (0, 1):
         target = rhs - delta
@@ -295,7 +290,5 @@ def brute_force_split(a: int, b: int, max_iterations: int = DEFAULT_BRUTE_CAP) -
             rem = target - a_red * x
             if rem % b_red == 0:
                 counts[delta] += 1
-                found.append((delta, x, rem // b_red))
-    unique = len(found) == 1
-    sols = tuple(SplitSolution(d, x, y, unique=unique) for d, x, y in found)
-    return BruteForceReport(sols, (counts[0], counts[1]))
+                found.append(SplitSolution(delta, x, rem // b_red))
+    return BruteForceReport(tuple(found), (counts[0], counts[1]))

@@ -26,7 +26,8 @@ after each flushed shard.  A resumed scan runs the same loop: it recomputes
 the checkpointed shards and compares their bytes with the file instead of
 parsing records back, so a file from other parameters is refused and the
 partial shard a crash left is cut off.  The CLI handlers of ``nvar``, ``rs``
-and ``beiter-scan`` live here too.
+and ``beiter-scan`` live here too: ``nvar`` prints ``NVarReport``'s fields and
+``rs`` prints ``ScanRecord``'s, in order.
 """
 
 from __future__ import annotations
@@ -43,32 +44,18 @@ SCAN_METADATA = {
 }
 
 
-class NVarInstance(Record):
-    """Coefficients with the common right-hand side prod(a_j - 1)/2."""
+class NVarReport(Record):
+    """Counts for coefficients with the common rhs prod(a_j - 1)/2; its fields, in order, are the nvar schema."""
 
     coeffs: tuple[int, ...]
     rhs_numerator: int
     rhs: int | None  # None when the numerator is odd
-    setwise_coprime: bool
-    pairwise_coprime: bool
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "NVarInstance":
-        coeffs = tuple(coeffs)
-        if len(coeffs) < 2:
-            raise DomainError(f"need at least two coefficients, got {len(coeffs)}")
-        if any(a < 1 for a in coeffs):
-            raise DomainError(f"coefficients must be positive, got {coeffs}")
-        num = math.prod(a - 1 for a in coeffs)
-        rhs = num // 2 if num % 2 == 0 else None
-        return cls(coeffs, num, rhs, math.gcd(*coeffs) == 1, math.lcm(*coeffs) == math.prod(coeffs))
-
-
-class NVarReport(Record):
-    instance: NVarInstance
+    integral: bool
     counts: tuple[int, ...]  # per equation index, saturated at 2
     solvable: tuple[int, ...]
     exactly_one: bool
+    setwise_coprime: bool
+    pairwise_coprime: bool
 
 
 class ScanRecord(Record):
@@ -135,21 +122,28 @@ def nvar_classify(coeffs, cap: float = math.inf) -> NVarReport:
     Other counts may spend COUNT_SPARE calls more; one that needs more exits 4,
     as do coins too many for ``_count``'s one frame per coin.
     """
-    inst = NVarInstance.from_coeffs(coeffs)
-    n = len(inst.coeffs)
-    if inst.rhs is None:
-        return NVarReport(inst, tuple([0] * n), (), False)
-    if inst.rhs > cap:
-        raise ResourceLimitError(f"rhs {inst.rhs} exceeds cap {cap}")
+    coeffs = tuple(coeffs)
+    n = len(coeffs)
+    if n < 2:
+        raise DomainError(f"need at least two coefficients, got {n}")
+    if any(a < 1 for a in coeffs):
+        raise DomainError(f"coefficients must be positive, got {coeffs}")
+    num = math.prod(a - 1 for a in coeffs)
+    coprime = (math.gcd(*coeffs) == 1, math.lcm(*coeffs) == math.prod(coeffs))
+    if num % 2:
+        return NVarReport(coeffs, num, None, False, (0,) * n, (), False, *coprime)
+    rhs = num // 2
+    if rhs > cap:
+        raise ResourceLimitError(f"rhs {rhs} exceeds cap {cap}")
     # a third equal coin cannot change a count saturated at 2
-    ordered = sorted(inst.coeffs)
+    ordered = sorted(coeffs)
     coins = tuple(c for i, c in enumerate(ordered) if i < 2 or c != ordered[i - 2])
     try:
-        counts = tuple(_count(coins, inst.rhs - i, iter(range(len(coins) - 1 + COUNT_SPARE))) for i in range(n))
+        counts = tuple(_count(coins, rhs - i, iter(range(len(coins) - 1 + COUNT_SPARE))) for i in range(n))
     except RecursionError:
         raise ResourceLimitError(f"{len(coins)} coins nest deeper than the recursion limit") from None
     solvable = tuple(i for i, c in enumerate(counts) if c)
-    return NVarReport(inst, counts, solvable, len(solvable) == 1)
+    return NVarReport(coeffs, num, rhs, True, counts, solvable, len(solvable) == 1, *coprime)
 
 
 def _rs_row(a: int, b: int, r: int, s: int, cap: float) -> tuple:
@@ -311,28 +305,15 @@ def run_scan(
 
 def _cmd_nvar(args) -> tuple:
     rep = nvar_classify(tuple(args.coeffs), args.cap)
-    inst = rep.instance
-    payload = {
-        "command": "nvar",
-        "coeffs": inst.coeffs,
-        "rhs_numerator": inst.rhs_numerator,
-        "rhs": inst.rhs,
-        "integral": inst.rhs is not None,
-        "counts": rep.counts,
-        "solvable": rep.solvable,
-        "exactly_one": rep.exactly_one,
-        "setwise_coprime": inst.setwise_coprime,
-        "pairwise_coprime": inst.pairwise_coprime,
-    }
     text = (
-        f"coeffs={','.join(map(str, inst.coeffs))}"
-        f" rhs={_word(inst.rhs)}"
+        f"coeffs={','.join(map(str, rep.coeffs))}"
+        f" rhs={_word(rep.rhs)}"
         f" counts={','.join(map(str, rep.counts))}"
         f" solvable={','.join(map(str, rep.solvable)) or '-'}"
         f" exactly_one={_word(rep.exactly_one)}"
-        f" setwise={_word(inst.setwise_coprime)} pairwise={_word(inst.pairwise_coprime)}"
+        f" setwise={_word(rep.setwise_coprime)} pairwise={_word(rep.pairwise_coprime)}"
     )
-    return payload, [text]
+    return {"command": "nvar", **vars(rep)}, [text]
 
 
 def _cmd_rs(args) -> tuple:

@@ -7,7 +7,7 @@ values recorded in ``golden_cli.json``.
 
 Run as a script from the repository root, the module checks the record
 without pytest, so any interpreter can replay the contract; it exits 1 and
-lists the first mismatches when an argv's run differs or is not recorded:
+lists every mismatch when an argv's run differs or is not recorded:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
@@ -203,6 +203,24 @@ def test_period_json_keys_are_the_period_report_fields():
     assert answered > len(SPECS) * len(KS) // 2, answered
 
 
+def test_nvar_and_solve_json_keys_are_their_record_fields():
+    from splitgamma.core import SplitSolution
+    from splitgamma.explorer import NVarReport
+    answered = {"nvar": 0, "solve": 0}
+    for argv in (a for a in golden_argvs() if a[0] in answered and "json" in a):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if code == 0:
+            answered[argv[0]] += 1
+            keys = tuple(json.loads(stdout.getvalue()))
+            if argv[0] == "nvar":
+                assert keys == ("command", *NVarReport._fields), argv
+            else:
+                assert keys == ("command", "a", "b", *SplitSolution._fields, "oracle_checked"), argv
+    assert answered["nvar"] >= 5 and answered["solve"] >= 10, answered
+
+
 def _main(args):
     argvs = {" ".join(a): a for a in golden_argvs()}
     if args == ["--record"]:
@@ -220,7 +238,7 @@ def _main(args):
             bad.append(f"not recorded: {key}")
         elif run_argv(argv) != golden[key]:
             bad.append(f"differs: {key}")
-    for line in bad[:10]:
+    for line in bad:
         print(line)
     print(f"{len(argvs)} golden argvs, {len(bad)} mismatched")
     return 1 if bad else 0

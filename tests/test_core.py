@@ -12,7 +12,6 @@ from splitgamma import (
     SplitSolution,
     brute_force_split,
     gamma,
-    gcd,
     mod_inverse,
     solve_split,
 )
@@ -48,19 +47,6 @@ from conftest import (
 
 
 # ---------------- arithmetic helpers ----------------
-
-
-def test_gcd_matches_math_gcd():
-    for a in range(0, 40):
-        for b in range(0, 40):
-            if a == 0 and b == 0:
-                continue
-            assert gcd(a, b) == math.gcd(a, b)
-
-
-def test_gcd_rejects_double_zero():
-    with pytest.raises(DomainError):
-        gcd(0, 0)
 
 
 def test_mod_inverse_range_and_product():
@@ -327,7 +313,6 @@ def test_solve_split_known_instances():
     assert (s.delta, s.x, s.y) == (1, 0, 0)
     s = solve_split(1, 1)
     assert (s.delta, s.x, s.y) == (0, 0, 0)
-    assert s.unique
 
 
 def test_solve_split_satisfies_equation():
@@ -407,7 +392,7 @@ def test_records_compare_hash_and_print_as_frozen_values():
     assert Balancing() == Balancing() and Balancing() != LucasBalancing()
     assert FibonacciPower(2) == FibonacciPower(power=2) and FibonacciPower(2) != KthPower(2)
     assert SplitInstance(6, 4) == SplitInstance(b=4, a=6) != SplitInstance(4, 6)
-    assert hash(SplitSolution(0, 1, 2)) == hash((0, 1, 2, True))
+    assert hash(SplitSolution(0, 1, 2)) == hash((0, 1, 2))
     assert len({FibonacciPower(), FibonacciPower(1), KthPower(1)}) == 2
     assert repr(SplitInstance(6, 4)) == "SplitInstance(a=6, b=4, g=2, a_red=3, b_red=2, rhs=1)"
     assert repr(PowerRecurrence([1, 1], [1, 2], [1, 1])) == "PowerRecurrence(coeffs=(1, 1), powers=(1, 2), init=(1, 1))"
@@ -431,22 +416,23 @@ def test_records_are_immutable():
 
 
 def test_records_construct_by_position_keyword_and_default():
-    assert SplitSolution(0, 1, 2).unique is True
-    assert SplitSolution(0, 1, 2, unique=False).unique is False
     assert FibonacciPower().power == 1
+    assert FibonacciPower(power=3).power == 3
+    assert PeriodReport(0, 3, 1, 2, True, 4).residue_period is None
+    assert PeriodReport(0, 3, 1, 2, True, 4, residue_period=6).residue_period == 6
     rep = BruteForceReport(solutions=(SplitSolution(1, 1, 0),), counts=(0, 1))
     assert rep.solution == SplitSolution(1, 1, 0) and rep.counts == (0, 1)
     assert PeriodReport(verified_repeats=4, preperiod=0, period=3, zeros=1, ones=2, certified=True) == PeriodReport(
         0, 3, 1, 2, True, 4
     )
-    for bad in (lambda: FibonacciLike(2), lambda: SplitSolution(0, 1, 2, True, 5), lambda: FibonacciPower(q=1)):
+    for bad in (lambda: FibonacciLike(2), lambda: SplitSolution(0, 1, 2, 5), lambda: FibonacciPower(q=1)):
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(TypeError):
         SplitInstance(6, 4, 2)
     # class patterns take the constructor arguments, as the dataclasses' __match_args__ did
     assert SplitInstance.__match_args__ == ("a", "b")
-    assert SplitSolution.__match_args__ == ("delta", "x", "y", "unique")
+    assert SplitSolution.__match_args__ == ("delta", "x", "y")
     match SplitInstance(6, 4):
         case SplitInstance(a, b):
             assert (a, b) == (6, 4)
@@ -460,7 +446,7 @@ def test_vars_lists_fields_in_declaration_order():
     ]
     assert list(vars(rs_solve(7, 10))) == ["a", "b", "r", "s", "rhs", "integral", "solvable_i0", "solvable_i1",
                                           "exactly_one"]
-    assert isinstance(SplitSolution(0, 1, 2), Record) and SplitSolution._fields == ("delta", "x", "y", "unique")
+    assert isinstance(SplitSolution(0, 1, 2), Record) and SplitSolution._fields == ("delta", "x", "y")
 
 
 def test_record_validation_messages_are_unchanged():

@@ -48,7 +48,7 @@ def saturated_counts(coeffs, rhs, n_eq):
 
 def test_nvar_pair_matches_gamma():
     rep = nvar_classify((3, 5))
-    assert rep.instance.rhs == 4
+    assert rep.rhs == 4
     assert rep.counts == (0, 1)
     assert rep.solvable == (1,)
     assert rep.exactly_one
@@ -56,9 +56,9 @@ def test_nvar_pair_matches_gamma():
 
 def test_nvar_three_variable_example():
     rep = nvar_classify((3, 5, 7))
-    assert rep.instance.rhs_numerator == 48
-    assert rep.instance.rhs == 24
-    assert rep.instance.setwise_coprime and rep.instance.pairwise_coprime
+    assert rep.rhs_numerator == 48
+    assert rep.rhs == 24
+    assert rep.setwise_coprime and rep.pairwise_coprime
     assert rep.counts == (2, 2, 2)
     assert rep.solvable == (0, 1, 2)
     assert not rep.exactly_one
@@ -66,8 +66,8 @@ def test_nvar_three_variable_example():
 
 def test_nvar_non_integral_rhs():
     rep = nvar_classify((2, 4, 6))
-    assert rep.instance.rhs_numerator == 15
-    assert rep.instance.rhs is None
+    assert rep.rhs_numerator == 15
+    assert rep.rhs is None
     assert rep.counts == (0, 0, 0)
     assert rep.solvable == ()
     assert not rep.exactly_one
@@ -75,8 +75,8 @@ def test_nvar_non_integral_rhs():
 
 def test_nvar_coprimality_flags():
     rep = nvar_classify((2, 3, 4))
-    assert rep.instance.setwise_coprime
-    assert not rep.instance.pairwise_coprime
+    assert rep.setwise_coprime
+    assert not rep.pairwise_coprime
 
 
 def test_nvar_rejects_bad_input():
@@ -223,7 +223,7 @@ def test_nvar_counts_large_instances_without_a_table():
         with deadline(1):
             rep = nvar_classify(coeffs)
         assert rep.counts == want
-        assert rep.instance.pairwise_coprime == pairwise
+        assert rep.pairwise_coprime == pairwise
 
 
 def test_exactly_one_does_not_extend_to_three_or_four_variables():

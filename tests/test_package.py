@@ -27,7 +27,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 # that now defines it, less the names only the tests called
 EXPORTS = {
     "core": "DomainError InvariantViolation ResourceLimitError BruteForceReport SplitInstance SplitSolution"
-    " brute_force_split gamma gcd mod_inverse solve_split",
+    " brute_force_split gamma mod_inverse solve_split",
     "sequences": "Arithmetic Balancing Explicit FactorialPower FibonacciLike FibonacciPower KthPower"
     " LucasBalancing Naturals Odds PowerRecurrence SequenceSpec ShiftedGeometric fib fib_pair fiblike_pair"
     " format_spec iter_terms parse_spec term term_mod",
@@ -36,7 +36,7 @@ EXPORTS = {
     "periodicity": "BitRow InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
     " gamma_row pair_row pisano row_period state_period_mod",
     "density": "DensityTrace build_density_sequence verify_growth_bounds",
-    "explorer": "NVarInstance NVarReport ScanRecord beiter_density nvar_classify rs_solve run_scan",
+    "explorer": "NVarReport ScanRecord beiter_density nvar_classify rs_solve run_scan",
 }
 
 

@@ -135,7 +135,7 @@ coeff_tuples = st.integers(2, 5).flatmap(
 @given(coeff_tuples)
 def test_nvar_counts_match_the_coin_dp(coeffs):
     rep = nvar_classify(coeffs)
-    if rep.instance.rhs is not None:
+    if rep.rhs is not None:
         assert rep.counts == oracle_nvar_counts(coeffs)
 
 
