@@ -23,7 +23,7 @@ _EXPORTS = {
         "first_alternation_index", "oddr", "phi_psi"
     ),
     "periodicity": (
-        "BitRow", "InconclusiveError", "PeriodReport", "StatePeriod", "detect_period", "fibonacci_period_table",
+        "InconclusiveError", "PeriodReport", "StatePeriod", "detect_period", "fibonacci_period_table",
         "gamma_row", "pair_row", "pisano", "row_period", "state_period_mod"
     ),
     "density": ("DensityTrace", "build_density_sequence", "verify_growth_bounds"),

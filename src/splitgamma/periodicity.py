@@ -8,8 +8,9 @@ residues and certified: ``state_period_mod`` finds the residue preperiod mu
 and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for every
 order-2 linear family (``pisano`` is the Fibonacci case), else by Brent's
 cycle finding (``sequences._orbit``).  ``row_period`` classifies the
-mu + lam terms of that cycle once, and ``gamma_row`` repeats one state
-period's bits along a long order-2 linear row.  Only that cycle certifies:
+mu + lam terms of that cycle once.  ``gamma_row`` returns a row as the one
+bytearray it fills, a byte a bit, and along a long order-2 linear row it
+repeats one state period's bits in place.  Only that cycle certifies:
 factorial powers, explicit lists, power recurrences reduced from exact terms
 and an explicit window detect a period on a finite window (``detect_period``,
 O(window)), uncertified, and ``PeriodReport`` (the ``period`` schema) carries
@@ -27,15 +28,6 @@ from . import sequences
 from .core import DomainError, InconclusiveError, InvariantViolation, Record, ResourceLimitError, _word, gamma
 from .sequences import Explicit, FibonacciPower, SequenceSpec, _exact_only, _factorize, _linear, _linear_pair
 from .sequences import _orbit, format_spec, iter_terms, parse_spec, residue_engine, residues
-
-
-class BitRow(Record):
-    """gamma(k, a_n) for n = start .. start + len(bits) - 1, one byte a bit."""
-
-    k: int
-    spec: SequenceSpec
-    start: int
-    bits: bytes
 
 
 class PeriodReport(Record):
@@ -61,19 +53,18 @@ class StatePeriod(Record):
     period: int
 
 
-class _Memo(dict):
-    # residue -> bit for rows shorter than 2k, answering 2 for a residue not classified yet
-    def __missing__(self, residue: int) -> int:
-        return 2
-
-
 def _row_bits(k: int, spec: SequenceSpec, start: int, count: int) -> bytearray:
-    # gamma_row's bits, one byte each; the memo is a residue-indexed bytearray
-    # (2 = not classified yet) once the row is at least 2k long, a dict before
+    # gamma_row's bits, one byte each: a row at least 2k long classifies each residue once
+    # through a residue-indexed memo (2 = not classified yet), a shorter one classifies each term
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     m = 2 * k
-    memo = bytearray(b"\x02") * m if m <= count else _Memo()
+    if count < m:
+        return bytearray(gamma(k, r or m) for r in residues(spec, start, count, m))
+    # every bytearray repeat in this module is in place: out of memory, CPython 3.11
+    # prints a SystemError line for bytearray * n before it raises
+    memo = bytearray(b"\x02")
+    memo *= m
     bits = bytearray()
     for r in residues(spec, start, count, m):
         bit = memo[r]
@@ -83,29 +74,31 @@ def _row_bits(k: int, spec: SequenceSpec, start: int, count: int) -> bytearray:
     return bits
 
 
-def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> BitRow:
-    """Row of classifier bits against a fixed k.
+def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> bytearray:
+    """gamma(k, a_n) for n = start .. start + count - 1, one byte a bit.
 
     Every family is read through its residues mod 2k, which is exact because
-    gamma(k, b) only depends on b mod 2k, so the classifier runs at most once
-    per residue: min(count, 2k) calls, with O(min(count, 2k)) memo.  An
-    order-2 linear family whose row is at least 2k long steps its residues only
-    through one state period lam past max(start, 1 + mu), (mu, lam) from
-    _linear_period, and repeats those lam bits to the end; the other families
-    step all count residues.  Power recurrences that may turn nonpositive and
-    explicit lists reduce exact terms (see residues).
+    gamma(k, b) only depends on b mod 2k, so the classifier runs at most
+    min(count, 2k) times, with an O(2k) memo once the row is at least 2k long.
+    An order-2 linear family whose row is at least 2k long steps its residues
+    only through one state period lam past max(start, 1 + mu), (mu, lam) from
+    _linear_period, and repeats those lam bits in place to the end; the other
+    families step all count residues.  Power recurrences that may turn
+    nonpositive and explicit lists reduce exact terms (see residues).
     """
     lin = _linear(spec)
     if lin is not None and k >= 1 and start >= 1 and 2 * k <= count:  # bad arguments fail in _row_bits
         # _linear_period refuses only 2k past 10**12, a row that no path can hold
         mu, lam = _linear_period(lin, 2 * k)
-        head = max(start, 1 + mu) - start + lam  # the bits from head on repeat those lam earlier
-        if head < count:
-            bits = _row_bits(k, spec, start, head)
-            cycle = bytes(bits[head - lam :])  # a bytearray repeat out of memory also prints a SystemError
-            bits += cycle * ((count - head) // lam) + cycle[: (count - head) % lam]
-            return BitRow(k, spec, start, bytes(bits))
-    return BitRow(k, spec, start, bytes(_row_bits(k, spec, start, count)))
+        pre = max(start, 1 + mu) - start  # the bits from pre on repeat with period lam
+        if pre + lam < count:
+            bits = _row_bits(k, spec, start, pre + lam)
+            row = bits[pre:]  # one period, repeated in place to at least count bytes, so the head fits in front
+            row *= -(-count // lam)
+            del row[count - pre :]
+            row[:0] = bits[:pre]
+            return row
+    return _row_bits(k, spec, start, count)
 
 
 def pair_row(spec: SequenceSpec, start: int, count: int) -> tuple[int, ...]:
@@ -264,7 +257,7 @@ def row_period(k: int, spec: SequenceSpec, window: int | None = None, min_repeat
                     pre -= 1
                 zeros = bits[pre : pre + period].count(0)
                 return PeriodReport(pre, period, zeros, period - zeros, True, (window - pre) // period, mu, lam)
-    rep = detect_period(gamma_row(k, spec, 1, window).bits, min_repeats)
+    rep = detect_period(gamma_row(k, spec, 1, window), min_repeats)
     if rep is None:
         raise InconclusiveError(window)
     return rep
@@ -286,14 +279,15 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _bit_line(bits) -> str:
     # "0 1 1 ..." from the 0/1 bits: a byte per bit and per space, not a str object per bit
-    line = bytearray(b" ") * (2 * len(bits) - 1)
+    line = bytearray(b" ")
+    line *= 2 * len(bits) - 1
     line[::2] = bits.translate(_DIGITS)
     return line.decode("ascii")
 
 
 def _cmd_row(args) -> tuple:
     spec = parse_spec(args.seq)
-    bits = gamma_row(args.k, spec, args.start, args.count).bits
+    bits = gamma_row(args.k, spec, args.start, args.count)
     payload = {"command": "row", "k": args.k, "seq": format_spec(spec), "start": args.start, "bits": bits}
     table = (("n", "bit"), enumerate(bits, args.start))
     return payload, map(_bit_line, (bits,)), table  # the line is built only when text is printed

@@ -92,7 +92,7 @@ def test_row_matches_library(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "bit"]
-    want = gamma_row(3, FibonacciPower(1), 1, 12).bits
+    want = gamma_row(3, FibonacciPower(1), 1, 12)
     assert [int(r[1]) for r in rows[1:]] == list(want)
     assert [int(r[0]) for r in rows[1:]] == list(range(1, 13))
 
@@ -117,8 +117,8 @@ def test_row_text_line_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.ones == sum(gamma_row(7, FibonacciPower(1), 1, count).bits)
-    # the bits tuple holds 8 bytes a bit and the line 2; a str object per bit costs some 60 more
+    assert sink.ones == sum(gamma_row(7, FibonacciPower(1), 1, count))
+    # the bits hold 1 byte a bit and the line 2; a str object per bit costs some 60 more
     assert peak < 20 * count, peak / count
 
 
@@ -653,6 +653,15 @@ def test_out_of_memory_exits_4_with_one_line(capsys, monkeypatch):
 
     monkeypatch.setattr("splitgamma.periodicity.gamma_row", exhausted)
     code, out, err = run(capsys, "row", "--k", "3", "--seq", "fib", "--count", "3000000000")
+    assert (code, out, err) == (4, "", "resource cap: out of memory\n")
+
+
+def test_row_past_memory_exits_4_with_one_line(capsys):
+    # the row's residue memo needs 10**18 bytes, past any 64-bit user address space, so the allocation
+    # fails at once; an out-of-place bytearray repeat would print a SystemError line before the refusal
+    with deadline(1):
+        code, out, err = run(capsys, "row", "--k", "500000000000000000", "--seq", "fib",
+                             "--count", "1000000000000000000")
     assert (code, out, err) == (4, "", "resource cap: out of memory\n")
 
 

@@ -33,7 +33,7 @@ EXPORTS = {
     " format_spec iter_terms parse_spec term term_mod",
     "identities": "OddrResult closed_form_mod6_4 fib_cube_solution fib_identity_solution fib_square_solution"
     " first_alternation_index oddr phi_psi",
-    "periodicity": "BitRow InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
+    "periodicity": "InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
     " gamma_row pair_row pisano row_period state_period_mod",
     "density": "DensityTrace build_density_sequence verify_growth_bounds",
     "explorer": "NVarReport ScanRecord beiter_density nvar_classify rs_solve run_scan",

@@ -94,8 +94,8 @@ def test_gamma_row_matches_direct_gamma():
         for start, count in windows:
             for k in (1, 2, 3, 5, 8, 13):
                 row = gamma_row(k, spec, start, count)
-                assert row.k == k and row.start == start
-                for j, bit in enumerate(row.bits):
+                assert len(row) == count
+                for j, bit in enumerate(row):
                     assert bit == gamma(k, term(spec, start + j)), (spec, k, start, j)
 
 
@@ -105,13 +105,13 @@ def test_linear_rows_tile_one_state_period():
     spec, k, start, count = KthPower(6), 33, 10**5, 10**7
     with deadline(1):
         row = gamma_row(k, spec, start, count)
-    assert len(row.bits) == count
+    assert len(row) == count
     for at in (0, 5_000_000, count - 300):
-        assert row.bits[at : at + 300] == oracle_row_bits(k, spec, start + at, 300), at
+        assert row[at : at + 300] == oracle_row_bits(k, spec, start + at, 300), at
     # a tail (geo:1,4 mod 2k = 8) and a start inside it, a period longer than the row, and a row shorter than 2k
     for spec, k, start, count in ((parse_spec("geo:1,4"), 4, 1, 50), (FibonacciPower(1), 500, 7, 1000),
                                   (FibonacciPower(1), 500, 7, 999), (Naturals(), 9, 3, 18)):
-        assert gamma_row(k, spec, start, count).bits == oracle_row_bits(k, spec, start, count), (spec, k)
+        assert gamma_row(k, spec, start, count) == oracle_row_bits(k, spec, start, count), (spec, k)
 
 
 def test_gamma_row_residue_path_matches_exact_terms():
@@ -119,10 +119,10 @@ def test_gamma_row_residue_path_matches_exact_terms():
     squared = PowerRecurrence((1, 1), (1, 2), (1, 1))
     for k in (2, 3, 5, 7):
         row = gamma_row(k, squared, 1, 10)
-        assert list(row.bits) == [gamma(k, term(squared, n)) for n in range(1, 11)]
+        assert list(row) == [gamma(k, term(squared, n)) for n in range(1, 11)]
     for k in (2, 4, 6):
         row = gamma_row(k, FactorialPower(), 1, 6)
-        assert list(row.bits) == [gamma(k, term(FactorialPower(), n)) for n in range(1, 7)]
+        assert list(row) == [gamma(k, term(FactorialPower(), n)) for n in range(1, 7)]
 
 
 def test_gamma_depends_only_on_residue_mod_2k():
@@ -175,7 +175,7 @@ def test_detect_period_with_preperiod():
 def test_detect_period_prefers_smaller_preperiod():
     # regression: the k = 2 Fibonacci row ends in a run of zeros, and a
     # naive scan reports (preperiod 96, period 1) instead of (0, 6)
-    bits = gamma_row(2, FibonacciPower(1), 1, 100).bits
+    bits = gamma_row(2, FibonacciPower(1), 1, 100)
     rep = detect_period(bits)
     assert (rep.preperiod, rep.period) == (0, 6)
 
@@ -183,7 +183,7 @@ def test_detect_period_prefers_smaller_preperiod():
 def test_detect_period_takes_one_pass_over_a_long_window():
     # the factpow row mod 60 is constant from n = 3 on; the former search tried
     # every period up to W / 3 with a backward scan each, ~7.6 s on these 20,000 bits
-    bits = gamma_row(30, FactorialPower(), 1, 20000).bits
+    bits = gamma_row(30, FactorialPower(), 1, 20000)
     with deadline(0.5):
         rep = detect_period(bits)
     assert (rep.preperiod, rep.period, rep.zeros, rep.ones, rep.verified_repeats) == (2, 1, 1, 0, 19998)
@@ -271,10 +271,14 @@ def test_rows_hold_about_a_byte_per_bit():
     # pi(10000) = 15000 bits and 10000 residues: one byte each in the certified
     # period, where an int-keyed memo and tuple copies of the row took ~0.7 MB
     assert _traced_peak(lambda: row_period(5000, FibonacciPower(1))) < 4 * 15000
-    # a row shorter than 2k keeps an O(count) memo, however large k is
+    # a tiled row repeats one period in place, with no second copy of the row beside it
+    count = 10**7
+    peak = _traced_peak(lambda: gamma_row(33, KthPower(6), 10**5, count))
+    assert peak < 1.2 * count, peak / count
+    # a row shorter than 2k keeps no memo, however large k is
     row = []
     assert _traced_peak(lambda: row.append(gamma_row(10**30, FibonacciPower(1), 1, 200))) < 200_000
-    assert row[0].bits == bytes(gamma(10**30, fib(n)) for n in range(1, 201))
+    assert row[0] == bytes(gamma(10**30, fib(n)) for n in range(1, 201))
 
 
 def test_orbit_walk_refuses_past_its_bound(monkeypatch):
