@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "identities": (
         "OddrResult", "closed_form_mod6_4", "fib_cube_solution", "fib_identity_solution", "fib_square_solution",
-        "first_alternation_index", "oddr", "phi_psi"
+        "first_alternation_index", "oddr"
     ),
     "periodicity": (
         "InconclusiveError", "PeriodReport", "StatePeriod", "detect_period", "fibonacci_period_table",

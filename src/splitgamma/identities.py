@@ -55,23 +55,10 @@ def oddr(u: int, v: int) -> OddrResult:
     return res
 
 
-def phi_psi(u: int, v: int, n: int, r: int, variant: int) -> tuple[Fraction, Fraction]:
-    """Closed-form candidate (x, y) for the seed pair (u, v) at even index n.
-
-    variant 1 uses the inner fractions ((u-r)v + 1)/u and (vr - 1)/u, variant 0
-    flips both signs.  The inner fractions must be integers; the returned pair
-    is exact and may be negative or half-integral, which callers validate.
-    """
-    from fractions import Fraction
-    doubled = _phi_psi_doubled(u, v, r, variant)
-    if n < 2 or n % 2:
-        raise DomainError(f"n must be even and >= 2, got {n}")
-    phi2, psi2 = doubled(*fib_pair(n - 2))
-    return Fraction(phi2, 2), Fraction(psi2, 2)
-
-
 def _phi_psi_doubled(u: int, v: int, r: int, variant: int) -> Callable[[int, int], tuple[int, int]]:
-    # (F_{n-2}, F_{n-1}) -> (2 phi, 2 psi), phi_psi's numerators as integers; the inner fractions are checked here, once
+    # (F_{n-2}, F_{n-1}) -> (2 phi, 2 psi), twice the closed-form candidate (phi, psi) for the seed pair (u, v)
+    # at an even index n, which may be negative or half-integral.  variant 1 takes the inner fractions
+    # ((u-r)v + 1)/u and (vr - 1)/u, variant 0 flips both signs; they must be integers, checked here, once
     if variant not in (0, 1):
         raise DomainError(f"variant must be 0 or 1, got {variant}")
     if u == 0:

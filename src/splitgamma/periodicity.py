@@ -6,11 +6,13 @@ periodic whenever the residues a_n mod 2k are, because adding a multiple of
 residue engine in ``sequences`` the exact row period is read off one cycle of
 residues and certified: ``state_period_mod`` finds the residue preperiod mu
 and period lam, exit 4 past ``sequences.ORBIT_MAX``: with no walk for every
-order-2 linear family (``pisano`` is the Fibonacci case), else by Brent's
-cycle finding (``sequences._orbit``).  ``row_period`` classifies the
-mu + lam terms of that cycle once.  ``gamma_row`` returns a row as the one
-bytearray it fills, a byte a bit, and along a long order-2 linear row it
-repeats one state period's bits in place.  Only that cycle certifies:
+order-2 linear family, whatever the signs of its coefficients (``pisano`` is
+the Fibonacci case), else, for nonlinear and order >= 3 power recurrences,
+by Brent's cycle finding (``sequences._orbit``).  ``row_period`` classifies
+the mu + lam terms of that cycle once.  ``gamma_row`` returns a row as the
+one bytearray it fills, a byte a bit, and along a long order-2 linear row
+read from residues it repeats one state period's bits in place.  Only that
+cycle certifies:
 factorial powers, explicit lists, power recurrences reduced from exact terms
 and an explicit window detect a period on a finite window (``detect_period``,
 O(window)), uncertified, and ``PeriodReport`` (the ``period`` schema) carries
@@ -84,11 +86,12 @@ def gamma_row(k: int, spec: SequenceSpec, start: int, count: int) -> bytearray:
     only through one state period lam past max(start, 1 + mu), (mu, lam) from
     _linear_period, and repeats those lam bits in place to the end; the other
     families step all count residues.  Power recurrences that may turn
-    nonpositive and explicit lists reduce exact terms (see residues).
+    nonpositive and explicit lists reduce all count exact terms (see
+    residues), so a nonpositive term is refused wherever it falls.
     """
     lin = _linear(spec)
-    if lin is not None and k >= 1 and start >= 1 and 2 * k <= count:  # bad arguments fail in _row_bits
-        # _linear_period refuses only 2k past 10**12, a row that no path can hold
+    # bad arguments fail in _row_bits; _linear_period refuses only 2k past 10**12, a row that no path can hold
+    if lin and not _exact_only(spec) and k >= 1 and start >= 1 and 2 * k <= count:
         mu, lam = _linear_period(lin, 2 * k)
         pre = max(start, 1 + mu) - start  # the bits from pre on repeat with period lam
         if pre + lam < count:
@@ -190,11 +193,12 @@ def _linear_period(lin: tuple[int, ...], m: int) -> tuple[int, int]:
 def state_period_mod(spec: SequenceSpec, m: int) -> StatePeriod:
     """Exact preperiod and period of the residue sequence (a_n mod m).
 
-    _linear families take _linear_period; the other power recurrences, and m
-    past trial division, take Brent's cycle finding (sequences._orbit,
-    O(mu + lam) steps, two states).  Both refuse the same lam, past
-    sequences.ORBIT_MAX.  At power 1 the output period is lam; fib^I and n^K
-    take the least divisor of lam two cursors agree on.
+    _linear families, every power recurrence of order <= 2 with powers 1
+    among them, take _linear_period with no walk.  Nonlinear and order >= 3
+    power recurrences, and m past trial division, take Brent's cycle finding
+    (sequences._orbit, O(mu + lam) steps, two states).  Both refuse the
+    same lam, past sequences.ORBIT_MAX.  At power 1 the output period is
+    lam; fib^I and n^K take the least divisor of lam two cursors agree on.
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")

@@ -2,12 +2,15 @@
 
 All sequences are 1-indexed.  How each family recurs is written down once,
 here: ``_linear`` tabulates the order-2 linear families (the eight named ones,
-n^K, and power recurrences of order <= 2 with powers 1), whose terms, exact or
-mod m, all come from one Lucas doubling, ``_linear_pair``; ``residue_engine``
-steps every family with a finite residue state and jumps the other power
-recurrences into their orbit's cycle (``_orbit``, Brent's cycle finding).
-Exact terms (``iter_terms``, ``term``) and residues (``residues``,
-``term_mod``) are both read off that one description; an exact term past
+n^K, and every power recurrence of order <= 2 with powers 1, whatever its
+signs), whose residues all come from one Lucas doubling, ``_linear_pair``;
+``residue_engine`` steps every family with a finite residue state and jumps
+the other power recurrences into their orbit's cycle (``_orbit``, Brent's
+cycle finding).  How terms are read is ``_exact_only``'s question alone: a
+recurrence whose terms may turn nonpositive, and an explicit list, yield
+exact terms walked and checked one by one, and their residues reduce them.
+Otherwise exact terms (``iter_terms``, ``term``) and residues (``residues``,
+``term_mod``) are both read off the one description; an exact term past
 MAX_TERM_BITS is refused, and the modular route answers where factorial powers
 and squared-lag recurrences outgrow memory.  The text grammar is one table,
 read by both ``parse_spec`` and ``format_spec``.
@@ -233,8 +236,9 @@ def _linear(spec: SequenceSpec) -> tuple[int, int, int, int, int] | None:
 
     The base sequence starts a_1, a_2 and continues a_n = c_1 a_{n-1} +
     c_2 a_{n-2}; the family's terms are its power-th powers (power > 1 for
-    fib^I and n^K).  A power recurrence with all powers 1, order at most 2
-    and positive terms (see _exact_only) is one of them; order 1 has c_2 = 0.
+    fib^I and n^K).  A power recurrence with all powers 1 and order at most
+    2 is one of them, whatever its signs; order 1 has c_2 = 0.  Whether its
+    exact terms may be read off this recurrence is _exact_only's question.
     """
     if isinstance(spec, FibonacciPower):
         return 1, 1, 1, 1, spec.power
@@ -254,7 +258,7 @@ def _linear(spec: SequenceSpec) -> tuple[int, int, int, int, int] | None:
         return spec.p - spec.r, 2 * spec.p - spec.r, 2, -1, 1
     if isinstance(spec, ShiftedGeometric):
         return spec.a + 1, spec.a * spec.r + 1, spec.r + 1, -spec.r, 1
-    if isinstance(spec, PowerRecurrence) and spec.order <= 2 and set(spec.powers) == {1} and not _exact_only(spec):
+    if isinstance(spec, PowerRecurrence) and spec.order <= 2 and set(spec.powers) == {1}:
         c1, c2 = (spec.coeffs + (0,))[:2]
         a1 = spec.init[0]
         return a1, spec.init[1] if spec.order == 2 else c1 * a1, c1, c2, 1
@@ -283,10 +287,11 @@ def residue_engine(
     """(state_at, step, out) for the residues of spec mod m.
 
     out(state_at(n)) = a_n mod m and step(state_at(n)) = state_at(n + 1).
-    state_at is O(log n) for the linear families.  Other power recurrences
-    walk n - 1 steps, but past ORBIT_MAX only to 1 + mu + (n - 1 - mu) mod
-    lam, after _orbit finds the tail mu and cycle lam.  Families without a
-    finite residue state raise DomainError.
+    state_at is O(log n) for the linear families, including those whose
+    exact terms _exact_only walks.  Other power recurrences walk n - 1 steps,
+    but past ORBIT_MAX only to 1 + mu + (n - 1 - mu) mod lam, after _orbit
+    finds the tail mu and cycle lam.  Families without a finite residue
+    state raise DomainError.
     """
     lin = _linear(spec)
     if lin is not None:
@@ -348,7 +353,7 @@ def iter_terms(spec: SequenceSpec, start: int, count: int) -> Iterator[int]:
     _check_window(start, count)
     end = start + count
     lin = _linear(spec)
-    if lin is not None:
+    if lin is not None and not _exact_only(spec):
         c1, c2, power = lin[2:]
         x, y = _linear_pair(lin, start)
         for n in range(start, end):

@@ -169,21 +169,30 @@ def oracle_factpow_mod(n, m):
     return r0 % m0
 
 
-def oracle_powrec_residues(spec, start, count, m):
-    """a_n mod m for n = start .. start + count - 1 of a power recurrence, walked one step at a time.
+def oracle_powrec_orbit(spec, m, stop=math.inf):
+    """(mu, states): the states of a power recurrence mod m from n = 1, walked one step at a time.
 
-    Each state (the last s residues) is kept, and the walk stops at the last
-    index asked for or at the first repeated state; an index past that repeat
-    maps into the cycle it closed.
+    Each state (the last s residues) is kept, and the walk stops at the first
+    repeated state, whose first index is mu, so (mu, len(states) - mu) is the
+    orbit's tail and cycle; or once stop states are kept, with mu = 0.
     """
     state = tuple(a % m for a in spec.init)
     seen, states = {}, []
-    while len(states) < start + count - 1 and state not in seen:
+    while len(states) < stop and state not in seen:
         seen[state] = len(states)
         states.append(state)
         new = sum(c * pow(state[-1 - i], t, m) for i, (c, t) in enumerate(zip(spec.coeffs, spec.powers)))
         state = state[1:] + (new % m,)
-    mu = seen.get(state, 0)
+    return seen.get(state, 0), states
+
+
+def oracle_powrec_residues(spec, start, count, m):
+    """a_n mod m for n = start .. start + count - 1 of a power recurrence, walked one step at a time.
+
+    The walk stops at the last index asked for or at the first repeated state;
+    an index past that repeat maps into the cycle it closed.
+    """
+    mu, states = oracle_powrec_orbit(spec, m, start + count - 1)
     lam = len(states) - mu
     return [states[i if i < len(states) else mu + (i - mu) % lam][0] for i in range(start - 1, start + count - 1)]
 

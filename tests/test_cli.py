@@ -543,6 +543,12 @@ def test_period_with_an_orbit_past_the_walk_bound_exits_4(capsys):
         code, out, err = run(capsys, "period", "--k", str(10**9), "--seq", "fib")
     assert (code, out) == (4, "")
     assert err == "resource cap: the residue orbit mod 2000000000 is longer than 2000000 states\n"
+    # n term for term, from a recurrence with a negative coefficient: its exact terms are walked,
+    # but its residue period is found without a walk and refused at once (Brent's walk took 5.3 s)
+    with deadline(1.0):
+        code, out, err = run(capsys, "period", "--k", "1000000007", "--seq", "powrec:c=2,-1;t=1,1;init=1,2")
+    assert (code, out) == (4, "")
+    assert err == "resource cap: the residue orbit mod 2000000014 is longer than 2000000 states\n"
 
 
 def test_period_on_a_long_window_answers_within_half_a_second(capsys):

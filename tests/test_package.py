@@ -32,7 +32,7 @@ EXPORTS = {
     " LucasBalancing Naturals Odds PowerRecurrence SequenceSpec ShiftedGeometric fib fib_pair fiblike_pair"
     " format_spec iter_terms parse_spec term term_mod",
     "identities": "OddrResult closed_form_mod6_4 fib_cube_solution fib_identity_solution fib_square_solution"
-    " first_alternation_index oddr phi_psi",
+    " first_alternation_index oddr",
     "periodicity": "InconclusiveError PeriodReport StatePeriod detect_period fibonacci_period_table"
     " gamma_row pair_row pisano row_period state_period_mod",
     "density": "DensityTrace build_density_sequence verify_growth_bounds",

@@ -10,6 +10,7 @@ from conftest import (
     count_calls,
     deadline,
     oracle_pisano,
+    oracle_powrec_orbit,
     oracle_row_bits,
     oracle_row_period,
     oracle_state_period,
@@ -353,6 +354,29 @@ def test_non_unit_linear_periods_take_no_walk(monkeypatch):
         with deadline(0.1):
             assert state_period_mod(parse_spec(text), m) == StatePeriod(*want), text
     assert walks == []
+
+
+# the order <= 2 power recurrences with powers 1 whose exact terms may turn nonpositive (a negative
+# or all-zero coefficient): their exact terms are walked and checked, but their residues are linear
+EXACT_ONLY_LINEAR = [PowerRecurrence((c1,), (1,), (a,)) for c1 in range(-3, 1) for a in (1, 2, 6)] + [
+    PowerRecurrence((c1, c2), (1, 1), init)
+    for c1 in range(-3, 7) for c2 in range(-5, 4) if min(c1, c2) < 0 or c1 == c2 == 0
+    for init in ((1, 1), (2, 3), (5, 2))
+]
+
+
+def test_exact_only_linear_state_periods_take_no_walk(monkeypatch):
+    # a coefficient's sign decides how exact terms are read, not how a residue period is found
+    def walk(*args):
+        raise AssertionError("Brent's walk entered")
+
+    monkeypatch.setattr(sequences, "_orbit", walk)
+    monkeypatch.setattr(periodicity, "_orbit", walk)
+    assert all(sequences._exact_only(spec) for spec in EXACT_ONLY_LINEAR)
+    for spec in EXACT_ONLY_LINEAR:
+        for m in range(1, 60):
+            mu, states = oracle_powrec_orbit(spec, m)
+            assert state_period_mod(spec, m) == StatePeriod(mu, len(states) - mu), (spec, m)
 
 
 def test_linear_period_refuses_a_wrong_factorization(monkeypatch):

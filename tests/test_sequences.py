@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -34,7 +33,6 @@ from splitgamma import (
     iter_terms,
     oddr,
     parse_spec,
-    phi_psi,
     solve_split,
     state_period_mod,
     term,
@@ -554,40 +552,41 @@ def test_oddr_rejects_common_factor():
 # ---------------- closed forms ----------------
 
 
+# _phi_psi_doubled(u, v, r, variant) maps (F_{n-2}, F_{n-1}) to (2 phi, 2 psi), so each check is twice its equation
+
+
 def test_phi_psi_fibonacci_case():
     for n in range(2, 21, 2):
-        phi, psi = phi_psi(1, 1, n, 1, 1)
-        assert phi == Fraction(fib(n) - 1, 2)
-        assert psi == Fraction(fib(n - 2) - 1, 2)
+        assert identities._phi_psi_doubled(1, 1, 1, 1)(*fib_pair(n - 2)) == (fib(n) - 1, fib(n - 2) - 1)
 
 
 def test_phi_psi_seed_example():
-    assert phi_psi(1, 2, 4, 1, 1) == (1, 1)
+    assert identities._phi_psi_doubled(1, 2, 1, 1)(*fib_pair(2)) == (2, 2)
 
 
 def test_phi_psi_rejects_non_integral_fraction():
     with pytest.raises(DomainError) as err:
-        phi_psi(3, 5, 6, 3, 1)
+        identities._phi_psi_doubled(3, 5, 3, 1)
     assert "/u is not an integer" in str(err.value)
 
 
 def test_phi_psi_identity():
-    """variant + phi*t_n + psi*t_{n+1} = (t_n - 1)(t_{n+1} - 1)/2 wherever defined."""
+    """2 variant + 2 phi t_n + 2 psi t_{n+1} = (t_n - 1)(t_{n+1} - 1) wherever defined."""
     checked = 0
     for u in range(-5, 6):
         if u == 0:
             continue
         for v in range(-5, 6):
             for r in range(-5, 6, 2):
-                for n in range(2, 21, 2):
-                    for variant in (0, 1):
-                        try:
-                            phi, psi = phi_psi(u, v, n, r, variant)
-                        except DomainError:
-                            continue
+                for variant in (0, 1):
+                    try:
+                        doubled = identities._phi_psi_doubled(u, v, r, variant)
+                    except DomainError:
+                        continue
+                    for n in range(2, 21, 2):
+                        phi2, psi2 = doubled(*fib_pair(n - 2))
                         tn, tn1 = fiblike_pair(u, v, n)
-                        lhs = variant + phi * tn + psi * tn1
-                        assert lhs == Fraction((tn - 1) * (tn1 - 1), 2), (u, v, r, n, variant)
+                        assert 2 * variant + phi2 * tn + psi2 * tn1 == (tn - 1) * (tn1 - 1), (u, v, r, n, variant)
                         checked += 1
     assert checked == 5760
 
